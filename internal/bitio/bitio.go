@@ -55,15 +55,42 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v >= 1<<uint(width) {
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		idx := w.n / 64
-		if idx == len(w.words) {
-			w.words = append(w.words, 0)
-		}
-		off := 63 - uint(w.n%64)
-		w.words[idx] |= bit << off
-		w.n++
+	off := w.n % 64 // bits already used in the last word
+	if off == 0 {
+		w.words = append(w.words, 0)
+	}
+	free := 64 - off
+	last := len(w.words) - 1
+	if width <= free {
+		w.words[last] |= v << uint(free-width)
+	} else {
+		// The high free bits end this word; the rest open the next.
+		w.words[last] |= v >> uint(width-free)
+		w.words = append(w.words, v<<uint(64-(width-free)))
+	}
+	w.n += width
+}
+
+// WriteZeros appends n zero bits. It panics if n is negative.
+func (w *Writer) WriteZeros(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("bitio: negative zero pad %d", n))
+	}
+	w.n += n
+	// Bits past the old length are already zero, so only whole new
+	// words need appending.
+	for len(w.words) < (w.n+63)/64 {
+		w.words = append(w.words, 0)
+	}
+}
+
+// Grow reserves room for n more bits, so that writing them does not
+// reallocate.
+func (w *Writer) Grow(n int) {
+	if need := (w.n + n + 63) / 64; need > cap(w.words) {
+		words := make([]uint64, len(w.words), need)
+		copy(words, w.words)
+		w.words = words
 	}
 }
 

@@ -159,3 +159,67 @@ func TestQuickUintBitsSufficient(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bitWriter is the bit-at-a-time reference the word-level Writer must
+// match byte for byte.
+type bitWriter struct {
+	bits []byte // one 0/1 entry per written bit
+}
+
+func (b *bitWriter) writeUint(v uint64, width int) {
+	for i := width - 1; i >= 0; i-- {
+		b.bits = append(b.bits, byte(v>>uint(i)&1))
+	}
+}
+
+func (b *bitWriter) bytes() []byte {
+	out := make([]byte, (len(b.bits)+7)/8)
+	for i, bit := range b.bits {
+		out[i/8] |= bit << (7 - uint(i%8))
+	}
+	return out
+}
+
+// Randomized equivalence: any interleaving of WriteUint, WriteZeros and
+// Grow produces exactly the bytes the bit-at-a-time reference does.
+func TestWriterMatchesBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		var w Writer
+		var ref bitWriter
+		for op := rng.Intn(40); op >= 0; op-- {
+			switch rng.Intn(6) {
+			case 0:
+				n := rng.Intn(200)
+				w.WriteZeros(n)
+				ref.bits = append(ref.bits, make([]byte, n)...)
+			case 1:
+				w.Grow(rng.Intn(300))
+			default:
+				width := rng.Intn(64) + 1
+				v := rng.Uint64()
+				if width < 64 {
+					v &= 1<<uint(width) - 1
+				}
+				w.WriteUint(v, width)
+				ref.writeUint(v, width)
+			}
+			if w.Len() != len(ref.bits) {
+				t.Fatalf("trial %d: Len = %d, want %d", trial, w.Len(), len(ref.bits))
+			}
+		}
+		if got, want := w.Bytes(), ref.bytes(); string(got) != string(want) {
+			t.Fatalf("trial %d: bytes\n%x\nwant\n%x", trial, got, want)
+		}
+	}
+}
+
+func TestWriterPanicsOnNegativePad(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a negative pad")
+		}
+	}()
+	var w Writer
+	w.WriteZeros(-1)
+}

@@ -33,7 +33,9 @@ import (
 // probability 10·2^i log n/n, Δ′ = 9 ln(n⁴), component bound
 // 6 ln(n⁴)) are asymptotic; the defaults here preserve every
 // high-probability argument at laptop sizes while keeping the
-// simulation tractable (see DESIGN.md §2, substitution 3).
+// simulation tractable. They scale the constants down: C1 = 4 instead
+// of 10, Δ′ = ⌈6 ln N⌉ instead of 36 ln N, and a component bound of
+// ⌈12 ln N⌉ instead of 24 ln N.
 type Params struct {
 	// C1 scales the batch-level probabilities (paper: 10).
 	C1 float64 `json:"c1,omitempty"`

@@ -23,9 +23,15 @@ type stepNode struct {
 	idSpace int64
 	id      int64
 	state   misproto.State
-	// rounds is the node's communication set (phases it attends).
+	// rounds is the node's communication set (phases it attends);
+	// rounds[i] is the one being attended, and i < 0 while the node
+	// idles through round 0 before its first.
 	rounds  []int
+	i       int
 	myPhase int
+	// sendFn and recvFn are c.send and c.recv, bound once.
+	sendFn func(*sim.Outbox)
+	recvFn func([]sim.Inbound)
 }
 
 // StepProgram returns the per-node Awake-MIS program in step form.
@@ -43,44 +49,57 @@ func (c *stepNode) Start(out *sim.Outbox) {
 	c.myPhase = c.sched.Phase(level, j)
 	c.res.Batch[c.env.ID] = c.myPhase
 	c.rounds = vtree.AwakeRounds(c.myPhase, c.sched.TotalPhases)
+	c.sendFn, c.recvFn = c.send, c.recv
 
 	c.Begin(out, func() {
 		if c.sched.PhaseStart(c.rounds[0]) == 0 {
 			// Phase 1 is this node's first communication round and starts
 			// at round 0, the model's initial all-awake round.
-			c.attend(0)
+			c.attend()
 			return
 		}
-		c.Yield(0, nil, func([]sim.Inbound) { c.attend(0) })
+		c.i = -1
+		c.Yield(0, nil, c.recvFn)
 	})
 }
 
-// attend stages communication round i of the node's schedule, or
+// attend stages communication round rounds[i] of the node's schedule, or
 // finishes the node when the schedule is exhausted or the node has
 // learned it is not in the MIS (nothing more to learn or announce).
-func (c *stepNode) attend(i int) {
-	if i >= len(c.rounds) || c.state == misproto.NotInMIS {
+func (c *stepNode) attend() {
+	if c.i >= len(c.rounds) || c.state == misproto.NotInMIS {
 		c.res.InMIS[c.env.ID] = c.state == misproto.InMIS
 		return // no yield: the node halts
 	}
-	r := c.rounds[i]
-	c.Yield(c.sched.PhaseStart(r), func(out *sim.Outbox) {
-		out.Broadcast(misproto.StateMsg{State: c.state})
-	}, func(in []sim.Inbound) {
-		if c.state == misproto.Undecided {
-			for _, m := range in {
-				if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-					c.state = misproto.NotInMIS
-					break
-				}
+	c.Yield(c.sched.PhaseStart(c.rounds[c.i]), c.sendFn, c.recvFn)
+}
+
+func (c *stepNode) send(out *sim.Outbox) {
+	out.Broadcast(misproto.StateMsg{State: c.state})
+}
+
+func (c *stepNode) recv(in []sim.Inbound) {
+	if c.i < 0 {
+		c.i = 0
+		c.attend()
+		return
+	}
+	r := c.rounds[c.i]
+	if c.state == misproto.Undecided {
+		for _, m := range in {
+			if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
+				c.state = misproto.NotInMIS
+				break
 			}
 		}
-		if r == c.myPhase && c.state == misproto.Undecided {
-			ldtmis.RunSubStep(&c.Machine, c.env.Rand, c.env.Bandwidth,
-				c.sched.PhaseStart(r)+1, c.id, c.sched.NP, c.sched.Variant, &c.state,
-				func(int) { c.attend(i + 1) })
-			return
-		}
-		c.attend(i + 1)
-	})
+	}
+	c.i++
+	if r == c.myPhase && c.state == misproto.Undecided {
+		// The node's own phase: run its LDT-MIS window, then go on.
+		window := new(ldtmis.Session)
+		window.Start(&c.Machine, c.env.Rand, c.env.Bandwidth,
+			c.sched.PhaseStart(r)+1, c.id, c.sched.NP, c.sched.Variant, &c.state, c.attend)
+		return
+	}
+	c.attend()
 }

@@ -246,7 +246,7 @@ func runE1(o Options, w io.Writer) error {
 
 func runE2(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "Awake-MIS round variant (Corollary 14, deterministic LDT construction).")
-	fmt.Fprintln(w, "Note: with the randomized ConstructAwake substitution (DESIGN.md §2),")
+	fmt.Fprintln(w, "Note: with the randomized ConstructAwake in place of the deterministic LDT construction,")
 	fmt.Fprintln(w, "the paper's round-complexity advantage of this variant inverts; awake stays O(log log n)·log* n.")
 	return sweepMIS(o, w, "awake-mis-round", func(g *graph.Graph, n int, seed int64) (*sim.Metrics, []bool, error) {
 		res, m, err := core.RunContext(o.ctx(), g, core.Params{Variant: ldtmis.VariantRound},

@@ -2,8 +2,10 @@ package ldt
 
 // This file implements the two LDT constructions.
 //
-// ConstructAwake (randomized; substitution for Theorem 4 of [2], see
-// DESIGN.md §2): repeated fragment merging where each fragment flips a
+// ConstructAwake (randomized; used in place of the deterministic
+// construction behind Theorem 4 of [2], whose O(log n′) awake bound it
+// meets with high probability instead of always): repeated fragment
+// merging where each fragment flips a
 // coin and every tails fragment whose minimum outgoing edge points at a
 // heads fragment merges into it. Each phase costs O(1) awake rounds per
 // node, and O(log n′) phases suffice w.h.p., giving O(log n′) awake
@@ -39,10 +41,7 @@ func SpanConstructAwake(np, phases int) int64 {
 func (p *Proc) ConstructAwake(phases int) {
 	for ph := 0; ph < phases; ph++ {
 		// (a) Exchange fragment IDs with neighbors.
-		nbrRoot := map[int]int64{}
-		for _, m := range p.adjacent(kRoot, []int64{p.rootID}) {
-			nbrRoot[m.Port] = m.Msg.(opMsg).F[0]
-		}
+		nbrRoot := p.nbrRoots(p.adjacent(kRoot, []int64{p.rootID}), nil)
 
 		// (b) Upcast the fragment's minimum outgoing edge.
 		agg, _ := p.upcast(p.minEdge(nbrRoot), mergeMinEdge)
@@ -168,10 +167,7 @@ func (p *Proc) ConstructRound(phases int) {
 
 func (p *Proc) constructRoundPhase() {
 	// ---- Stage 1: minimum outgoing edge, known to all members. ----
-	nbrRoot := map[int]int64{}
-	for _, m := range p.adjacent(kRoot, []int64{p.rootID}) {
-		nbrRoot[m.Port] = m.Msg.(opMsg).F[0]
-	}
+	nbrRoot := p.nbrRoots(p.adjacent(kRoot, []int64{p.rootID}), nil)
 	agg, _ := p.upcast(p.minEdge(nbrRoot), mergeMinEdge)
 	var down []int64
 	if p.IsRoot() && agg != nil {
@@ -196,8 +192,8 @@ func (p *Proc) constructRoundPhase() {
 	}
 	// childPorts: ports whose neighbor fragment chose the edge to us.
 	childPorts := []int{}
-	for _, q := range p.active {
-		if nbrRoot[q] == p.rootID {
+	for i, q := range p.active {
+		if nbrRoot[i] == p.rootID {
 			continue
 		}
 		ch, ok := nbrChosen[q]
@@ -214,7 +210,7 @@ func (p *Proc) constructRoundPhase() {
 	var mutual []int64 // [otherRootID]
 	if parentEdgePort >= 0 {
 		if ch, ok := nbrChosen[parentEdgePort]; ok && ch == [2]int64{chosenLo, chosenHi} {
-			mutual = []int64{nbrRoot[parentEdgePort]}
+			mutual = []int64{nbrRoot[p.activeIndex(parentEdgePort)]}
 		}
 	}
 	aggMut, _ := p.upcast(mutual, mergeFirst)
@@ -322,7 +318,7 @@ func (p *Proc) constructRoundPhase() {
 				if nbrMatched[q] {
 					continue
 				}
-				lo, hi := p.id, p.nbrID[q]
+				lo, hi := p.id, p.nbrIDOf(q)
 				if lo > hi {
 					lo, hi = hi, lo
 				}
@@ -403,7 +399,7 @@ func (p *Proc) constructRoundPhase() {
 	var ownC []int64
 	if !matched && isTRoot {
 		for _, q := range childPorts {
-			lo, hi := p.id, p.nbrID[q]
+			lo, hi := p.id, p.nbrIDOf(q)
 			if lo > hi {
 				lo, hi = hi, lo
 			}

@@ -6,9 +6,11 @@
 // two distributed constructions:
 //
 //   - ConstructAwake: a randomized fragment-merging construction with
-//     O(log n′) awake complexity w.h.p. (substitute for Theorem 4 of
-//     [Augustine–Moses–Pandurangan 2022], whose deterministic
-//     construction lives in a different paper; see DESIGN.md §2).
+//     O(log n′) awake complexity w.h.p. It is used in place of the
+//     deterministic construction behind Theorem 4 of
+//     [Augustine–Moses–Pandurangan 2022], which lives in a different
+//     paper, and meets the same awake bound with high probability
+//     instead of always.
 //   - ConstructRound: the deterministic construction of Appendix A
 //     (GHS-style fragment merging with Cole–Vishkin 6-coloring and
 //     fragment matching), with O((log n′)·log* I) awake complexity.
@@ -23,6 +25,7 @@ package ldt
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"awakemis/internal/bitio"
 	"awakemis/internal/sim"
@@ -88,8 +91,8 @@ type treeState struct {
 	id int64 // unique node ID in [1, I]
 
 	// Topology discovered by Hello.
-	active []int         // ports to participants, ascending
-	nbrID  map[int]int64 // port -> participant neighbor's ID
+	active []int   // ports to participants, ascending
+	nbrID  []int64 // nbrID[i]: ID of the participant on port active[i]
 
 	// LDT state.
 	rootID     int64
@@ -105,7 +108,6 @@ func newTreeState(id int64, np int) treeState {
 	return treeState{
 		np:         np,
 		id:         id,
-		nbrID:      map[int]int64{},
 		rootID:     id,
 		parentPort: -1,
 	}
@@ -164,7 +166,7 @@ func (p *Proc) Hello() {
 	for _, m := range p.ctx.Deliver() {
 		if om, ok := m.Msg.(opMsg); ok && om.Kind == kHello {
 			p.active = append(p.active, m.Port)
-			p.nbrID[m.Port] = om.F[0]
+			p.nbrID = append(p.nbrID, om.F[0])
 		}
 	}
 }
@@ -377,24 +379,67 @@ func (p *treeState) removeChild(q int) {
 	}
 }
 
+// portIndex returns the index of port q in the ascending list ports,
+// or -1.
+func portIndex(ports []int, q int) int {
+	i := sort.SearchInts(ports, q)
+	if i < len(ports) && ports[i] == q {
+		return i
+	}
+	return -1
+}
+
+// activeIndex returns the index of port q in active, or -1.
+func (p *treeState) activeIndex(q int) int { return portIndex(p.active, q) }
+
+// nbrIDOf returns the ID of the participant on port q (0 if q is not
+// an active port).
+func (p *treeState) nbrIDOf(q int) int64 {
+	if i := p.activeIndex(q); i >= 0 {
+		return p.nbrID[i]
+	}
+	return 0
+}
+
+// nbrRoots reads the fragment IDs (field 0) of a kRoot adjacent
+// exchange into roots, aligned with active: roots[i] is what port
+// active[i] sent, or 0 if it sent nothing (node IDs are ≥ 1). roots'
+// backing array is reused when large enough.
+func (p *treeState) nbrRoots(in []sim.Inbound, roots []int64) []int64 {
+	roots = roots[:0]
+	for range p.active {
+		roots = append(roots, 0)
+	}
+	for _, m := range in {
+		if i := p.activeIndex(m.Port); i >= 0 {
+			roots[i] = m.Msg.(opMsg).F[0]
+		}
+	}
+	return roots
+}
+
 // minEdge returns the node's minimum incident outgoing edge as
-// (lo, hi) with respect to current fragment IDs, or nil if none.
-func (p *treeState) minEdge(nbrRoot map[int]int64) []int64 {
-	var best []int64
-	for _, q := range p.active {
-		r, ok := nbrRoot[q]
-		if !ok || r == p.rootID {
+// (lo, hi) with respect to current fragment IDs (nbrRoot as returned by
+// nbrRoots), or nil if none.
+func (p *treeState) minEdge(nbrRoot []int64) []int64 {
+	found := false
+	var bestLo, bestHi int64
+	for i, r := range nbrRoot {
+		if r == 0 || r == p.rootID {
 			continue
 		}
-		lo, hi := p.id, p.nbrID[q]
+		lo, hi := p.id, p.nbrID[i]
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		if best == nil || lo < best[0] || (lo == best[0] && hi < best[1]) {
-			best = []int64{lo, hi}
+		if !found || lo < bestLo || (lo == bestLo && hi < bestHi) {
+			bestLo, bestHi, found = lo, hi, true
 		}
 	}
-	return best
+	if !found {
+		return nil
+	}
+	return []int64{bestLo, bestHi}
 }
 
 // edgePort returns the active port realizing edge (lo, hi) incident to
@@ -409,8 +454,8 @@ func (p *treeState) edgePort(lo, hi int64) int {
 	default:
 		return -1
 	}
-	for _, q := range p.active {
-		if p.nbrID[q] == other {
+	for i, q := range p.active {
+		if p.nbrID[i] == other {
 			return q
 		}
 	}

@@ -363,3 +363,71 @@ func TestDeterministicConstructReplay(t *testing.T) {
 		}
 	}
 }
+
+// bitAt reads bit i of data, most significant first.
+func bitAt(data []byte, i int) byte { return data[i/8] >> (7 - uint(i%8)) & 1 }
+
+// Randomized equivalence: bitAccum.appendRange and sliceBits, whose
+// byte-aligned fast paths copy whole bytes, produce exactly the bits a
+// bit-at-a-time copy does, aligned or not.
+func TestBitCopiesMatchBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]byte, 1+rng.Intn(40))
+		rng.Read(data)
+		lo := rng.Intn(8 * len(data))
+		if rng.Intn(2) == 0 {
+			lo &^= 7 // byte-aligned source
+		}
+		hi := lo + rng.Intn(8*len(data)-lo+1)
+
+		var want []byte // reference bits
+		for i := lo; i < hi; i++ {
+			want = append(want, bitAt(data, i))
+		}
+		got := sliceBits(data, lo, hi)
+		if len(got) != (hi-lo+7)/8 {
+			t.Fatalf("sliceBits(%d,%d): %d bytes", lo, hi, len(got))
+		}
+		for i, b := range want {
+			if bitAt(got, i) != b {
+				t.Fatalf("sliceBits(%d,%d): bit %d differs", lo, hi, i)
+			}
+		}
+		for i := len(want); i < 8*len(got); i++ {
+			if bitAt(got, i) != 0 {
+				t.Fatalf("sliceBits(%d,%d): padding bit %d set", lo, hi, i)
+			}
+		}
+
+		// An accumulator holding a random prefix (so both aligned and
+		// unaligned destinations occur) then the range.
+		a := newBitAccum(0)
+		prefix := make([]byte, 8)
+		rng.Read(prefix)
+		pbits := rng.Intn(64)
+		if rng.Intn(2) == 0 {
+			pbits &^= 7
+		}
+		a.append(prefix, pbits)
+		a.appendRange(data, lo, hi)
+		var wantAll []byte
+		for i := 0; i < pbits; i++ {
+			wantAll = append(wantAll, bitAt(prefix, i))
+		}
+		wantAll = append(wantAll, want...)
+		if a.bits != len(wantAll) || len(a.out) != (len(wantAll)+7)/8 {
+			t.Fatalf("appendRange(%d,%d) after %d bits: %d bits in %d bytes", lo, hi, pbits, a.bits, len(a.out))
+		}
+		for i, b := range wantAll {
+			if bitAt(a.out, i) != b {
+				t.Fatalf("appendRange(%d,%d) after %d bits: bit %d differs", lo, hi, pbits, i)
+			}
+		}
+		for i := len(wantAll); i < 8*len(a.out); i++ {
+			if bitAt(a.out, i) != 0 {
+				t.Fatalf("appendRange(%d,%d) after %d bits: padding bit %d set", lo, hi, pbits, i)
+			}
+		}
+	}
+}

@@ -83,8 +83,26 @@ func newBitAccum(payloadBits int) *bitAccum {
 	return &bitAccum{out: make([]byte, 0, (payloadBits+7)/8)}
 }
 
-func (a *bitAccum) append(data []byte, nbits int) {
-	for i := 0; i < nbits; i++ {
+// append appends the first nbits bits of data.
+func (a *bitAccum) append(data []byte, nbits int) { a.appendRange(data, 0, nbits) }
+
+// appendRange appends bits [lo, hi) of data.
+func (a *bitAccum) appendRange(data []byte, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if a.bits%8 == 0 && lo%8 == 0 {
+		// Byte-aligned on both sides: copy whole bytes, then the
+		// masked head of the last partial one.
+		n := hi - lo
+		a.out = append(a.out, data[lo/8:lo/8+n/8]...)
+		if r := n % 8; r > 0 {
+			a.out = append(a.out, data[lo/8+n/8]&^(0xff>>uint(r)))
+		}
+		a.bits += n
+		return
+	}
+	for i := lo; i < hi; i++ {
 		bit := (data[i/8] >> (7 - uint(i%8))) & 1
 		if a.bits%8 == 0 {
 			a.out = append(a.out, 0)
@@ -94,15 +112,21 @@ func (a *bitAccum) append(data []byte, nbits int) {
 	}
 }
 
-// rootChunk cuts the root's c-th chunk out of the payload ("null"
-// filler per §5.3 once the payload is exhausted). Shared by both forms.
-func rootChunk(payload []byte, c, chunkBits, payloadBits int) *chunkMsg {
-	lo := c * chunkBits
-	hi := lo + chunkBits
+// chunkRange returns the payload bits [lo, hi) of chunk c; lo ≥ hi
+// once the payload is exhausted.
+func chunkRange(c, chunkBits, payloadBits int) (lo, hi int) {
+	lo = c * chunkBits
+	hi = lo + chunkBits
 	if hi > payloadBits {
 		hi = payloadBits
 	}
-	if lo < hi {
+	return lo, hi
+}
+
+// rootChunk cuts the root's c-th chunk out of the payload ("null"
+// filler per §5.3 once the payload is exhausted).
+func rootChunk(payload []byte, c, chunkBits, payloadBits int) *chunkMsg {
+	if lo, hi := chunkRange(c, chunkBits, payloadBits); lo < hi {
 		return &chunkMsg{Data: sliceBits(payload, lo, hi), NBits: hi - lo}
 	}
 	return &chunkMsg{NBits: 0}
@@ -147,6 +171,13 @@ func (p *Proc) BroadcastChunks(payload []byte, payloadBits, chunkBits, numChunks
 func sliceBits(data []byte, lo, hi int) []byte {
 	n := hi - lo
 	out := make([]byte, (n+7)/8)
+	if lo%8 == 0 {
+		copy(out, data[lo/8:])
+		if r := n % 8; r > 0 {
+			out[len(out)-1] &^= 0xff >> uint(r)
+		}
+		return out
+	}
 	for i := 0; i < n; i++ {
 		bit := (data[(lo+i)/8] >> (7 - uint((lo+i)%8))) & 1
 		out[i/8] |= bit << (7 - uint(i%8))

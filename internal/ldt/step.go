@@ -2,20 +2,30 @@ package ldt
 
 // This file is the resumable-step form of the LDT session: SProc
 // mirrors Proc primitive by primitive, but instead of blocking a
-// dedicated goroutine at each wake point it registers continuations on
-// a sim.Machine, so the whole session runs natively on the stepped
-// engine's inline hot path. Every primitive stages exactly the same
-// messages and wakes in exactly the same rounds as its goroutine
-// original — the cross-form tests hold the two bit-identical.
+// dedicated goroutine at each wake point it yields to a sim.Machine,
+// so the whole session runs natively on the stepped engine's inline hot
+// path. Every primitive stages exactly the same messages and wakes in
+// exactly the same rounds as its goroutine original — the cross-form
+// tests hold the two bit-identical.
+//
+// The session runs from one frame. The in-flight primitive keeps its
+// parameters and results in SProc's fields, and every Yield passes the
+// same send and receive methods, bound once in Init, so a wake costs no
+// allocation beyond the payloads of the messages it actually sends.
 //
 // Conversion rules (see sim.Machine):
 //   - each wake of the goroutine form becomes one Machine.Yield whose
-//     send closure stages what the goroutine sent after waking (the
-//     node is asleep in between, so the staged state is identical);
-//   - code between two wakes runs inside the earlier wake's receive
-//     continuation;
-//   - a primitive that skips a conditional wake simply calls its
-//     continuation without yielding.
+//     send stages what the goroutine sent after waking (the node is
+//     asleep in between, so the staged state is identical);
+//   - code between two wakes runs inside the earlier wake's receive;
+//   - a primitive that skips a conditional wake completes without
+//     yielding.
+//
+// Primitives and procedures report whether they yielded. One that did
+// not has completed, and its caller continues inline. One that did
+// completes inside a later receive, where the session resumes: the
+// in-flight procedure advances to its next primitive, and a finished
+// procedure runs the owner's continuation.
 
 import (
 	"math/rand"
@@ -23,343 +33,525 @@ import (
 	"awakemis/internal/sim"
 )
 
+// primOp names the primitive whose wake the session is waiting on.
+type primOp uint8
+
+const (
+	opHello primOp = iota + 1
+	opAdjacent
+	opTargeted
+	opUpcast
+	opDowncast
+	opUpRelabel
+	opDownRelabel
+	opChunk
+)
+
+// procKind names the procedure that resumes when a primitive completes.
+type procKind uint8
+
+const (
+	procNone   procKind = iota // a bare primitive (Hello): completion runs k
+	procAwake                  // ConstructAwake
+	procRound                  // ConstructRound (closure-driven, see roundK)
+	procRank                   // Rank
+	procChunks                 // BroadcastChunks
+)
+
 // SProc is a node's participation in one LDT session over a connected
 // participant set of at most np nodes, in resumable-step form. The
-// scheduling contract matches Proc: all participants construct their
-// SProc with the same base round and np.
+// scheduling contract matches Proc: all participants start their
+// session with the same base round and np.
 type SProc struct {
 	treeState
 	m   *sim.Machine
 	rnd *rand.Rand
 	cur int64 // next unallocated sim round
+
+	// k is the owner's continuation, run when a procedure that yielded
+	// completes. sendFn and recvFn are p.send and p.recv, bound once.
+	k      func()
+	sendFn func(*sim.Outbox)
+	recvFn func([]sim.Inbound)
+
+	// The in-flight primitive: which wake it waits on, its window start,
+	// and its parameters.
+	op    primOp
+	stage uint8 // 0: the primitive's first wake, 1: its second
+	w     int64
+	kind  uint8                                       // adjacent: message kind
+	port  int                                         // targeted: destination port
+	out   []int64                                     // adjacent, targeted: payload (nil sends nothing)
+	merge func(acc, in []int64) []int64               // upcast: fold of child values
+	split func(p *SProc, mine []int64, i int) []int64 // downcast: value for children[i]; nil forwards mine
+
+	// Primitive results.
+	in        []sim.Inbound // adjacent: the inbox filtered to kind (borrowed: valid only in the resuming receive)
+	got       []int         // targeted: ports a payload arrived on
+	acc       []int64       // upcast: the accumulated value
+	childVals [][]int64     // upcast: each child's value, aligned with children
+	mine      []int64       // downcast: the node's value
+	pend      pending       // relabels: the pending relabel, when hasPend
+	hasPend   bool
+
+	// The in-flight procedure and its program counter and loop.
+	proc        procKind
+	pc          uint8
+	iter, iters int
+
+	// ConstructAwake's phase state.
+	nbrRoot            []int64 // aligned with active, see nbrRoots
+	chosenLo, chosenHi int64
+	coin               int64
+	oldParent          int
+
+	// roundK continues ConstructRound once its in-flight primitive
+	// completes (ConstructRound, which no hot path runs, stays in
+	// closure-passing form).
+	roundK func()
+
+	// Rank's state and results.
+	subtree, first int64    // own subtree size; first child's subtree size
+	seed           [2]int64 // the root's own value and downcast seed (never sent)
+	rank, total    int
+
+	// BroadcastChunks' state and result.
+	payload                []byte
+	payloadBits, chunkBits int
+	chunk                  sim.Message // this window's chunkMsg, nil if none arrived
+	bits                   bitAccum
 }
 
-// NewSProc prepares a step-form LDT session starting at sim round base.
+// Init prepares a step-form LDT session starting at sim round base.
 // The caller must be at the end of an awake round strictly before base
 // (i.e. inside a Machine continuation). rnd is the node's private
-// randomness stream (sim.NodeEnv.Rand).
-func NewSProc(m *sim.Machine, rnd *rand.Rand, base int64, id int64, np int) *SProc {
-	return &SProc{
-		treeState: newTreeState(id, np),
-		m:         m,
-		rnd:       rnd,
-		cur:       base,
-	}
+// randomness stream (sim.NodeEnv.Rand). k runs each time a procedure
+// that yielded completes; bind it once per session.
+func (p *SProc) Init(m *sim.Machine, rnd *rand.Rand, base int64, id int64, np int, k func()) {
+	*p = SProc{treeState: newTreeState(id, np), m: m, rnd: rnd, cur: base, k: k}
+	p.sendFn = p.send
+	p.recvFn = p.recv
 }
 
 // Cursor returns the first sim round not consumed by the session so far.
 func (p *SProc) Cursor() int64 { return p.cur }
 
-// loopN runs body(i, next) for i = 0..n-1 in continuation-passing
-// style, then k. Bodies must call next exactly once, in tail position.
-func loopN(n int, body func(i int, next func()), k func()) {
-	var it func(int)
-	it = func(i int) {
-		if i >= n {
-			k()
-			return
-		}
-		body(i, func() { it(i + 1) })
+// Ranked returns the rank and tree size the last Rank computed.
+func (p *SProc) Ranked() (rank, total int) { return p.rank, p.total }
+
+// Data returns the payload the last BroadcastChunks reassembled.
+func (p *SProc) Data() []byte { return p.bits.out }
+
+// yield parks the session until round r, waiting on stage of op; send
+// says whether op stages messages for r.
+func (p *SProc) yield(r int64, op primOp, stage uint8, send bool) bool {
+	p.op, p.stage = op, stage
+	if send {
+		p.m.Yield(r, p.sendFn, p.recvFn)
+	} else {
+		p.m.Yield(r, nil, p.recvFn)
 	}
-	it(0)
+	return true
 }
 
-// Hello runs the one-round participant discovery, then k.
-func (p *SProc) Hello(k func()) {
-	w := p.cur
-	p.cur += spanAdjacent
-	p.m.Yield(w, func(out *sim.Outbox) {
+// send stages the in-flight primitive's messages. A message sent on
+// several ports is boxed once.
+func (p *SProc) send(out *sim.Outbox) {
+	switch p.op {
+	case opHello:
 		out.Broadcast(opMsg{Kind: kHello, F: []int64{p.id}})
-	}, func(in []sim.Inbound) {
+	case opAdjacent:
+		msg := sim.Message(opMsg{Kind: p.kind, F: p.out})
+		for _, q := range p.active {
+			out.Send(q, msg)
+		}
+	case opTargeted:
+		out.Send(p.port, opMsg{Kind: kRoot, F: p.out})
+	case opUpcast:
+		out.Send(p.parentPort, opMsg{Kind: kUp, F: p.acc})
+	case opDowncast:
+		if p.split == nil {
+			msg := sim.Message(opMsg{Kind: kDown, F: p.mine})
+			for _, q := range p.children {
+				out.Send(q, msg)
+			}
+			return
+		}
+		for i, q := range p.children {
+			if v := p.split(p, p.mine, i); v != nil {
+				out.Send(q, opMsg{Kind: kDown, F: v})
+			}
+		}
+	case opUpRelabel:
+		out.Send(p.parentPort, opMsg{Kind: kRelabel, F: []int64{p.pend.rootID, int64(p.pend.depth)}})
+	case opDownRelabel:
+		msg := sim.Message(opMsg{Kind: kRelabel, F: []int64{p.pend.rootID, int64(p.pend.depth)}})
+		for _, q := range p.children {
+			out.Send(q, msg)
+		}
+	case opChunk:
+		for _, q := range p.children {
+			out.Send(q, p.chunk)
+		}
+	}
+}
+
+// recv handles the in-flight primitive's wake and, once the primitive
+// has completed, resumes the session.
+func (p *SProc) recv(in []sim.Inbound) {
+	if p.wake(in) {
+		return
+	}
+	p.resume()
+}
+
+// wake consumes the round's inbox for the in-flight primitive and
+// reports whether the primitive yielded again (for its second wake).
+func (p *SProc) wake(in []sim.Inbound) bool {
+	switch p.op {
+	case opHello:
 		for _, m := range in {
 			if om, ok := m.Msg.(opMsg); ok && om.Kind == kHello {
 				p.active = append(p.active, m.Port)
-				p.nbrID[m.Port] = om.F[0]
+				p.nbrID = append(p.nbrID, om.F[0])
 			}
 		}
-		k()
-	})
-}
-
-// adjacent runs a one-round exchange among participants and hands k the
-// inbox filtered to messages of the given kind.
-func (p *SProc) adjacent(kind uint8, payload []int64, k func(in []sim.Inbound)) {
-	w := p.cur
-	p.cur += spanAdjacent
-	p.m.Yield(w, func(out *sim.Outbox) {
-		if payload != nil {
-			for _, q := range p.active {
-				out.Send(q, opMsg{Kind: kind, F: payload})
-			}
-		}
-	}, func(in []sim.Inbound) {
+	case opAdjacent:
 		filtered := in[:0]
 		for _, m := range in {
-			if om, ok := m.Msg.(opMsg); ok && om.Kind == kind {
+			if om, ok := m.Msg.(opMsg); ok && om.Kind == p.kind {
 				filtered = append(filtered, m)
 			}
 		}
-		k(filtered)
-	})
-}
-
-// adjacentTargeted runs a one-round exchange in which only the given
-// port (if ≥ 0) is sent the payload; k receives every port a payload
-// arrived on.
-func (p *SProc) adjacentTargeted(port int, payload []int64, k func(got []int)) {
-	w := p.cur
-	p.cur += spanAdjacent
-	p.m.Yield(w, func(out *sim.Outbox) {
-		if port >= 0 && payload != nil {
-			out.Send(port, opMsg{Kind: kRoot, F: payload})
-		}
-	}, func(in []sim.Inbound) {
-		var got []int
+		p.in = filtered
+	case opTargeted:
+		p.got = p.got[:0]
 		for _, m := range in {
 			if om, ok := m.Msg.(opMsg); ok && om.Kind == kRoot {
-				got = append(got, m.Port)
+				p.got = append(p.got, m.Port)
 			}
 		}
-		k(got)
-	})
-}
-
-// upcast runs one upcast half-window (same offsets and conditional
-// wakes as Proc.upcast), then k with the accumulated value and the
-// per-port child values.
-func (p *SProc) upcast(own []int64, merge func(acc, in []int64) []int64, k func(acc []int64, childVals map[int][]int64)) {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	acc := own
-	var childVals map[int][]int64
-	sendUp := func() {
-		if p.parentPort >= 0 && acc != nil {
-			p.m.Yield(w+int64(p.np-p.depth), func(out *sim.Outbox) {
-				out.Send(p.parentPort, opMsg{Kind: kUp, F: acc})
-			}, func([]sim.Inbound) {
-				k(acc, childVals)
-			})
-			return
-		}
-		k(acc, childVals)
-	}
-	if len(p.children) > 0 {
-		p.m.Yield(w+int64(p.np-p.depth-1), nil, func(in []sim.Inbound) {
-			childVals = map[int][]int64{}
+	case opUpcast:
+		if p.stage == 0 {
+			p.childVals = p.childVals[:0]
+			for range p.children {
+				p.childVals = append(p.childVals, nil)
+			}
 			for _, m := range in {
 				om, ok := m.Msg.(opMsg)
 				if !ok || om.Kind != kUp {
 					continue
 				}
-				childVals[m.Port] = om.F
-				acc = merge(acc, om.F)
-			}
-			sendUp()
-		})
-		return
-	}
-	sendUp()
-}
-
-// downcast runs one downcast half-window (same offsets and conditional
-// wakes as Proc.downcast), then k with the node's received value.
-func (p *SProc) downcast(rootVal []int64, perChild func(mine []int64, port int) []int64, k func(mine []int64)) {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	var mine []int64
-	sendDown := func() {
-		if len(p.children) > 0 && mine != nil {
-			p.m.Yield(w+int64(p.depth), func(out *sim.Outbox) {
-				for _, q := range p.children {
-					v := mine
-					if perChild != nil {
-						v = perChild(mine, q)
-					}
-					if v != nil {
-						out.Send(q, opMsg{Kind: kDown, F: v})
-					}
+				if i := portIndex(p.children, m.Port); i >= 0 {
+					p.childVals[i] = om.F
 				}
-			}, func([]sim.Inbound) {
-				k(mine)
-			})
-			return
-		}
-		k(mine)
-	}
-	if p.parentPort < 0 {
-		mine = rootVal
-		sendDown()
-		return
-	}
-	p.m.Yield(w+int64(p.depth-1), nil, func(in []sim.Inbound) {
-		for _, m := range in {
-			if om, ok := m.Msg.(opMsg); ok && om.Kind == kDown && m.Port == p.parentPort {
-				mine = om.F
+				p.acc = p.merge(p.acc, om.F)
 			}
+			return p.upcastSend()
 		}
-		sendDown()
-	})
-}
-
-// upRelabel runs the first relabel half-window, then k with the
-// (possibly discovered) pending relabel.
-func (p *SProc) upRelabel(pend *pending, k func(*pending)) {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	send := func() {
-		if pend != nil && p.parentPort >= 0 {
-			p.m.Yield(w+int64(p.np-p.depth), func(out *sim.Outbox) {
-				out.Send(p.parentPort, opMsg{Kind: kRelabel, F: []int64{pend.rootID, int64(pend.depth)}})
-			}, func([]sim.Inbound) {
-				k(pend)
-			})
-			return
+	case opDowncast:
+		if p.stage == 0 {
+			for _, m := range in {
+				if om, ok := m.Msg.(opMsg); ok && om.Kind == kDown && m.Port == p.parentPort {
+					p.mine = om.F
+				}
+			}
+			return p.downcastSend()
 		}
-		k(pend)
-	}
-	if len(p.children) > 0 {
-		p.m.Yield(w+int64(p.np-p.depth-1), nil, func(in []sim.Inbound) {
+	case opUpRelabel:
+		if p.stage == 0 {
 			for _, m := range in {
 				om, ok := m.Msg.(opMsg)
-				if !ok || om.Kind != kRelabel || pend != nil {
+				if !ok || om.Kind != kRelabel || p.hasPend {
 					continue
 				}
-				pend = &pending{
-					rootID:   om.F[0],
-					depth:    int(om.F[1]) + 1,
-					parent:   m.Port,
-					viaChild: m.Port,
-				}
+				p.setPend(om.F, m.Port, m.Port)
 			}
-			send()
-		})
-		return
-	}
-	send()
-}
-
-// downRelabel runs the second relabel half-window, then k.
-func (p *SProc) downRelabel(pend *pending, k func(*pending)) {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	send := func() {
-		if len(p.children) > 0 && pend != nil {
-			p.m.Yield(w+int64(p.depth), func(out *sim.Outbox) {
-				for _, q := range p.children {
-					out.Send(q, opMsg{Kind: kRelabel, F: []int64{pend.rootID, int64(pend.depth)}})
-				}
-			}, func([]sim.Inbound) {
-				k(pend)
-			})
-			return
+			return p.upRelabelSend()
 		}
-		k(pend)
-	}
-	if p.parentPort >= 0 {
-		p.m.Yield(w+int64(p.depth-1), nil, func(in []sim.Inbound) {
+	case opDownRelabel:
+		if p.stage == 0 {
 			for _, m := range in {
 				om, ok := m.Msg.(opMsg)
 				if !ok || om.Kind != kRelabel || m.Port != p.parentPort {
 					continue
 				}
-				if pend == nil {
-					pend = &pending{
-						rootID:   om.F[0],
-						depth:    int(om.F[1]) + 1,
-						parent:   p.parentPort,
-						viaChild: -1,
-					}
+				if !p.hasPend {
+					p.setPend(om.F, p.parentPort, -1)
 				}
 			}
-			send()
-		})
-		return
+			return p.downRelabelSend()
+		}
+	case opChunk:
+		if p.stage == 0 {
+			for _, m := range in {
+				if _, ok := m.Msg.(chunkMsg); ok && m.Port == p.parentPort {
+					p.chunk = m.Msg
+				}
+			}
+			return p.chunkForward()
+		}
+		p.chunkDone()
 	}
-	send()
+	return false
+}
+
+// resume advances the in-flight procedure after a primitive that
+// yielded has completed, and runs k once the procedure is done.
+func (p *SProc) resume() {
+	var yielded bool
+	switch p.proc {
+	case procAwake:
+		yielded = p.runAwake()
+	case procRound:
+		k := p.roundK
+		p.roundK = nil
+		k() // ConstructRound runs k itself when its last phase ends
+		return
+	case procRank:
+		yielded = p.runRank()
+	case procChunks:
+		yielded = p.runChunks()
+	}
+	if !yielded {
+		p.proc = procNone
+		p.k()
+	}
+}
+
+// setPend records a relabel to (F[0], F[1]+1) arriving through parent.
+func (p *SProc) setPend(f []int64, parent, viaChild int) {
+	p.pend = pending{rootID: f[0], depth: int(f[1]) + 1, parent: parent, viaChild: viaChild}
+	p.hasPend = true
+}
+
+// Hello runs the one-round participant discovery.
+func (p *SProc) Hello() bool {
+	w := p.cur
+	p.cur += spanAdjacent
+	p.proc = procNone
+	return p.yield(w, opHello, 0, true)
+}
+
+// adjacent runs a one-round exchange among participants; when it
+// completes, p.in holds the inbox filtered to messages of the given
+// kind. A nil payload sends nothing.
+func (p *SProc) adjacent(kind uint8, payload []int64) bool {
+	w := p.cur
+	p.cur += spanAdjacent
+	p.kind, p.out = kind, payload
+	return p.yield(w, opAdjacent, 0, payload != nil && len(p.active) > 0)
+}
+
+// adjacentTargeted runs a one-round exchange in which only the given
+// port (if ≥ 0) is sent the payload; when it completes, p.got holds
+// every port a payload arrived on.
+func (p *SProc) adjacentTargeted(port int, payload []int64) bool {
+	w := p.cur
+	p.cur += spanAdjacent
+	p.port, p.out = port, payload
+	return p.yield(w, opTargeted, 0, port >= 0 && payload != nil)
+}
+
+// upcast runs one upcast half-window (same offsets and conditional
+// wakes as Proc.upcast); when it completes, p.acc holds the accumulated
+// value and p.childVals the per-child values.
+func (p *SProc) upcast(own []int64, merge func(acc, in []int64) []int64) bool {
+	p.w = p.cur
+	p.cur += spanWindow(p.np)
+	p.acc, p.merge = own, merge
+	if len(p.children) > 0 {
+		return p.yield(p.w+int64(p.np-p.depth-1), opUpcast, 0, false)
+	}
+	return p.upcastSend()
+}
+
+func (p *SProc) upcastSend() bool {
+	if p.parentPort >= 0 && p.acc != nil {
+		return p.yield(p.w+int64(p.np-p.depth), opUpcast, 1, true)
+	}
+	return false
+}
+
+// downcast runs one downcast half-window (same offsets and conditional
+// wakes as Proc.downcast); when it completes, p.mine holds the node's
+// value. split, if non-nil, derives each child's value.
+func (p *SProc) downcast(rootVal []int64, split func(p *SProc, mine []int64, i int) []int64) bool {
+	p.w = p.cur
+	p.cur += spanWindow(p.np)
+	p.split = split
+	p.mine = nil
+	if p.parentPort < 0 {
+		p.mine = rootVal
+		return p.downcastSend()
+	}
+	return p.yield(p.w+int64(p.depth-1), opDowncast, 0, false)
+}
+
+func (p *SProc) downcastSend() bool {
+	if len(p.children) > 0 && p.mine != nil {
+		return p.yield(p.w+int64(p.depth), opDowncast, 1, true)
+	}
+	return false
+}
+
+// upRelabel runs the first relabel half-window for the pending relabel
+// in p.pend (if p.hasPend), which it may discover.
+func (p *SProc) upRelabel() bool {
+	p.w = p.cur
+	p.cur += spanWindow(p.np)
+	if len(p.children) > 0 {
+		return p.yield(p.w+int64(p.np-p.depth-1), opUpRelabel, 0, false)
+	}
+	return p.upRelabelSend()
+}
+
+func (p *SProc) upRelabelSend() bool {
+	if p.hasPend && p.parentPort >= 0 {
+		return p.yield(p.w+int64(p.np-p.depth), opUpRelabel, 1, true)
+	}
+	return false
+}
+
+// downRelabel runs the second relabel half-window.
+func (p *SProc) downRelabel() bool {
+	p.w = p.cur
+	p.cur += spanWindow(p.np)
+	if p.parentPort >= 0 {
+		return p.yield(p.w+int64(p.depth-1), opDownRelabel, 0, false)
+	}
+	return p.downRelabelSend()
+}
+
+func (p *SProc) downRelabelSend() bool {
+	if len(p.children) > 0 && p.hasPend {
+		return p.yield(p.w+int64(p.depth), opDownRelabel, 1, true)
+	}
+	return false
 }
 
 // Rank computes the node's rank and the exact tree size (step form of
-// Proc.Rank), then k(rank, total).
-func (p *SProc) Rank(k func(rank, total int)) {
-	p.upcast([]int64{1}, func(acc, in []int64) []int64 {
-		return []int64{acc[0] + in[0]}
-	}, func(sizes []int64, childSizes map[int][]int64) {
-		mySubtree := sizes[0]
-		first := int64(0)
-		if len(p.children) > 0 {
-			first = childSizes[p.children[0]][0]
-		}
-		var seed []int64
-		if p.IsRoot() {
-			seed = []int64{0, mySubtree}
-		}
-		perChild := func(mine []int64, port int) []int64 {
-			x := mine[0]
-			if port == p.children[0] {
-				return []int64{x, mine[1]}
+// Proc.Rank), read afterwards with Ranked.
+func (p *SProc) Rank() bool {
+	p.proc, p.pc = procRank, 0
+	return p.runRank()
+}
+
+func (p *SProc) runRank() bool {
+	for {
+		switch p.pc {
+		case 0:
+			// Upcast subtree sizes. The root never sends its own value,
+			// so it may live in the frame.
+			own := p.seed[:1]
+			if p.IsRoot() {
+				own[0] = 1
+			} else {
+				own = []int64{1}
 			}
-			off := x + first + 1
-			for _, q := range p.children[1:] {
-				if q == port {
-					break
-				}
-				off += childSizes[q][0]
+			p.pc = 1
+			if p.upcast(own, mergeSum) {
+				return true
 			}
-			return []int64{off, mine[1]}
-		}
-		p.downcast(seed, perChild, func(got []int64) {
-			if got == nil {
+		case 1:
+			p.subtree = p.acc[0]
+			p.first = 0
+			if len(p.children) > 0 {
+				p.first = p.childVals[0][0]
+			}
+			var seed []int64
+			if p.IsRoot() {
+				p.seed = [2]int64{0, p.subtree}
+				seed = p.seed[:]
+			}
+			p.pc = 2
+			if p.downcast(seed, rankSplit) {
+				return true
+			}
+		default:
+			if got := p.mine; got != nil {
+				p.rank, p.total = int(got[0]+p.first+1), int(got[1])
+			} else {
 				// Singleton LDT (no parent, no children): seed stands.
-				got = []int64{0, mySubtree}
+				p.rank, p.total = int(p.first+1), int(p.subtree)
 			}
-			k(int(got[0]+first+1), int(got[1]))
-		})
-	})
+			return false
+		}
+	}
+}
+
+// mergeSum folds upcast subtree sizes.
+func mergeSum(acc, in []int64) []int64 { return []int64{acc[0] + in[0]} }
+
+// rankSplit is Rank's downcast value for children[i]: the first
+// child's subtree precedes the node, later subtrees follow it.
+func rankSplit(p *SProc, mine []int64, i int) []int64 {
+	if i == 0 {
+		return []int64{mine[0], mine[1]}
+	}
+	off := mine[0] + p.first + 1
+	for _, v := range p.childVals[1:i] {
+		off += v[0]
+	}
+	return []int64{off, mine[1]}
 }
 
 // BroadcastChunks ships a root payload to every node in numChunks
-// downcast windows (step form of Proc.BroadcastChunks), then k with the
-// reassembled payload bytes.
-func (p *SProc) BroadcastChunks(payload []byte, payloadBits, chunkBits, numChunks int, k func(data []byte)) {
-	acc := newBitAccum(payloadBits)
-	loopN(numChunks, func(c int, next func()) {
-		w := p.cur
-		p.cur += spanWindow(p.np)
-		var mine *chunkMsg
-		forward := func() {
-			finish := func() {
-				if mine != nil && mine.NBits > 0 {
-					acc.append(mine.Data, mine.NBits)
-				}
-				next()
-			}
-			if len(p.children) > 0 && mine != nil {
-				p.m.Yield(w+int64(p.depth), func(ob *sim.Outbox) {
-					for _, q := range p.children {
-						ob.Send(q, *mine)
-					}
-				}, func([]sim.Inbound) {
-					finish()
-				})
-				return
-			}
-			finish()
+// downcast windows (step form of Proc.BroadcastChunks); Data returns
+// the reassembled payload bytes afterwards.
+func (p *SProc) BroadcastChunks(payload []byte, payloadBits, chunkBits, numChunks int) bool {
+	p.proc, p.iter, p.iters = procChunks, 0, numChunks
+	p.payload, p.payloadBits, p.chunkBits = payload, payloadBits, chunkBits
+	p.bits = bitAccum{out: make([]byte, 0, (payloadBits+7)/8)}
+	return p.runChunks()
+}
+
+func (p *SProc) runChunks() bool {
+	for p.iter < p.iters {
+		c := p.iter
+		p.iter++
+		if p.chunkWindow(c) {
+			return true
 		}
-		if p.IsRoot() {
-			mine = rootChunk(payload, c, chunkBits, payloadBits)
-			forward()
-			return
-		}
-		p.m.Yield(w+int64(p.depth-1), nil, func(in []sim.Inbound) {
-			for _, m := range in {
-				if cm, ok := m.Msg.(chunkMsg); ok && m.Port == p.parentPort {
-					cm := cm
-					mine = &cm
-				}
-			}
-			forward()
-		})
-	}, func() {
-		k(acc.out)
-	})
+	}
+	return false
+}
+
+// chunkWindow runs chunk c's downcast window.
+func (p *SProc) chunkWindow(c int) bool {
+	p.w = p.cur
+	p.cur += spanWindow(p.np)
+	p.chunk = nil
+	if !p.IsRoot() {
+		return p.yield(p.w+int64(p.depth-1), opChunk, 0, false)
+	}
+	lo, hi := chunkRange(c, p.chunkBits, p.payloadBits)
+	if len(p.children) == 0 {
+		// Nothing to send: append the chunk straight from the payload.
+		p.bits.appendRange(p.payload, lo, hi)
+		return false
+	}
+	cm := chunkMsg{}
+	if lo < hi {
+		cm = chunkMsg{Data: sliceBits(p.payload, lo, hi), NBits: hi - lo}
+	}
+	p.chunk = cm
+	return p.chunkForward()
+}
+
+func (p *SProc) chunkForward() bool {
+	if len(p.children) > 0 && p.chunk != nil {
+		return p.yield(p.w+int64(p.depth), opChunk, 1, true)
+	}
+	p.chunkDone()
+	return false
+}
+
+func (p *SProc) chunkDone() {
+	if p.chunk == nil {
+		return
+	}
+	if cm := p.chunk.(chunkMsg); cm.NBits > 0 {
+		p.bits.append(cm.Data, cm.NBits)
+	}
 }

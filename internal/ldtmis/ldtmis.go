@@ -70,11 +70,12 @@ func permWidth(np int) int { return bitio.UintBits(uint64(np)) }
 func buildPermPayload(rnd *rand.Rand, total, width, payloadBits int) []byte {
 	perm := rnd.Perm(total)
 	var w bitio.Writer
+	w.Grow(max(total*width, payloadBits))
 	for _, v := range perm {
 		w.WriteUint(uint64(v+1), width)
 	}
-	for w.Len() < payloadBits {
-		w.WriteUint(0, 1) // null filler per §5.3
+	if pad := payloadBits - w.Len(); pad > 0 {
+		w.WriteZeros(pad) // null filler per §5.3
 	}
 	return w.Bytes()
 }

@@ -69,48 +69,77 @@ func RunSub(ctx *sim.Ctx, base int64, id, idBound int, state *misproto.State, po
 	}
 }
 
-// RunSubStep is RunSub in continuation-passing step form, for callers
-// that compose VT-MIS into a sim.Machine-driven StepNode (LDT-MIS's
-// final window). Entry/exit contract matches RunSub: call it at the end
-// of an awake round strictly before base; k runs inside the final awake
-// round's receive continuation. It attends the same rounds, sends the
-// same messages, and leaves *state identical to RunSub.
-func RunSubStep(m *sim.Machine, base int64, id, idBound int, state *misproto.State, ports []int, k func()) {
-	rounds := vtree.AwakeRounds(id, idBound)
-	var attend func(idx int)
-	attend = func(idx int) {
-		if idx >= len(rounds) || *state == misproto.NotInMIS {
-			if idx == 0 {
-				// The node never woke (possible only for an already-decided
-				// NotInMIS node); park it at base so the caller's exit
-				// contract ("in an awake round") holds.
-				m.Yield(base, nil, func([]sim.Inbound) { k() })
-				return
-			}
-			k()
-			return
-		}
-		r := rounds[idx]
-		m.Yield(base+int64(r)-1, func(out *sim.Outbox) {
-			for _, p := range ports {
-				out.Send(p, misproto.StateMsg{State: *state})
-			}
-		}, func(in []sim.Inbound) {
-			if *state == misproto.Undecided {
-				for _, msg := range in {
-					if sm, ok := msg.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-						*state = misproto.NotInMIS
-						break
-					}
-				}
-			}
-			if r == id && *state == misproto.Undecided {
-				*state = misproto.InMIS
-			}
-			attend(idx + 1)
-		})
+// Sub is RunSub in step form, for callers that compose VT-MIS into a
+// sim.Machine-driven StepNode (LDT-MIS's final window). It runs from
+// one frame: every Yield passes the same send and receive methods,
+// bound once in Start. It attends the same rounds, sends the same
+// messages, and leaves *state identical to RunSub.
+type Sub struct {
+	m      *sim.Machine
+	base   int64
+	id     int
+	state  *misproto.State
+	ports  []int
+	rounds []int // vtree.AwakeRounds(id, idBound)
+	idx    int   // the attended round is rounds[idx]
+	parked bool  // waiting at base without attending (see Start)
+	k      func()
+	sendFn func(*sim.Outbox)
+	recvFn func([]sim.Inbound)
+}
+
+// Start runs VT-MIS from base under RunSub's entry/exit contract: call
+// it at the end of an awake round strictly before base; k runs inside
+// the final awake round's receive. Start always yields.
+func (s *Sub) Start(m *sim.Machine, base int64, id, idBound int, state *misproto.State, ports []int, k func()) {
+	*s = Sub{m: m, base: base, id: id, state: state, ports: ports, rounds: vtree.AwakeRounds(id, idBound), k: k}
+	s.sendFn, s.recvFn = s.send, s.recv
+	if !s.attend() {
+		// The node never woke (possible only for an already-decided
+		// NotInMIS node); park it at base so the caller's exit
+		// contract ("in an awake round") holds.
+		s.parked = true
+		m.Yield(base, nil, s.recvFn)
 	}
-	attend(0)
+}
+
+// attend stages rounds[idx], or reports false when nothing is left to
+// learn or announce.
+func (s *Sub) attend() bool {
+	if s.idx >= len(s.rounds) || *s.state == misproto.NotInMIS {
+		return false
+	}
+	s.m.Yield(s.base+int64(s.rounds[s.idx])-1, s.sendFn, s.recvFn)
+	return true
+}
+
+func (s *Sub) send(out *sim.Outbox) {
+	for _, p := range s.ports {
+		out.Send(p, misproto.StateMsg{State: *s.state})
+	}
+}
+
+func (s *Sub) recv(in []sim.Inbound) {
+	if s.parked {
+		s.k()
+		return
+	}
+	r := s.rounds[s.idx]
+	if *s.state == misproto.Undecided {
+		for _, msg := range in {
+			if sm, ok := msg.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
+				*s.state = misproto.NotInMIS
+				break
+			}
+		}
+	}
+	if r == s.id && *s.state == misproto.Undecided {
+		*s.state = misproto.InMIS
+	}
+	s.idx++
+	if !s.attend() {
+		s.k()
+	}
 }
 
 // Result collects the standalone algorithm's output.

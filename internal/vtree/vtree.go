@@ -34,12 +34,15 @@ func Leaves(i int) int { return 1 << Depth(i) }
 //
 // Figure 2 of the paper clips labels exceeding i ("not in round 7,
 // since there are only I rounds"); we apply the same clipping.
-func CommSet(k, i int) []int {
+func CommSet(k, i int) []int { return commSet(k, i, 0) }
+
+// commSet is CommSet with room for spare more elements.
+func commSet(k, i, spare int) []int {
 	if k < 1 || k > i {
 		panic(fmt.Sprintf("vtree: k=%d out of [1,%d]", k, i))
 	}
 	d := Depth(i)
-	set := make([]int, 0, d)
+	set := make([]int, 0, d+spare)
 	for h := 1; h <= d; h++ {
 		m := (k - 1) >> uint(h)
 		label := m<<uint(h) + 1<<uint(h-1) + 1
@@ -64,16 +67,15 @@ func CommSet(k, i int) []int {
 // the VT-MIS wake schedule (§5.3: "the node that has ID r as well as
 // all nodes u for which r ∈ S_idu wake up").
 func AwakeRounds(k, i int) []int {
-	s := CommSet(k, i)
+	s := commSet(k, i, 1)
 	pos := sort.SearchInts(s, k)
 	if pos < len(s) && s[pos] == k {
 		return s
 	}
-	out := make([]int, 0, len(s)+1)
-	out = append(out, s[:pos]...)
-	out = append(out, k)
-	out = append(out, s[pos:]...)
-	return out
+	s = append(s, 0) // within the spare capacity
+	copy(s[pos+1:], s[pos:])
+	s[pos] = k
+	return s
 }
 
 // SharedRound returns the smallest r ∈ S_k ∩ S_k′ with k < r ≤ k′
