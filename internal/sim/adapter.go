@@ -111,8 +111,10 @@ func (n *gnode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) 
 	if n.exited {
 		return 0, true
 	}
+	// The engine lends the inbox for this call only, but the program may
+	// keep what Ctx.Deliver returns, so it receives its own copy.
 	select {
-	case n.resume <- gresume{inbox: inbox}:
+	case n.resume <- gresume{inbox: append([]Inbound(nil), inbox...)}:
 	case <-n.a.quit:
 		return 0, true
 	}

@@ -44,7 +44,7 @@ func TestSteppedRoundZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := newStepState(g, allocProbe, cfg, true, workers)
+			rs, err := newStepState(g, allocProbe, cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,12 +65,6 @@ type lockstepRun struct {
 	m      Metrics
 }
 
-// outOf implements router.
-func (e *lockstepRun) outOf(v int) []outMsg { return e.states[v].ctx.out }
-
-// inboxOf implements router.
-func (e *lockstepRun) inboxOf(v int) *[]Inbound { return &e.states[v].inbox }
-
 // deliver implements ctxBackend: hand the round's sends to the engine
 // and block for the inbox.
 func (e *lockstepRun) deliver(c *Ctx) []Inbound {
@@ -241,7 +235,7 @@ func (e *lockstepRun) loop(ctx context.Context, q *wakeQueue) error {
 		// Routing: deliver only between mutually awake neighbors. The
 		// evSends handshake ordered each node's ctx.out writes before
 		// this read; the inboxCh send below orders the reset after it.
-		routeRound(e.g, &e.m, e.cfg.Tracer, clock, awake, stamp, cur, e)
+		e.routeRound(clock, awake, stamp, cur)
 
 		// Step 3: deliver inboxes (sorted by port for determinism).
 		for _, v := range awake {
@@ -271,6 +265,51 @@ func (e *lockstepRun) loop(ctx context.Context, q *wakeQueue) error {
 		q.recycle(awake)
 	}
 	return nil
+}
+
+// routeRound delivers one round's staged sends between mutually awake
+// nodes and meters the traffic. Senders are processed in ascending node
+// order (awake must be sorted); receivers' inboxes accumulate in that
+// order and are port-sorted before delivery. It is written
+// independently of the stepped engine's counting-sort router, as the
+// reference that the cross-engine suites check that router against.
+//
+// Arrival ports are recovered with the same galloping cursor search
+// (portFrom): senders arrive in ascending order and CSR rows are
+// sorted, so each receiver's arrival ports ascend within the round.
+//
+// stamp must satisfy stamp[v] == clock+1 exactly for awake v, and cur
+// is per-receiver cursor scratch; the method establishes both
+// invariants itself.
+func (e *lockstepRun) routeRound(clock int64, awake []int, stamp []int64, cur []int32) {
+	m, tracer := &e.m, e.cfg.Tracer
+	for _, v := range awake {
+		stamp[v] = clock + 1
+		cur[v] = 0
+	}
+	for _, v := range awake {
+		for _, om := range e.states[v].ctx.out {
+			bits := om.msg.Bits()
+			m.MessagesSent++
+			m.BitsSent += int64(bits)
+			if bits > m.MaxMessageBits {
+				m.MaxMessageBits = bits
+			}
+			w := e.g.Neighbor(v, om.port)
+			delivered := stamp[w] == clock+1
+			if tracer != nil {
+				tracer.Message(clock, v, w, bits, delivered)
+			}
+			if !delivered {
+				continue // receiver asleep: message lost
+			}
+			port := portFrom(e.g.Neighbors(w), int32(v), int(cur[w]))
+			cur[w] = int32(port) // not port+1: v may send on the same port again this round
+			st := e.states[w]
+			st.inbox = append(st.inbox, Inbound{Port: port, Msg: om.msg})
+			m.MessagesDelivered++
+		}
+	}
 }
 
 // collect waits for exactly count events of the given kind; an evEnd

@@ -128,7 +128,7 @@ func TestObserverRoundAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := newStepState(g, allocProbe, cfg, true, 1)
+		rs, err := newStepState(g, allocProbe, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,11 +37,14 @@
 // the same per-node outputs, the same Metrics (including AwakePerNode),
 // and the same message streams. This holds because (a) each node owns a
 // private RNG stream derived from Config.Seed and its index, (b) a
-// node's step depends only on its own state and inbox, and (c) message
-// routing and inbox ordering go through code shared by both engines:
-// senders are processed in ascending node order and each inbox is
-// sorted by arrival port. Cross-engine tests assert this contract for
-// every algorithm in the repository.
+// node's step depends only on its own state and inbox, and (c) both
+// engines route the same way: senders are processed in ascending node
+// order, and each inbox is sorted by arrival port. Routing is not
+// shared code. The stepped engine delivers through a counting sort into
+// flat per-round buffers; the lockstep engine's routeRound appends to
+// per-node inboxes and is kept as an independent reference. The
+// cross-engine tests check the two against each other for every
+// algorithm in the repository.
 //
 // The contract covers runs that complete without error. On a failing
 // run both engines report an error, but they differ in which node's
@@ -314,64 +317,6 @@ func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg C
 	return engineOf(cfg).Run(ctx, g, prog, cfg)
 }
 
-// router gives routeRound access to an engine's staged sends and inbox
-// buffers without per-round closure allocations: both run states
-// (stepState, lockstepRun) implement it directly.
-type router interface {
-	// outOf returns node v's sends staged for the current round.
-	outOf(v int) []outMsg
-	// inboxOf returns the inbox buffer routeRound appends v's
-	// deliveries to.
-	inboxOf(v int) *[]Inbound
-}
-
-// routeRound delivers one round's staged sends between mutually awake
-// nodes and meters the traffic. Senders are processed in ascending node
-// order (awake must be sorted); receivers' inboxes accumulate in that
-// order and are port-sorted before delivery. Both engines route through
-// this function — the cross-engine determinism contract depends on it.
-//
-// Reverse ports (the arrival port an Inbound is tagged with) are
-// recovered by a monotone cursor per receiver: because senders arrive
-// in ascending order and CSR rows are sorted, each receiver's arrival
-// ports are ascending within the round, so a galloping search from the
-// receiver's cursor costs O(1) amortized when most neighbors send and
-// O(log degree) when few do — with no reverse-port array held in
-// memory and no allocation.
-//
-// stamp must satisfy stamp[v] == clock+1 exactly for awake v, and cur
-// is per-receiver cursor scratch; the function establishes both
-// invariants itself.
-func routeRound(g *graph.Graph, m *Metrics, tracer Tracer, clock int64, awake []int, stamp []int64, cur []int32, rt router) {
-	for _, v := range awake {
-		stamp[v] = clock + 1
-		cur[v] = 0
-	}
-	for _, v := range awake {
-		for _, om := range rt.outOf(v) {
-			bits := om.msg.Bits()
-			m.MessagesSent++
-			m.BitsSent += int64(bits)
-			if bits > m.MaxMessageBits {
-				m.MaxMessageBits = bits
-			}
-			w := g.Neighbor(v, om.port)
-			delivered := stamp[w] == clock+1
-			if tracer != nil {
-				tracer.Message(clock, v, w, bits, delivered)
-			}
-			if !delivered {
-				continue // receiver asleep: message lost
-			}
-			port := portFrom(g.Neighbors(w), int32(v), int(cur[w]))
-			cur[w] = int32(port) // not port+1: v may send on the same port again this round
-			in := rt.inboxOf(w)
-			*in = append(*in, Inbound{Port: port, Msg: om.msg})
-			m.MessagesDelivered++
-		}
-	}
-}
-
 // portFrom returns the index of v in the sorted row nb, searching from
 // position from. v must be present at or after from. Galloping keeps
 // the cost proportional to the jump actually taken: ~2 comparisons when
@@ -398,10 +343,10 @@ func portFrom(nb []int32, v int32, from int) int {
 }
 
 // sortInbox orders a round's inbox by arrival port, identically in both
-// engines (part of the determinism contract). Routing appends in
-// ascending sender order, which already yields ascending receiver ports
-// (port numbering is sorted by neighbor index), so this insertion sort
-// is a stable O(len) verification pass in practice — and allocates
+// engines (part of the determinism contract). Both routers fill inboxes
+// in ascending sender order, which already yields ascending receiver
+// ports (port numbering is sorted by neighbor index), so this insertion
+// sort is a stable O(len) verification pass in practice — and allocates
 // nothing, unlike sort.Slice, keeping it off the steady-state heap.
 func sortInbox(in []Inbound) {
 	for i := 1; i < len(in); i++ {

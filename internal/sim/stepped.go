@@ -21,14 +21,14 @@ import (
 // every worker count.
 //
 // State is struct-of-arrays: the per-node machine, staged outbox,
-// parity-pooled inbox buffers, and next-wake round each live in their
-// own flat array, so the hot loops (routing, stepping, rescheduling)
-// touch only the arrays they need. At steady state the engine performs
-// zero heap allocations per round for native step programs: inboxes
-// are reused buffers keyed by round parity, outboxes reset in place,
-// message routing writes through the graph's precomputed reverse
-// ports, and the worker pool is fed over a channel of index spans
-// (guarded by the testing.AllocsPerRun tests in alloc_test.go).
+// inbox region, and next-wake round each live in their own flat array,
+// so the hot loops (routing, stepping, rescheduling) touch only the
+// arrays they need. At steady state the engine performs zero heap
+// allocations per round: every inbox is a region of one flat buffer
+// per round parity, outboxes reset in place, arrival ports come from a
+// galloping search over the receiver's sorted CSR row, and the worker
+// pool is fed over a channel of index spans (guarded by the
+// testing.AllocsPerRun tests in alloc_test.go).
 type steppedEngine struct {
 	workers int
 }
@@ -53,11 +53,11 @@ func (e *steppedEngine) Run(ctx context.Context, g *graph.Graph, prog NodeProgra
 	}
 	switch p := prog.(type) {
 	case StepProgram:
-		return e.run(ctx, g, p, cfg, true)
+		return e.run(ctx, g, p, cfg)
 	case Program:
 		ad := newGoroutineAdapter(p, &cfg)
 		defer ad.shutdown()
-		return e.run(ctx, g, ad.stepProgram(), cfg, false)
+		return e.run(ctx, g, ad.stepProgram(), cfg)
 	default:
 		return nil, fmt.Errorf("sim: stepped: unsupported program type %T", prog)
 	}
@@ -89,20 +89,25 @@ type stepState struct {
 	m   *Metrics
 	q   *wakeQueue
 
-	node  []StepNode     // per-node machine; nil once halted
-	out   []Outbox       // sends staged for each node's next awake round
-	inbox [2][][]Inbound // per-node inbox buffers keyed by round parity
-	next  []int64        // wake round returned by the last OnWake (haltedWake once done)
-	stamp []int64        // routing scratch: stamp[v] == clock+1 iff v awake now
-	cur   []int32        // routing scratch: per-receiver port cursors
+	node  []StepNode // per-node machine; nil once halted
+	out   []Outbox   // sends staged for each node's next awake round
+	next  []int64    // wake round returned by the last OnWake (haltedWake once done)
+	stamp []int64    // routing scratch: stamp[v] == clock+1 iff v awake now
+	cur   []int32    // routing scratch: per-receiver port cursors
+
+	// Flat inboxes. route counts each awake receiver's deliveries
+	// (inCount), carves one region per receiver out of the round
+	// parity's buffer with a prefix sum over the awake list (inOff),
+	// and fills the regions in a second pass. The fill advances inOff[v]
+	// to the region's end, so v's inbox is
+	// inBuf[par][inOff[v]-inCount[v]:inOff[v]]. Inboxes are borrowed for
+	// the OnWake call only; keying the buffers by round parity leaves
+	// one round of slack before a region is overwritten.
+	inCount []int32
+	inOff   []int32
+	inBuf   [2][]Inbound
 
 	probe roundProbe // per-round deltas for cfg.Observer (no-op when nil)
-
-	// reuse marks native step programs, whose inbox slices are borrowed
-	// for the duration of OnWake only: their buffers are truncated and
-	// reused. Adapter-run goroutine programs may retain Deliver results,
-	// so their inboxes are handed over and reallocated.
-	reuse bool
 
 	// Round scope, published to workers before shards are dispatched.
 	awake []int
@@ -120,14 +125,8 @@ type stepState struct {
 	failErr  error
 }
 
-// outOf implements router.
-func (rs *stepState) outOf(v int) []outMsg { return rs.out[v].msgs }
-
-// inboxOf implements router.
-func (rs *stepState) inboxOf(v int) *[]Inbound { return &rs.inbox[rs.par][v] }
-
-func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config, native bool) (*Metrics, error) {
-	rs, err := newStepState(g, sp, cfg, native, e.workers)
+func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
+	rs, err := newStepState(g, sp, cfg, e.workers)
 	if err != nil {
 		return rs.m, err
 	}
@@ -151,23 +150,22 @@ func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram,
 // calling round until the queue empties, then released with close. It
 // is split from run so tests can drive single rounds (the allocation
 // guards measure round in isolation after a warm-up).
-func newStepState(g *graph.Graph, sp StepProgram, cfg Config, native bool, workers int) (*stepState, error) {
+func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*stepState, error) {
 	n := g.N()
 	rs := &stepState{
-		g:     g,
-		cfg:   cfg,
-		m:     &Metrics{AwakePerNode: make([]int64, n)},
-		q:     newWakeQueue(),
-		node:  make([]StepNode, n),
-		out:   make([]Outbox, n),
-		next:  make([]int64, n),
-		stamp: make([]int64, n),
-		cur:   make([]int32, n),
-		reuse: native,
-		probe: roundProbe{obs: cfg.Observer},
+		g:       g,
+		cfg:     cfg,
+		m:       &Metrics{AwakePerNode: make([]int64, n)},
+		q:       newWakeQueue(),
+		node:    make([]StepNode, n),
+		out:     make([]Outbox, n),
+		next:    make([]int64, n),
+		stamp:   make([]int64, n),
+		cur:     make([]int32, n),
+		inCount: make([]int32, n),
+		inOff:   make([]int32, n),
+		probe:   roundProbe{obs: cfg.Observer},
 	}
-	rs.inbox[0] = make([][]Inbound, n)
-	rs.inbox[1] = make([][]Inbound, n)
 
 	// Construct every node machine and stage its round-0 sends. The
 	// environments and RNG sources are slab-allocated: two arrays for
@@ -226,10 +224,12 @@ func (rs *stepState) round(workers int) error {
 
 	// Transmit the sends staged for this round (decided at each node's
 	// previous awake round) between mutually awake nodes. The inboxes
-	// filled here are this round's parity buffers; OnWake drains them.
+	// filled here are this round's parity buffer; OnWake drains them.
 	rs.clock = clock
 	rs.par = int(clock & 1)
-	routeRound(rs.g, rs.m, rs.cfg.Tracer, clock, awake, rs.stamp, rs.cur, rs)
+	if err := rs.route(awake); err != nil {
+		return err
+	}
 
 	// Fan the step calls across the worker pool in contiguous
 	// node-index shards.
@@ -253,6 +253,78 @@ func (rs *stepState) round(workers int) error {
 	}
 	rs.probe.end(rs.m, clock, len(awake))
 	rs.q.recycle(awake)
+	return nil
+}
+
+// route delivers the round's staged sends between mutually awake nodes
+// and meters the traffic. Senders are processed in ascending node order
+// (awake is sorted), so each receiver's arrival ports ascend within the
+// round and inboxes come out port-sorted.
+//
+// Delivery is a counting sort into the round parity's flat buffer:
+// pass one meters every send in sender order (so tracers see messages
+// in that order) and counts each receiver's deliveries; a prefix sum
+// over the awake list carves the buffer into per-receiver regions; pass
+// two fills the regions in the same sender order. The buffer grows at
+// most once per round, exactly to the delivered total.
+//
+// Arrival ports are recovered by a monotone cursor per receiver:
+// because senders arrive in ascending order and CSR rows are sorted, a
+// galloping search from the receiver's cursor costs O(1) amortized when
+// most neighbors send and O(log degree) when few do, with no
+// reverse-port array held in memory.
+func (rs *stepState) route(awake []int) error {
+	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
+	for _, v := range awake {
+		rs.stamp[v] = clock + 1
+		rs.cur[v] = 0
+		rs.inCount[v] = 0
+	}
+	for _, v := range awake {
+		for _, om := range rs.out[v].msgs {
+			bits := om.msg.Bits()
+			m.MessagesSent++
+			m.BitsSent += int64(bits)
+			if bits > m.MaxMessageBits {
+				m.MaxMessageBits = bits
+			}
+			w := g.Neighbor(v, om.port)
+			delivered := rs.stamp[w] == clock+1
+			if tracer != nil {
+				tracer.Message(clock, v, w, bits, delivered)
+			}
+			if delivered { // a sleeping receiver loses the message
+				rs.inCount[w]++
+				m.MessagesDelivered++
+			}
+		}
+	}
+	total := 0
+	for _, v := range awake {
+		rs.inOff[v] = int32(total)
+		total += int(rs.inCount[v])
+	}
+	if total > math.MaxInt32 {
+		return fmt.Errorf("sim: round %d delivers %d messages, beyond the inbox offset range", clock, total)
+	}
+	buf := rs.inBuf[rs.par]
+	if cap(buf) < total {
+		buf = make([]Inbound, total)
+	}
+	buf = buf[:total]
+	rs.inBuf[rs.par] = buf
+	for _, v := range awake {
+		for _, om := range rs.out[v].msgs {
+			w := g.Neighbor(v, om.port)
+			if rs.stamp[w] != clock+1 {
+				continue
+			}
+			port := portFrom(g.Neighbors(w), int32(v), int(rs.cur[w]))
+			rs.cur[w] = int32(port) // not port+1: v may send on the same port again this round
+			buf[rs.inOff[w]] = Inbound{Port: port, Msg: om.msg}
+			rs.inOff[w]++
+		}
+	}
 	return nil
 }
 
@@ -317,20 +389,10 @@ func (rs *stepState) stepNode(v int) {
 			}
 		}
 	}()
-	buf := &rs.inbox[rs.par][v]
-	in := *buf
-	if rs.reuse {
-		// Native step nodes borrow the inbox for the OnWake call only,
-		// so the buffer is truncated for reuse. It is not refilled
-		// before the next round of the same parity, giving one full
-		// round of slack beyond the contract.
-		*buf = in[:0]
-	} else {
-		// The goroutine adapter hands the slice to a program that may
-		// retain it (Ctx.Deliver makes no borrowing promise): start a
-		// fresh buffer next round.
-		*buf = nil
-	}
+	// The region's capacity is clamped so a program appending to its
+	// inbox cannot clobber the next receiver's region.
+	end := rs.inOff[v]
+	in := rs.inBuf[rs.par][end-rs.inCount[v] : end : end]
 	sortInbox(in)
 	out := &rs.out[v]
 	out.reset()
