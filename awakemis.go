@@ -22,13 +22,11 @@
 //	// rep.Output.InMIS is a verified MIS; rep.Metrics.MaxAwake is
 //	// O(log log n); rep.JSON() is the wire form.
 //
-// Spec-driven execution goes through the single consolidated entry
-// point Run(ctx, spec, ...RunOption): functional options select worker
-// budgets (WithWorkers), per-round observers (WithObserver), and
-// vectorized trial batches (WithVectorizedTrials) that execute all
-// replications of a study cell in one merged pass. RunMIS returns the
-// typed MIS view; RunSpec / RunSpecContext / RunSpecWorkers and the
-// RunColoring / RunMatching wrappers are deprecated delegates.
+// Spec-driven execution goes through the single entry point
+// Run(ctx, spec, ...RunOption): functional options select worker
+// budgets (WithWorkers) and per-round observers (WithObserver). A
+// study runs each trial of a cell as one such run. RunMIS returns the
+// typed MIS view.
 package awakemis
 
 import (
@@ -68,8 +66,7 @@ const (
 	LDTMIS Algorithm = "ldt-mis"
 )
 
-// Task names for the §7 extensions (use RunTask, or the deprecated
-// typed wrappers RunColoring and RunMatching).
+// Task names for the §7 extensions (run them with RunTask or Run).
 const (
 	// TaskColoring is greedy (Δ+1)-coloring in O(log n) awake rounds.
 	TaskColoring = "coloring"
@@ -264,7 +261,7 @@ func (r *Result) TraceSummary() string {
 // registry-level equivalent and also covers coloring and matching).
 // The output is always verified to be a maximal independent set before
 // returning. For spec-driven execution — serializable inputs, worker
-// budgets, vectorized trial batches — use Run.
+// budgets, observers — use Run.
 func RunMIS(g *Graph, algo Algorithm, opt Options) (*Result, error) {
 	return RunMISContext(context.Background(), g, algo, opt)
 }
@@ -286,49 +283,6 @@ func RunMISContext(ctx context.Context, g *Graph, algo Algorithm, opt Options) (
 // Verify checks that inMIS is a maximal independent set of g.
 func Verify(g *Graph, inMIS []bool) error {
 	return verifyMIS(g, Output{InMIS: inMIS})
-}
-
-// ColoringResult is the output of RunColoring.
-type ColoringResult struct {
-	// Color[v] is node v's color; colors are in [0, Δ].
-	Color []int
-	// Metrics holds the run's complexity measures.
-	Metrics Metrics
-}
-
-// RunColoring computes a greedy (Δ+1)-coloring in the sleeping model
-// with O(log n) awake complexity — the §7 extension of the paper's
-// virtual-binary-tree technique to another symmetry-breaking problem.
-//
-// Deprecated: RunColoring is a thin wrapper kept for compatibility;
-// use RunTask(g, TaskColoring, opt) and read Report.Output.Color.
-func RunColoring(g *Graph, opt Options) (*ColoringResult, error) {
-	rep, err := RunTask(g, TaskColoring, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &ColoringResult{Color: rep.Output.Color, Metrics: rep.Metrics}, nil
-}
-
-// MatchingResult is the output of RunMatching.
-type MatchingResult struct {
-	// MatchedWith[v] is v's partner, or -1 if unmatched.
-	MatchedWith []int
-	// Metrics holds the run's complexity measures.
-	Metrics Metrics
-}
-
-// RunMatching computes a maximal matching in the sleeping model via
-// greedy processing of a random edge order (§7 extension).
-//
-// Deprecated: RunMatching is a thin wrapper kept for compatibility;
-// use RunTask(g, TaskMatching, opt) and read Report.Output.MatchedWith.
-func RunMatching(g *Graph, opt Options) (*MatchingResult, error) {
-	rep, err := RunTask(g, TaskMatching, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &MatchingResult{MatchedWith: rep.Output.MatchedWith, Metrics: rep.Metrics}, nil
 }
 
 // DeriveSeed derives an independent stream seed from a root seed: the

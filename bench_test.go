@@ -241,52 +241,6 @@ func BenchmarkMatching(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizedTrials measures the tentpole: R replications of
-// one study cell (same graph, paired seeds) as a per-trial scalar loop
-// versus one merged vectorized pass. The scalar arm mirrors the scalar
-// study path exactly — one Run per trial, graph rebuilt each time —
-// so ns/op ratios between the scalar and vector arms are the study
-// throughput gain. CI's bench job records both arms in
-// BENCH_vector.json and smoke-gates the ratio at R = 8.
-func BenchmarkVectorizedTrials(b *testing.B) {
-	for _, n := range []int{4096, 1 << 20} {
-		for _, r := range []int{2, 8, 32} {
-			spec := awakemis.Spec{
-				Task:    "luby",
-				Graph:   awakemis.GraphSpec{Family: "gnp", N: n, Seed: 1},
-				Options: awakemis.Options{Seed: 1},
-			}
-			trials := make([]awakemis.Trial, r)
-			for i := range trials {
-				trials[i] = awakemis.Trial{Seed: int64(i + 1)}
-			}
-			out := make([]*awakemis.Report, r)
-			name := sizeName(n) + "/r=" + itoa(r)
-			b.Run(name+"/scalar", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for j := range trials {
-						sp := spec
-						sp.Options.Seed = trials[j].Seed
-						rep, err := awakemis.Run(context.Background(), sp)
-						if err != nil {
-							b.Fatal(err)
-						}
-						out[j] = rep
-					}
-				}
-			})
-			b.Run(name+"/vector", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := awakemis.Run(context.Background(), spec,
-						awakemis.WithVectorizedTrials(trials, out)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkCommSet measures the F1/F2 machinery itself.
 func BenchmarkCommSet(b *testing.B) {
 	b.ReportAllocs()

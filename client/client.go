@@ -469,7 +469,7 @@ func streamSSE[T any](ctx context.Context, c *Client, path string, terminal func
 }
 
 // Run submits the spec and waits for its Report: the remote
-// equivalent of awakemis.RunSpec. A failed or canceled job is an
+// equivalent of awakemis.Run. A failed or canceled job is an
 // error.
 func (c *Client) Run(ctx context.Context, spec awakemis.Spec) (*awakemis.Report, error) {
 	ctx, _ = traceid.Ensure(ctx)
@@ -522,9 +522,12 @@ type StudyProgress struct {
 	RunsDone   int `json:"runs_done"`
 	RunsCached int `json:"runs_cached,omitempty"`
 
-	ExecutedRounds  int64   `json:"executed_rounds"`
-	EngineSeconds   float64 `json:"engine_seconds"`
-	LanesVectorized int     `json:"lanes_vectorized,omitempty"`
+	ExecutedRounds int64   `json:"executed_rounds"`
+	EngineSeconds  float64 `json:"engine_seconds"`
+	// LanesVectorized counted sub-runs executed as lanes of one merged
+	// trial pass. Only older daemons send it; current daemons run every
+	// trial on its own, so it decodes as 0.
+	LanesVectorized int `json:"lanes_vectorized,omitempty"`
 
 	ElapsedMS float64 `json:"elapsed_ms"`
 	ETAMS     float64 `json:"eta_ms,omitempty"`

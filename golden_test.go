@@ -19,9 +19,7 @@ import (
 // optimization must leave every digest as it is. Keys are
 // task/family/n/seed, with a /g<seed> segment before the run seed when
 // the graph seed is explicit and a trailing /round-summary or /trace
-// when that option is on; every key is checked at two worker counts,
-// and the "vec" keys are the per-lane Reports of one
-// WithVectorizedTrials call.
+// when that option is on; every key is checked at two worker counts.
 var goldenDigests = map[string]string{
 	"awake-mis-round/geometric/160/1":   "1ab42e45b56844e664589a5487b26a808ce7fccf499ab3c4271bd31329854b58",
 	"awake-mis-round/geometric/160/2":   "86c852cfe88f7d4e457c46c6d37f86291cc645cd6a69dbdd6926de057a909eac",
@@ -76,12 +74,6 @@ var goldenDigests = map[string]string{
 	"naive-greedy/gnp/160/2":            "6dd791e19fdf401e7e59a2a9cc9f63914133637dc5ba0024ebabf4d9b37e591e",
 	"naive-greedy/regular/160/1":        "cf480f6582a1d49830f7664803862935db03fbaeaf5d5757f8810bdf9f3f1aeb",
 	"naive-greedy/regular/160/2":        "8bf69017ab769dbb8235c2bf75f60d79e8c83fb0047c9729cd258256853e1776",
-	"vec/awake-mis/geometric/160/11":    "b8c8457d65465a7b0e0dead64006e7f8d050bfa3bdf601fff79cf4d17dd998bb",
-	"vec/awake-mis/geometric/160/12":    "9f14a6de838e3e9c13809b05d6ab1c6165033def932a795a4f0fb31ff3ad1b19",
-	"vec/awake-mis/geometric/160/13":    "6575ba18e2ccf1248b08b80c33741c495b530abd5c69f6c74c04160316b13f66",
-	"vec/awake-mis/gnp/160/11":          "fd71dc8aa972ba4263869299869b6ada5fbf60e81309f5e954412618ab4d9621",
-	"vec/awake-mis/gnp/160/12":          "15e7ce4244f9d05a78d55773d1ba15970dcc7ac9871ac552a91c2f5678dd717d",
-	"vec/awake-mis/gnp/160/13":          "780abc21d46fdd6f42da669b17cae5c0c6ec0d5f2f08babc37d45de45fb4a9b4",
 	"vt-mis/geometric/160/1":            "ea42626984440f834aa4d7713a7b05106b51a2528e0e4734c14727db9b52ecdb",
 	"vt-mis/geometric/160/2":            "3686ea551b8e981b46341015ee9ef2f392048341c25ae5e3ecac5f124a0c4416",
 	"vt-mis/gnp/160/1":                  "2de6672b1302fac5582ca5536323a5ee539dbb0e0642f57f6100eac49b8b3d50",
@@ -222,32 +214,6 @@ func TestGoldenReportDigests(t *testing.T) {
 			byWorkers[w] = goldenDigest(t, rep, c.trace)
 		}
 		check(c.key(), byWorkers, c.workers)
-	}
-
-	// awake-mis lanes of one merged pass (R = 3), at both worker counts.
-	workers := []int{1, 4}
-	trials := []awakemis.Trial{{Seed: 11}, {Seed: 12}, {Seed: 13}}
-	for _, gs := range []awakemis.GraphSpec{
-		{Family: "gnp", N: 160, Seed: 7},
-		{Family: "geometric", N: 160, Seed: 8},
-	} {
-		byLane := make([]map[int]string, len(trials))
-		for i := range byLane {
-			byLane[i] = map[int]string{}
-		}
-		for _, w := range workers {
-			out := make([]*awakemis.Report, len(trials))
-			spec := awakemis.Spec{Task: "awake-mis", Graph: gs}
-			if _, err := awakemis.Run(ctx, spec, awakemis.WithWorkers(w), awakemis.WithVectorizedTrials(trials, out)); err != nil {
-				t.Fatalf("vectorized %s workers=%d: %v", gs.Family, w, err)
-			}
-			for i, rep := range out {
-				byLane[i][w] = goldenDigest(t, rep, false)
-			}
-		}
-		for i, tr := range trials {
-			check(fmt.Sprintf("vec/awake-mis/%s/%d/%d", gs.Family, gs.N, tr.Seed), byLane[i], workers)
-		}
 	}
 
 	for key := range goldenDigests {

@@ -162,12 +162,10 @@ type job struct {
 	// completion signal study executors wait on (HTTP clients poll).
 	done chan struct{}
 	// rounds/simNS are the flight tracker's totals stamped when the job
-	// goes terminal (the flight pointer is cleared then), and vectorized
-	// marks a job that ran as a lane of a merged cell pass — study
-	// progress aggregates all three after the run is gone.
-	rounds     int64
-	simNS      int64
-	vectorized bool
+	// goes terminal (the flight pointer is cleared then) — study progress
+	// aggregates them after the run is gone.
+	rounds int64
+	simNS  int64
 }
 
 // flight is one in-flight (or queued) simulation shared by every job
@@ -197,20 +195,6 @@ type flight struct {
 	// tracker observes the running simulation for live progress (nil
 	// until a worker picks the flight up).
 	tracker *progressTracker
-	// group, when non-nil, marks the flight as one trial lane of a
-	// study cell whose siblings share a graph: the first lane a worker
-	// pops drives all still-queued lanes as one vectorized run (guarded
-	// by Server.mu, like the rest of the flight).
-	group *vectorGroup
-}
-
-// vectorGroup ties the flights of one study cell's trials together so
-// a single worker can execute them as one merged vectorized pass. The
-// group is advisory: lanes popped or canceled before the drive simply
-// run (or die) alone on the scalar path, with identical results.
-type vectorGroup struct {
-	flights []*flight // trial order
-	started bool      // set by the driving worker under Server.mu
 }
 
 // Stats is the /v1/stats payload: cache effectiveness, queue
@@ -649,12 +633,6 @@ func (s *Server) worker() {
 		}
 		f := s.queue[0]
 		s.queue = s.queue[1:]
-		if g := f.group; g != nil && !g.started {
-			if lanes := s.stealGroupLocked(f); len(lanes) > 1 {
-				s.runLanesLocked(lanes)
-				continue
-			}
-		}
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		f.cancel = cancel
 		f.state = JobRunning
@@ -764,172 +742,6 @@ func (s *Server) worker() {
 					s.stats.StoreErrors++
 				}
 			}
-		}
-	}
-}
-
-// stealGroupLocked claims a popped flight's vector group: it marks the
-// group started and removes the still-queued sibling lanes from the
-// queue, returning the claimable lanes in trial order. Lanes already
-// canceled (gone from the queue) are left out. Callers hold s.mu.
-func (s *Server) stealGroupLocked(f *flight) []*flight {
-	g := f.group
-	g.started = true
-	stolen := make(map[*flight]bool, len(g.flights))
-	keep := s.queue[:0]
-	for _, q := range s.queue {
-		mate := false
-		for _, m := range g.flights {
-			if q == m {
-				mate = true
-				break
-			}
-		}
-		if mate {
-			stolen[q] = true
-		} else {
-			keep = append(keep, q)
-		}
-	}
-	s.queue = keep
-	lanes := make([]*flight, 0, len(g.flights))
-	for _, m := range g.flights {
-		if m == f || stolen[m] {
-			lanes = append(lanes, m)
-		}
-	}
-	return lanes
-}
-
-// runLanesLocked executes the flights of one study cell as a single
-// vectorized run: one merged pass over the shared graph, one lane per
-// trial. Everything a scalar flight gets — job accounting, per-lane
-// progress tracker, queue-wait metrics, job start/end logs, cache and
-// store write-through, EngineRuns — happens per lane, so stats and
-// logs are indistinguishable from the lanes having run scalar, and
-// each lane's cached report bytes are byte-identical to a scalar run
-// of its spec. Called (and returns) with s.mu held.
-func (s *Server) runLanesLocked(lanes []*flight) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	// Per-lane cancel closures honor the last-waiter rule per flight
-	// without aborting the merged run for the other lanes: the real
-	// cancel fires only when every lane has been released. Every
-	// f.cancel call site holds s.mu, which guards the counter.
-	liveLanes := len(lanes)
-	laneCancel := func() {
-		liveLanes--
-		if liveLanes == 0 {
-			cancel()
-		}
-	}
-	trials := make([]awakemis.Trial, len(lanes))
-	out := make([]*awakemis.Report, len(lanes))
-	waits := make([]time.Duration, len(lanes))
-	waiters := make([]int, len(lanes))
-	for i, f := range lanes {
-		f.cancel = laneCancel
-		f.state = JobRunning
-		f.tracker = newProgressTracker(f.spec.Graph.N)
-		waits[i] = time.Since(f.enqueued)
-		waiters[i] = len(f.jobs)
-		for _, j := range f.jobs {
-			if j.Status == JobQueued {
-				j.Status = JobRunning
-			}
-		}
-		trials[i] = awakemis.Trial{
-			Seed:     f.spec.Options.Seed,
-			Name:     f.spec.Name,
-			Observer: f.tracker,
-		}
-	}
-	s.stats.EngineRuns += int64(len(lanes))
-	template := lanes[0].spec
-	s.mu.Unlock()
-
-	// The merged run executes under the driving lane's trace id (a
-	// study submits every lane under one id anyway); each lane still
-	// logs its own start/end so log trails match the scalar path.
-	if lanes[0].traceID != "" {
-		ctx = traceid.With(ctx, lanes[0].traceID)
-	}
-	for i, f := range lanes {
-		if s.metrics != nil {
-			s.metrics.observeQueueWait(waits[i].Seconds())
-		}
-		s.logger.Info("job start",
-			"trace_id", f.traceID, "hash", f.hash,
-			"task", f.spec.Task, "graph_n", f.spec.Graph.N,
-			"queue_wait_ns", waits[i].Nanoseconds(), "waiters", waiters[i],
-			"vector_lanes", len(lanes))
-	}
-	start := time.Now()
-	_, err := awakemis.Run(ctx, template,
-		awakemis.WithWorkers(s.perRun), awakemis.WithVectorizedTrials(trials, out))
-	runNS := time.Since(start).Nanoseconds()
-
-	datas := make([][]byte, len(lanes))
-	for i := range lanes {
-		if err != nil {
-			break
-		}
-		datas[i], err = json.Marshal(out[i])
-	}
-	status, errText := "done", ""
-	if err != nil {
-		status, errText = "failed", err.Error()
-	}
-	for _, f := range lanes {
-		s.logger.Info("job end",
-			"trace_id", f.traceID, "hash", f.hash, "status", status,
-			"run_ns", runNS, "peer", "", "error", errText)
-	}
-
-	s.mu.Lock()
-	cancel() // release the merged context; also settles liveLanes stragglers
-	for i, f := range lanes {
-		rounds, simNS := f.tracker.totals()
-		s.stats.RoundsSimulated += rounds
-		s.simNS += simNS
-		jobRounds, jobSimNS := f.tracker.progressTotals()
-		for _, j := range f.jobs {
-			j.rounds, j.simNS = jobRounds, jobSimNS
-			j.vectorized = true
-		}
-		if s.inflight[f.hash] == f {
-			delete(s.inflight, f.hash)
-		}
-		for _, j := range f.jobs {
-			if j.Status.terminal() {
-				continue // canceled waiters keep their cancellation
-			}
-			if err != nil {
-				j.Status = JobFailed
-				j.Error = err.Error()
-				s.stats.JobsFailed++
-			} else {
-				j.Status = JobDone
-				j.Report = datas[i]
-				s.stats.JobsCompleted++
-			}
-			s.finishLocked(j)
-		}
-		if err == nil {
-			s.cache.putMem(f.hash, datas[i])
-		}
-	}
-	if err == nil && s.cache.hasDisk() {
-		// Persist outside the lock, like the scalar path.
-		s.mu.Unlock()
-		var perr bool
-		for i, f := range lanes {
-			if s.cache.putDisk(f.hash, datas[i]) != nil {
-				perr = true
-			}
-		}
-		s.mu.Lock()
-		if perr {
-			s.stats.StoreErrors++
 		}
 	}
 }

@@ -186,17 +186,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 	}
 	s.mu.Unlock()
 
-	// Submission phase. Consecutive Trials specs form one cell whose
-	// lanes share a graph; the fresh still-queued lanes of each cell are
-	// tied into a vectorGroup so the first worker to reach any of them
-	// executes the cell as one merged vectorized run. Cache hits,
-	// coalesced duplicates, and forwarded (cluster-front) flights stay on
-	// their usual paths.
-	trials := st.Spec.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	var cellNew []*flight
+	// Submission phase.
 	for _, spec := range specs {
 		canonical := Canonicalize(spec)
 		hash, err := hashCanonical(canonical)
@@ -213,20 +203,6 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 			j, err := s.submitLocked(canonical, hash, st.traceID)
 			if err == nil {
 				st.jobs = append(st.jobs, j)
-				// A lane is groupable only when this submission created its
-				// flight (a coalesced or cached lane already has an owner)
-				// and the spec is one the vectorized engine accepts.
-				if s.fwd == nil && trials >= 2 &&
-					canonical.Options.Engine == awakemis.EngineStepped &&
-					canonical.Graph.Seed != 0 &&
-					j.flight != nil && j.flight.state == JobQueued &&
-					len(j.flight.jobs) == 1 && j.flight.jobs[0] == j {
-					cellNew = append(cellNew, j.flight)
-				}
-				if len(st.jobs)%trials == 0 {
-					s.groupCellLocked(cellNew)
-					cellNew = cellNew[:0]
-				}
 			}
 			draining := s.draining
 			s.mu.Unlock()
@@ -301,28 +277,6 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		s.finishStudyLocked(st)
 	}
 	s.mu.Unlock()
-}
-
-// groupCellLocked ties the still-queued fresh flights of one study
-// cell into a vectorGroup so the first worker to reach any of them
-// drives the rest as one merged vectorized run. Lanes a worker already
-// picked up (or the last waiter abandoned) stay out, and a cell with
-// fewer than two groupable lanes is left on the scalar path. Callers
-// hold s.mu.
-func (s *Server) groupCellLocked(cell []*flight) {
-	lanes := make([]*flight, 0, len(cell))
-	for _, f := range cell {
-		if f.state == JobQueued && f.group == nil && f.live > 0 {
-			lanes = append(lanes, f)
-		}
-	}
-	if len(lanes) < 2 {
-		return
-	}
-	g := &vectorGroup{flights: lanes}
-	for _, f := range lanes {
-		f.group = g
-	}
 }
 
 // failStudy marks the study failed (unless already terminal) and

@@ -64,11 +64,9 @@ type StudyProgress struct {
 	// ExecutedRounds totals rounds executed by the study's sub-runs so
 	// far (live trackers plus finished jobs); EngineSeconds totals the
 	// engine time they took (zero through a cluster front, where the
-	// worker daemons own the engine clocks). LanesVectorized counts
-	// sub-runs executed as lanes of a merged vectorized cell pass.
-	ExecutedRounds  int64   `json:"executed_rounds"`
-	EngineSeconds   float64 `json:"engine_seconds"`
-	LanesVectorized int     `json:"lanes_vectorized,omitempty"`
+	// worker daemons own the engine clocks).
+	ExecutedRounds int64   `json:"executed_rounds"`
+	EngineSeconds  float64 `json:"engine_seconds"`
 	// ElapsedMS is wall time since submission; ETAMS extrapolates the
 	// remaining wall time from the completion rate so far (omitted
 	// until the first sub-run finishes, zero once terminal).
@@ -108,9 +106,6 @@ func (s *Server) studyProgressLocked(st *studyRun) *StudyProgress {
 			case JobRunning:
 				running++
 			}
-			if j.vectorized {
-				p.LanesVectorized++
-			}
 			// Executed-round / engine-time attribution: finished jobs carry
 			// their stamped totals, live ones are read off their flight's
 			// tracker (shared with the engine goroutine; totals stamped at
@@ -149,7 +144,7 @@ func (s *Server) studyProgressLocked(st *studyRun) *StudyProgress {
 	p.ElapsedMS = float64(time.Since(st.started)) / float64(time.Millisecond)
 	// Rate extrapolation: sub-runs completed so far set the pace for
 	// the remainder. (Cells finish roughly geometrically under the
-	// cache/vectorization mix, so this decays toward the truth as the
+	// cache mix, so this decays toward the truth as the
 	// grid drains — good enough for a ticker, never for results.)
 	if remaining := st.Total - p.RunsDone; p.RunsDone > 0 && remaining > 0 {
 		p.ETAMS = p.ElapsedMS * float64(remaining) / float64(p.RunsDone)

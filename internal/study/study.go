@@ -65,9 +65,8 @@ func (g Grid) TrialSeed(root int64, familyKey string, n, trial int) int64 {
 // GraphSeed derives the generator seed of one (family, n) cell
 // column's shared graph. Like TrialSeed it hangs off the family key
 // and node count only, but not the trial index: all R replications of
-// a cell run on one identical graph (the paper's paired-seed design),
-// which is what lets an executor batch them into a single vectorized
-// pass. The result is never zero — a zero GraphSpec seed means
+// a cell run on one identical graph (the paper's paired-seed design).
+// The result is never zero — a zero GraphSpec seed means
 // "derive from the run seed", which would silently un-pair the trials.
 func (g Grid) GraphSeed(root int64, familyKey string, n int) int64 {
 	s := rng.Derive(root, "study-family/"+familyKey, 0)

@@ -30,7 +30,7 @@ type Progress struct {
 //
 // Results are deterministic: a batch produces bit-identical Reports
 // (up to WallMS) to running each resolved spec sequentially through
-// RunSpec, at every Parallel and Workers setting.
+// Run, at every Parallel and Workers setting.
 type Runner struct {
 	// Parallel caps how many specs run concurrently (0 means one per
 	// CPU).
@@ -50,7 +50,7 @@ type Runner struct {
 
 // Resolve returns the spec as the Runner would run it at batch index
 // i: a zero Options.Seed replaced by the derived per-spec seed.
-// RunSpec on the resolved spec reproduces the batch entry exactly.
+// Run on the resolved spec reproduces the batch entry exactly.
 func (r *Runner) Resolve(spec Spec, i int) Spec {
 	if spec.Options.Seed == 0 {
 		spec.Options.Seed = rng.Derive(r.Seed, "spec", int64(i))
@@ -68,25 +68,38 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	parallel := r.Parallel
+	resolved := make([]Spec, len(specs))
+	for i, spec := range specs {
+		resolved[i] = r.Resolve(spec, i)
+	}
+	reports, errs := runSpecs(ctx, resolved, r.Parallel, r.Workers, r.OnProgress)
+	if err := ctx.Err(); err != nil {
+		return reports, err
+	}
+	if failed, first := countFailed(errs); failed > 0 {
+		return reports, fmt.Errorf("awakemis: %d of %d specs failed (first: %w)", failed, len(specs), first)
+	}
+	return reports, nil
+}
+
+// runSpecs runs every spec, at most parallel at once (0 means one per
+// CPU), each on an equal share of the stepped-engine worker budget (0
+// means one per CPU); a spec whose Options.Workers is set keeps its own
+// pool. Each outcome goes to onDone, when non-nil, one call at a time.
+// It returns the per-spec Reports and errors, in spec order.
+func runSpecs(ctx context.Context, specs []Spec, parallel, budget int, onDone func(Progress)) ([]*Report, []error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
-	if parallel > len(specs) {
-		parallel = len(specs)
-	}
-	budget := r.Workers
+	parallel = max(min(parallel, len(specs)), 1)
 	if budget <= 0 {
 		budget = runtime.NumCPU()
 	}
-	perSpec := budget / max(parallel, 1)
-	if perSpec < 1 {
-		perSpec = 1
-	}
+	perSpec := max(budget/parallel, 1)
 
 	reports := make([]*Report, len(specs))
 	errs := make([]error, len(specs))
-	sem := make(chan struct{}, max(parallel, 1))
+	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	done := 0
@@ -94,7 +107,7 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			spec := r.Resolve(specs[i], i)
+			spec := specs[i]
 			var rep *Report
 			err := ctx.Err()
 			if err == nil {
@@ -113,8 +126,8 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 			reports[i], errs[i] = rep, err
 			mu.Lock()
 			done++
-			if r.OnProgress != nil {
-				r.OnProgress(Progress{
+			if onDone != nil {
+				onDone(Progress{
 					Done: done, Total: len(specs),
 					Index: i, Spec: spec, Report: rep, Err: err,
 				})
@@ -123,12 +136,11 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 		}(i)
 	}
 	wg.Wait()
+	return reports, errs
+}
 
-	if err := ctx.Err(); err != nil {
-		return reports, err
-	}
-	failed := 0
-	var first error
+// countFailed counts the non-nil errors and returns the first of them.
+func countFailed(errs []error) (failed int, first error) {
 	for _, err := range errs {
 		if err != nil {
 			failed++
@@ -137,8 +149,5 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 			}
 		}
 	}
-	if failed > 0 {
-		return reports, fmt.Errorf("awakemis: %d of %d specs failed (first: %w)", failed, len(specs), first)
-	}
-	return reports, nil
+	return failed, first
 }

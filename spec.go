@@ -56,34 +56,8 @@ type Spec struct {
 	Options Options `json:"options"`
 }
 
-// RunSpec builds the spec's graph and executes its task, returning the
-// Report.
-//
-// Deprecated: use Run(context.Background(), spec). RunSpec is a thin
-// delegate kept for compatibility.
-func RunSpec(spec Spec) (*Report, error) {
-	return Run(context.Background(), spec)
-}
-
-// RunSpecContext is RunSpec under a context.
-//
-// Deprecated: use Run(ctx, spec). RunSpecContext is a thin delegate
-// kept for compatibility.
-func RunSpecContext(ctx context.Context, spec Spec) (*Report, error) {
-	return Run(ctx, spec)
-}
-
-// RunSpecWorkers is RunSpecContext with an explicit stepped-engine
-// worker-pool size.
-//
-// Deprecated: use Run(ctx, spec, WithWorkers(workers)). RunSpecWorkers
-// is a thin delegate kept for compatibility.
-func RunSpecWorkers(ctx context.Context, spec Spec, workers int) (*Report, error) {
-	return Run(ctx, spec, WithWorkers(workers))
-}
-
 // runSpec runs one spec with an explicit worker-pool size (the
-// Runner's share of its budget; never recorded in the Report).
+// caller's share of a budget; never recorded in the Report).
 func runSpec(ctx context.Context, spec Spec, workers int) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,8 +26,7 @@ import (
 // engine, and trial in one cell column therefore runs on an identical
 // graph — cross-task comparisons are paired, an engine axis is a pure
 // determinism check, and replication measures algorithmic randomness
-// on a fixed input, which is what lets executors batch a cell's
-// trials into one vectorized pass. StudySpec marshals to/from JSON (the
+// on a fixed input. StudySpec marshals to/from JSON (the
 // `awakemis -study` file, the POST /v1/studies body, and the
 // `graphgen -format study` output).
 type StudySpec struct {
@@ -311,8 +309,7 @@ func (ss StudySpec) Specs() []Spec {
 						gs.N = n
 						// All trials of a cell column share one explicitly
 						// seeded graph: replication measures algorithmic
-						// randomness on a fixed input, and executors can
-						// batch a cell's trials into one vectorized pass.
+						// randomness on a fixed input.
 						gs.Seed = g.GraphSeed(r.Seed, key, n)
 						opt := r.Options
 						opt.Seed = g.TrialSeed(r.Seed, key, n, t)
@@ -620,28 +617,19 @@ func (a *StudyAccumulator) Result() (*StudyResult, error) {
 	return &StudyResult{Study: a.study, Cells: results, Fits: fits}, nil
 }
 
-// StudyRunner executes studies locally: the streaming unit executor.
-// The expansion is scheduled in units of one cell — the Trials
-// consecutive specs sharing a graph — and a unit whose trials
-// vectorize (≥2 trials, the stepped engine) runs as one merged pass
-// through Run's WithVectorizedTrials instead of Trials scalar runs;
-// other units fall back to a scalar loop. Either way the per-trial
-// Reports, and therefore the artifact, are bit-identical (WallMS
-// aside). Units run concurrently under a shared worker budget,
-// Reports fold into the accumulator as units complete, and the
-// artifact is assembled when the grid drains. The zero value is
-// usable.
+// StudyRunner executes studies locally. Every spec of the expansion
+// is an ordinary Run, scheduled like a Runner batch: at most Parallel
+// in flight, sharing one worker budget. Reports fold into the
+// accumulator as they complete, and the artifact is assembled when the
+// grid drains; it is byte-identical at every Parallel and Workers
+// setting. The zero value is usable.
 type StudyRunner struct {
-	// Parallel caps how many units run concurrently (0 means one per
+	// Parallel caps how many specs run concurrently (0 means one per
 	// CPU).
 	Parallel int
 	// Workers is the total stepped-engine worker budget divided among
-	// the units in flight (0 means one per CPU). Never changes results.
+	// the specs in flight (0 means one per CPU). Never changes results.
 	Workers int
-	// Scalar forces every unit onto the per-trial scalar path. Results
-	// are identical; the switch exists for debugging and for the
-	// vectorized-vs-scalar identity suites.
-	Scalar bool
 	// OnProgress, when non-nil, receives one callback per finished
 	// spec, serialized.
 	OnProgress func(Progress)
@@ -657,106 +645,24 @@ func (sr *StudyRunner) Run(ctx context.Context, ss StudySpec) (*StudyResult, err
 	if err != nil {
 		return nil, err
 	}
-	specs := acc.Specs()
-	trials := acc.Study().Trials
-	units := len(specs) / trials
-
-	parallel := sr.Parallel
-	if parallel <= 0 {
-		parallel = runtime.NumCPU()
-	}
-	if parallel > units {
-		parallel = units
-	}
-	budget := sr.Workers
-	if budget <= 0 {
-		budget = runtime.NumCPU()
-	}
-	perUnit := budget / max(parallel, 1)
-	if perUnit < 1 {
-		perUnit = 1
-	}
-
-	errs := make([]error, len(specs))
+	// runSpecs serializes onDone, which guards addErr.
 	var addErr error
-	sem := make(chan struct{}, max(parallel, 1))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done := 0
-	// finish records one unit's outcomes: accumulate successes and
-	// deliver the serialized per-spec progress stream.
-	finish := func(lo int, reps []*Report, unitErrs []error) {
-		mu.Lock()
-		defer mu.Unlock()
-		for j := range reps {
-			i := lo + j
-			errs[i] = unitErrs[j]
-			if unitErrs[j] == nil && reps[j] != nil {
-				if err := acc.Add(i, reps[j]); err != nil && addErr == nil {
-					addErr = err
-				}
-			}
-			done++
-			if sr.OnProgress != nil {
-				sr.OnProgress(Progress{
-					Done: done, Total: len(specs),
-					Index: i, Spec: specs[i], Report: reps[j], Err: unitErrs[j],
-				})
+	_, errs := runSpecs(ctx, acc.Specs(), sr.Parallel, sr.Workers, func(p Progress) {
+		if p.Err == nil {
+			if err := acc.Add(p.Index, p.Report); err != nil && addErr == nil {
+				addErr = err
 			}
 		}
-	}
-	for u := 0; u < units; u++ {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			unit := specs[lo : lo+trials]
-			reps := make([]*Report, trials)
-			unitErrs := make([]error, trials)
-			fail := func(err error) {
-				for j := range unitErrs {
-					reps[j], unitErrs[j] = nil, err
-				}
-			}
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-				if !sr.Scalar && vectorizable(unit[0], trials) {
-					tr := make([]Trial, trials)
-					for j, sp := range unit {
-						tr[j] = Trial{Seed: sp.Options.Seed, Name: sp.Name}
-					}
-					if _, err := Run(ctx, unit[0], WithWorkers(perUnit), WithVectorizedTrials(tr, reps)); err != nil {
-						fail(err)
-					}
-				} else {
-					for j := range unit {
-						reps[j], unitErrs[j] = Run(ctx, unit[j], WithWorkers(perUnit))
-					}
-				}
-			case <-ctx.Done():
-				fail(ctx.Err())
-			}
-			finish(lo, reps, unitErrs)
-		}(u * trials)
-	}
-	wg.Wait()
-
+		if sr.OnProgress != nil {
+			sr.OnProgress(p)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("awakemis: study %s: %w", acc.Study().label(), err)
 	}
-	failed := 0
-	var first error
-	for _, err := range errs {
-		if err != nil {
-			failed++
-			if first == nil {
-				first = err
-			}
-		}
-	}
-	if failed > 0 {
+	if failed, first := countFailed(errs); failed > 0 {
 		return nil, fmt.Errorf("awakemis: study %s: %d of %d specs failed (first: %w)",
-			acc.Study().label(), failed, len(specs), first)
+			acc.Study().label(), failed, len(errs), first)
 	}
 	if addErr != nil {
 		return nil, addErr

@@ -178,45 +178,6 @@ func TestStudyArtifactDeterminism(t *testing.T) {
 	}
 }
 
-// TestStudyVectorizedMatchesScalar pins the vectorized executor's
-// identity contract: at every replication count and worker setting,
-// the trial-vectorized path (the default whenever a cell has R ≥ 2)
-// produces a StudyResult artifact byte-identical to the per-trial
-// scalar path.
-func TestStudyVectorizedMatchesScalar(t *testing.T) {
-	for _, trials := range []int{1, 3, 8} {
-		ss := awakemis.StudySpec{
-			Name:    "ident",
-			Tasks:   []string{"luby", "vt-mis"},
-			Sizes:   []int{32, 64},
-			Trials:  trials,
-			Seed:    11,
-			Options: awakemis.Options{Strict: true},
-		}
-		var golden []byte
-		for _, workers := range []int{1, 4} {
-			for _, scalar := range []bool{true, false} {
-				sr := awakemis.StudyRunner{Workers: workers, Scalar: scalar}
-				res, err := sr.Run(context.Background(), ss)
-				if err != nil {
-					t.Fatalf("trials=%d workers=%d scalar=%v: %v", trials, workers, scalar, err)
-				}
-				data, err := res.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if golden == nil {
-					golden = data
-					continue
-				}
-				if string(data) != string(golden) {
-					t.Fatalf("artifact differs at trials=%d workers=%d scalar=%v", trials, workers, scalar)
-				}
-			}
-		}
-	}
-}
-
 // TestStudyFitPrefersLogLog checks the acceptance criterion: over the
 // quick study's n-sweep, awake-mis's awake-metric fit prefers the
 // log log n model while vt-mis (awake Θ(log I), I = n) prefers log n.

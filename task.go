@@ -14,9 +14,9 @@ import (
 
 // Task is one registered problem: a name, an ID-assignment scheme, a
 // run function, and an output verifier. Every public entry point —
-// RunTask, Run, RunMIS, Runner.RunBatch, the deprecated wrappers, and
-// both CLIs — dispatches through the task registry, so adding a
-// problem means registering a Task, not editing the facade.
+// RunTask, Run, RunMIS, Runner.RunBatch, and both CLIs — dispatches
+// through the task registry, so adding a problem means registering a
+// Task, not editing the facade.
 type Task struct {
 	// Name identifies the task ("awake-mis", "coloring", ...).
 	Name string
@@ -114,23 +114,6 @@ func runTask(ctx context.Context, g *Graph, task string, opt Options, workers in
 	if err != nil {
 		return nil, err
 	}
-	return runTaskCfg(ctx, g, task, opt, cfg)
-}
-
-// runTaskOn is runTask against an explicit engine instance — the
-// vectorized path hands each trial a lane handle of one shared
-// sim.VectorEngine here, leaving everything else (IDs, tracer,
-// observer, verification, Report assembly) on the scalar pipeline.
-func runTaskOn(ctx context.Context, g *Graph, task string, opt Options, eng sim.Engine) (*Report, error) {
-	cfg, err := opt.simConfig(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Engine = eng
-	return runTaskCfg(ctx, g, task, opt, cfg)
-}
-
-func runTaskCfg(ctx context.Context, g *Graph, task string, opt Options, cfg sim.Config) (*Report, error) {
 	t, ok := taskRegistry[task]
 	if !ok {
 		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",

@@ -15,7 +15,7 @@ var ErrInvalidSpec = errors.New("invalid spec")
 
 // Validate checks the spec without running it: the task must be
 // registered, the graph spec well-formed, and the options within
-// range. RunSpec and Runner.RunBatch validate every spec before
+// range. Run and Runner.RunBatch validate every spec before
 // spending a simulation on it, so a bad spec fails fast with a
 // descriptive error (wrapping ErrInvalidSpec) instead of surfacing as
 // a deep generator or engine failure.

@@ -1,6 +1,7 @@
 package awakemis_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -61,19 +62,20 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// RunSpec must reject malformed specs up front with ErrInvalidSpec
-// (the service daemon's 400-vs-500 discrimination), not via a deep
+// Run must reject malformed specs up front with ErrInvalidSpec (the
+// service daemon's 400-vs-500 discrimination), not via a deep
 // generator or engine failure.
 func TestRunSpecValidates(t *testing.T) {
-	_, err := awakemis.RunSpec(awakemis.Spec{Task: "no-such-task"})
+	ctx := context.Background()
+	_, err := awakemis.Run(ctx, awakemis.Spec{Task: "no-such-task"})
 	if !errors.Is(err, awakemis.ErrInvalidSpec) {
-		t.Errorf("RunSpec(unknown task) = %v, want ErrInvalidSpec", err)
+		t.Errorf("Run(unknown task) = %v, want ErrInvalidSpec", err)
 	}
-	_, err = awakemis.RunSpec(awakemis.Spec{
+	_, err = awakemis.Run(ctx, awakemis.Spec{
 		Task:  "luby",
 		Graph: awakemis.GraphSpec{Family: "gnp", N: -3},
 	})
 	if !errors.Is(err, awakemis.ErrInvalidSpec) {
-		t.Errorf("RunSpec(negative n) = %v, want ErrInvalidSpec", err)
+		t.Errorf("Run(negative n) = %v, want ErrInvalidSpec", err)
 	}
 }
