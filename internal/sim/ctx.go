@@ -93,7 +93,7 @@ func (c *Ctx) Send(port int, m Message) {
 			panic(&BandwidthError{Node: c.id, Port: port, Bits: bits, Budget: c.cfg.Bandwidth})
 		}
 	}
-	c.out = append(c.out, outMsg{port, m})
+	c.out = append(c.out, outMsg{port: int32(port), msg: m})
 }
 
 // Broadcast sends m on every port.

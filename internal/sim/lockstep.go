@@ -295,7 +295,7 @@ func (e *lockstepRun) routeRound(clock int64, awake []int, stamp []int64, cur []
 			if bits > m.MaxMessageBits {
 				m.MaxMessageBits = bits
 			}
-			w := e.g.Neighbor(v, om.port)
+			w := e.g.Neighbor(v, int(om.port))
 			delivered := stamp[w] == clock+1
 			if tracer != nil {
 				tracer.Message(clock, v, w, bits, delivered)

@@ -278,9 +278,13 @@ func DefaultBandwidth(n int) int {
 	return 16*bitio.UintBits(uint64(n)) + 16
 }
 
-// outMsg is a staged send: a message queued on a local port.
+// outMsg is a staged send: a message queued on a local port. The
+// stepped engine's router records in to the receiving neighbor, or -1
+// when the receiver sleeps, so its second pass skips lost messages
+// without looking the receiver up again.
 type outMsg struct {
-	port int
+	port int32
+	to   int32
 	msg  Message
 }
 

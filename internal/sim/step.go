@@ -88,7 +88,7 @@ func (o *Outbox) Send(port int, m Message) {
 		// instead of paying the append doubling churn per node.
 		o.msgs = make([]outMsg, 0, o.degree)
 	}
-	o.msgs = append(o.msgs, outMsg{port, m})
+	o.msgs = append(o.msgs, outMsg{port: int32(port), msg: m})
 }
 
 // Broadcast sends m on every port.
@@ -117,7 +117,7 @@ func (sp StepProgram) asProgram() Program {
 		node.Start(&out)
 		for {
 			for _, om := range out.msgs {
-				ctx.Send(om.port, om.msg)
+				ctx.Send(int(om.port), om.msg)
 			}
 			in := ctx.Deliver()
 			out.reset()

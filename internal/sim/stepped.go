@@ -81,6 +81,19 @@ func (f *nodeFailure) attach(r any) {
 	}
 }
 
+// rxSlot is one node's routing state. route counts the node's
+// deliveries, gives it a region of the round's flat inbox buffer with
+// a prefix sum over the awake list, and fills the region, advancing
+// off to the region's end: the inbox is inBuf[par][off-count:off].
+// The fields share one slot, not one array each, because route reaches
+// a receiver in random order and then touches all of them.
+type rxSlot struct {
+	stamp int64 // clock+1 iff the node is awake this round
+	cur   int32 // arrival-port cursor for the galloping search
+	count int32 // deliveries this round
+	off   int32 // region start, then fill cursor, then region end
+}
+
 // stepState is one run's struct-of-arrays node state plus the
 // round-scoped scratch the worker pool reads.
 type stepState struct {
@@ -89,23 +102,16 @@ type stepState struct {
 	m   *Metrics
 	q   *wakeQueue
 
-	node  []StepNode // per-node machine; nil once halted
-	out   []Outbox   // sends staged for each node's next awake round
-	next  []int64    // wake round returned by the last OnWake (haltedWake once done)
-	stamp []int64    // routing scratch: stamp[v] == clock+1 iff v awake now
-	cur   []int32    // routing scratch: per-receiver port cursors
+	node []StepNode // per-node machine; nil once halted
+	out  []Outbox   // sends staged for each node's next awake round
+	next []int64    // wake round returned by the last OnWake (haltedWake once done)
+	rx   []rxSlot   // per-node routing state for the current round
 
-	// Flat inboxes. route counts each awake receiver's deliveries
-	// (inCount), carves one region per receiver out of the round
-	// parity's buffer with a prefix sum over the awake list (inOff),
-	// and fills the regions in a second pass. The fill advances inOff[v]
-	// to the region's end, so v's inbox is
-	// inBuf[par][inOff[v]-inCount[v]:inOff[v]]. Inboxes are borrowed for
-	// the OnWake call only; keying the buffers by round parity leaves
-	// one round of slack before a region is overwritten.
-	inCount []int32
-	inOff   []int32
-	inBuf   [2][]Inbound
+	// Flat inboxes, one buffer per round parity; rxSlot locates each
+	// awake node's region. Inboxes are borrowed for the OnWake call
+	// only; keying the buffers by round parity leaves one round of
+	// slack before a region is overwritten.
+	inBuf [2][]Inbound
 
 	probe roundProbe // per-round deltas for cfg.Observer (no-op when nil)
 
@@ -153,18 +159,15 @@ func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram,
 func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*stepState, error) {
 	n := g.N()
 	rs := &stepState{
-		g:       g,
-		cfg:     cfg,
-		m:       &Metrics{AwakePerNode: make([]int64, n)},
-		q:       newWakeQueue(),
-		node:    make([]StepNode, n),
-		out:     make([]Outbox, n),
-		next:    make([]int64, n),
-		stamp:   make([]int64, n),
-		cur:     make([]int32, n),
-		inCount: make([]int32, n),
-		inOff:   make([]int32, n),
-		probe:   roundProbe{obs: cfg.Observer},
+		g:     g,
+		cfg:   cfg,
+		m:     &Metrics{AwakePerNode: make([]int64, n)},
+		q:     newWakeQueue(),
+		node:  make([]StepNode, n),
+		out:   make([]Outbox, n),
+		next:  make([]int64, n),
+		rx:    make([]rxSlot, n),
+		probe: roundProbe{obs: cfg.Observer},
 	}
 
 	// Construct every node machine and stage its round-0 sends. The
@@ -263,10 +266,12 @@ func (rs *stepState) round(workers int) error {
 //
 // Delivery is a counting sort into the round parity's flat buffer:
 // pass one meters every send in sender order (so tracers see messages
-// in that order) and counts each receiver's deliveries; a prefix sum
-// over the awake list carves the buffer into per-receiver regions; pass
-// two fills the regions in the same sender order. The buffer grows at
-// most once per round, exactly to the delivered total.
+// in that order), counts each receiver's deliveries, and records the
+// receiver in the staged send (-1 when it sleeps); a prefix sum over
+// the awake list carves the buffer into per-receiver regions; pass two
+// fills the regions in the same sender order, skipping lost sends
+// without touching their receivers. The buffer grows at most once per
+// round, exactly to the delivered total.
 //
 // Arrival ports are recovered by a monotone cursor per receiver:
 // because senders arrive in ascending order and CSR rows are sorted, a
@@ -275,34 +280,37 @@ func (rs *stepState) round(workers int) error {
 // reverse-port array held in memory.
 func (rs *stepState) route(awake []int) error {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
+	rx := rs.rx
 	for _, v := range awake {
-		rs.stamp[v] = clock + 1
-		rs.cur[v] = 0
-		rs.inCount[v] = 0
+		rx[v] = rxSlot{stamp: clock + 1}
 	}
 	for _, v := range awake {
-		for _, om := range rs.out[v].msgs {
+		msgs := rs.out[v].msgs
+		for i := range msgs {
+			om := &msgs[i]
 			bits := om.msg.Bits()
 			m.MessagesSent++
 			m.BitsSent += int64(bits)
 			if bits > m.MaxMessageBits {
 				m.MaxMessageBits = bits
 			}
-			w := g.Neighbor(v, om.port)
-			delivered := rs.stamp[w] == clock+1
+			w := g.Neighbor(v, int(om.port))
+			delivered := rx[w].stamp == clock+1
 			if tracer != nil {
 				tracer.Message(clock, v, w, bits, delivered)
 			}
+			om.to = -1
 			if delivered { // a sleeping receiver loses the message
-				rs.inCount[w]++
+				om.to = int32(w)
+				rx[w].count++
 				m.MessagesDelivered++
 			}
 		}
 	}
 	total := 0
 	for _, v := range awake {
-		rs.inOff[v] = int32(total)
-		total += int(rs.inCount[v])
+		rx[v].off = int32(total)
+		total += int(rx[v].count)
 	}
 	if total > math.MaxInt32 {
 		return fmt.Errorf("sim: round %d delivers %d messages, beyond the inbox offset range", clock, total)
@@ -315,14 +323,14 @@ func (rs *stepState) route(awake []int) error {
 	rs.inBuf[rs.par] = buf
 	for _, v := range awake {
 		for _, om := range rs.out[v].msgs {
-			w := g.Neighbor(v, om.port)
-			if rs.stamp[w] != clock+1 {
+			if om.to < 0 {
 				continue
 			}
-			port := portFrom(g.Neighbors(w), int32(v), int(rs.cur[w]))
-			rs.cur[w] = int32(port) // not port+1: v may send on the same port again this round
-			buf[rs.inOff[w]] = Inbound{Port: port, Msg: om.msg}
-			rs.inOff[w]++
+			r := &rx[om.to]
+			port := portFrom(g.Neighbors(int(om.to)), int32(v), int(r.cur))
+			r.cur = int32(port) // not port+1: v may send on the same port again this round
+			buf[r.off] = Inbound{Port: port, Msg: om.msg}
+			r.off++
 		}
 	}
 	return nil
@@ -391,8 +399,8 @@ func (rs *stepState) stepNode(v int) {
 	}()
 	// The region's capacity is clamped so a program appending to its
 	// inbox cannot clobber the next receiver's region.
-	end := rs.inOff[v]
-	in := rs.inBuf[rs.par][end-rs.inCount[v] : end : end]
+	r := rs.rx[v]
+	in := rs.inBuf[rs.par][r.off-r.count : r.off : r.off]
 	sortInbox(in)
 	out := &rs.out[v]
 	out.reset()
