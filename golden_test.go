@@ -148,8 +148,9 @@ func goldenCases() []goldenCase {
 	cases = append(cases, goldenCase{
 		task: "ldt-mis", graph: awakemis.GraphSpec{Family: "gnp", N: 1024}, seed: 3, workers: []int{4, 1},
 	})
-	// Dense luby rounds: every node awake, crossing the shard threshold
-	// and growing the engine's inbox storage round over round.
+	// Dense luby rounds: every node is awake at first, so the early
+	// rounds cross the shard threshold and grow the engine's inbox
+	// storage.
 	cases = append(cases, goldenCase{
 		task: "luby", graph: awakemis.GraphSpec{Family: "gnp", N: 4096}, seed: 5, workers: []int{4, 1},
 	})

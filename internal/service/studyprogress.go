@@ -144,8 +144,8 @@ func (s *Server) studyProgressLocked(st *studyRun) *StudyProgress {
 	p.ElapsedMS = float64(time.Since(st.started)) / float64(time.Millisecond)
 	// Rate extrapolation: sub-runs completed so far set the pace for
 	// the remainder. (Cells finish roughly geometrically under the
-	// cache mix, so this decays toward the truth as the
-	// grid drains — good enough for a ticker, never for results.)
+	// cache mix, so this decays toward the truth as the grid drains —
+	// good enough for a ticker, never for results.)
 	if remaining := st.Total - p.RunsDone; p.RunsDone > 0 && remaining > 0 {
 		p.ETAMS = p.ElapsedMS * float64(remaining) / float64(p.RunsDone)
 	}
