@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,27 +35,12 @@ func e2eStudy() awakemis.StudySpec {
 // the same StudySpec produces a byte-identical StudyResult artifact
 // whether executed directly through the public StudyRunner or
 // submitted to the daemon — and a re-submitted study is served
-// entirely from the report cache (engine_runs unchanged). The second
-// grid's eight trials per cell keep many runs of one cell in flight
-// on the daemon's workers at once.
+// entirely from the report cache (engine_runs unchanged).
 func TestStudyDirectVsDaemon(t *testing.T) {
-	wide := awakemis.StudySpec{
-		Name:    "trials8",
-		Tasks:   []string{"luby", "vt-mis"},
-		Sizes:   []int{32, 64},
-		Trials:  8,
-		Seed:    11,
-		Options: awakemis.Options{Strict: true},
-	}
-	for _, spec := range []awakemis.StudySpec{e2eStudy(), wide} {
-		t.Run(spec.Name, func(t *testing.T) { checkStudyDirectVsDaemon(t, spec) })
-	}
-}
-
-func checkStudyDirectVsDaemon(t *testing.T, spec awakemis.StudySpec) {
 	_, c := newTestServer(t, service.Config{Workers: 2})
 	ctx := context.Background()
 
+	spec := e2eStudy()
 	local, err := awakemis.RunStudyContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +51,9 @@ func checkStudyDirectVsDaemon(t *testing.T, spec awakemis.StudySpec) {
 	}
 	// The acceptance criterion's fit shape, asserted on the shared
 	// artifact: awake-mis's awake metric prefers log log n.
-	if slices.Contains(spec.Tasks, "awake-mis") {
-		fit, ok := local.Fit("awake-mis", "gnp", awakemis.EngineStepped, "max_awake")
-		if !ok || fit.Model != "loglog n" {
-			t.Errorf("awake-mis max_awake fit = %+v (ok=%v), want loglog n", fit, ok)
-		}
+	fit, ok := local.Fit("awake-mis", "gnp", awakemis.EngineStepped, "max_awake")
+	if !ok || fit.Model != "loglog n" {
+		t.Errorf("awake-mis max_awake fit = %+v (ok=%v), want loglog n", fit, ok)
 	}
 
 	study, err := c.SubmitStudy(ctx, spec)
@@ -145,6 +127,55 @@ func checkStudyDirectVsDaemon(t *testing.T, spec awakemis.StudySpec) {
 	}
 	if stats.StudiesCompleted != 2 {
 		t.Errorf("studies_completed = %d, want 2", stats.StudiesCompleted)
+	}
+}
+
+// TestStudyDaemonVectorizedVsLocalScalar pins the identity contract
+// across both the execution boundary and the scheduling axis: a
+// daemon-served study, whose eight trials per cell run many at a time
+// on the daemon's workers, produces the same artifact as a local run
+// held to one trial at a time on one engine worker. (The name dates
+// from when daemon cells ran as one merged vectorized pass; every
+// trial is now an ordinary stepped run.)
+func TestStudyDaemonVectorizedVsLocalScalar(t *testing.T) {
+	_, c := newTestServer(t, service.Config{Workers: 2})
+	ctx := context.Background()
+
+	spec := awakemis.StudySpec{
+		Name:    "vec8",
+		Tasks:   []string{"luby", "vt-mis"},
+		Sizes:   []int{32, 64},
+		Trials:  8,
+		Seed:    11,
+		Options: awakemis.Options{Strict: true},
+	}
+	serial := awakemis.StudyRunner{Parallel: 1, Workers: 1}
+	local, err := serial.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localJSON, err := local.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := c.RunStudy(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteJSON, err := remote.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(remoteJSON, localJSON) {
+		t.Errorf("daemon artifact differs from local serial run:\ndaemon: %.300s\nlocal:  %.300s", remoteJSON, localJSON)
+	}
+	// One engine run per trial spec.
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(spec.Specs())); stats.EngineRuns != want {
+		t.Errorf("engine_runs = %d, want %d", stats.EngineRuns, want)
 	}
 }
 
