@@ -483,10 +483,11 @@ func assertSameGraph(t *testing.T, a, b *Graph) {
 	}
 }
 
-// TestReversePortConsistency checks the precomputed reverse-port table
-// against Port on every family the simulator routes through: for every
-// arc, following ReversePort from the far side must land back on the
-// originating port.
+// TestReversePortConsistency checks reverse ports against Port on every
+// family the simulator routes through: for every arc, following
+// ReversePort from the far side must land back on the originating
+// port, and the ReversePorts table must hold ReversePort at the arc's
+// index.
 func TestReversePortConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	graphs := map[string]*Graph{
@@ -503,10 +504,14 @@ func TestReversePortConsistency(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
+			rev := g.ReversePorts()
 			for v := 0; v < g.N(); v++ {
 				for p := 0; p < g.Degree(v); p++ {
 					w := g.Neighbor(v, p)
 					rp := g.ReversePort(v, p)
+					if got := int(rev[int(g.off[v])+p]); got != rp {
+						t.Fatalf("ReversePorts()[arc (%d,%d)] = %d, ReversePort = %d", v, p, got, rp)
+					}
 					if got := g.Neighbor(w, rp); got != v {
 						t.Fatalf("Neighbor(%d, ReversePort(%d,%d)=%d) = %d, want %d", w, v, p, rp, got, v)
 					}

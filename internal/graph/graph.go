@@ -119,12 +119,28 @@ func (g *Graph) Port(v, w int) int {
 
 // ReversePort returns, for the edge crossed by v's given port, the port
 // by which the neighbor reaches v back. It is derived by searching the
-// neighbor's sorted row; the simulator's routing hot path does not call
-// it — there, reverse ports are recovered incrementally by a monotone
-// cursor over each receiver's row (senders are processed in ascending
-// order, so a receiver's arrival ports are ascending too), which costs
-// no extra memory and no per-message binary search.
+// neighbor's sorted row; callers that need every reverse port build
+// the whole table once with ReversePorts instead.
 func (g *Graph) ReversePort(v, port int) int { return g.Port(g.Neighbor(v, port), v) }
+
+// ReversePorts returns the reverse-port table, aligned with the arc
+// array: rows are stored back to back in vertex order, so the entry
+// for v's port p sits at index p plus the sum of the degrees of the
+// vertices before v, and holds ReversePort(v, p). The table is built
+// in one ascending pass over the rows with a cursor per vertex: when
+// v is visited, every smaller neighbor x of a vertex w has already
+// advanced w's cursor, so the cursor is v's rank in w's sorted row.
+// It costs O(m) time, 4 bytes per arc, and 4 bytes per vertex of
+// scratch that is released on return.
+func (g *Graph) ReversePorts() []int32 {
+	rev := make([]int32, len(g.nbr))
+	cur := make([]int32, g.N())
+	for i, w := range g.nbr {
+		rev[i] = cur[w]
+		cur[w]++
+	}
+	return rev
+}
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool { return g.Port(u, v) >= 0 }
