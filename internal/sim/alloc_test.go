@@ -28,7 +28,7 @@ var allocProbe StepProgram = func(env *NodeEnv) StepNode { return allocProbeNode
 
 // TestSteppedRoundZeroAllocs pins the tentpole invariant of the stepped
 // engine: once buffers have grown to their steady-state capacity, a
-// full round — routing through precomputed CSR reverse ports, inbox
+// full round — routing through the run's reverse-port table, inbox
 // sorting, every OnWake fan-out, and rescheduling — performs zero heap
 // allocations for native step programs. A regression here (a closure
 // creeping into the hot path, sort.Slice, per-round goroutines, inbox
@@ -50,8 +50,8 @@ func TestSteppedRoundZeroAllocs(t *testing.T) {
 			}
 			defer rs.close()
 
-			// Warm up: grow inboxes for both round parities, the wake
-			// queue's bucket pool, and the outbox slices.
+			// Warm up: grow the inbox buffer, the wake queue's bucket
+			// pool and round heap, and the outbox slices.
 			for i := 0; i < 8; i++ {
 				if err := rs.round(workers); err != nil {
 					t.Fatal(err)

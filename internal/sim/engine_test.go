@@ -136,6 +136,31 @@ func TestZeroDegreeBroadcast(t *testing.T) {
 	if m.MessagesSent != 0 {
 		t.Errorf("messages = %d, want 0", m.MessagesSent)
 	}
+
+	// The step form stages nothing for a broadcast with no ports, on
+	// every engine.
+	sp := StepProgram(func(env *NodeEnv) StepNode { return isolatedBroadcaster{t: t} })
+	if m := runAll(t, g, sp, Config{Seed: 1}); m.MessagesSent != 0 {
+		t.Errorf("step form: messages = %d, want 0", m.MessagesSent)
+	}
+}
+
+// isolatedBroadcaster broadcasts from a node with no ports and checks
+// that nothing was staged or received.
+type isolatedBroadcaster struct{ t *testing.T }
+
+func (b isolatedBroadcaster) Start(out *Outbox) {
+	out.Broadcast(intMsg(1))
+	if len(out.msgs) != 0 {
+		b.t.Errorf("zero-degree broadcast staged %d entries", len(out.msgs))
+	}
+}
+
+func (b isolatedBroadcaster) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+	if len(inbox) != 0 {
+		b.t.Error("isolated node received messages")
+	}
+	return 0, true
 }
 
 func TestLongSparseScheduleMetrics(t *testing.T) {

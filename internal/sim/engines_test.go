@@ -199,6 +199,18 @@ func TestSteppedErrorPaths(t *testing.T) {
 		}
 	})
 
+	t.Run("strict-bandwidth-step-broadcast", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode { return &bigBroadcaster{} })
+		_, err := stepped.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
+		var be *BandwidthError
+		if !errors.As(err, &be) {
+			t.Fatalf("err = %v, want BandwidthError", err)
+		}
+		if be.Node != 0 || be.Port != 0 {
+			t.Fatalf("BandwidthError at node %d port %d, want node 0 port 0", be.Node, be.Port)
+		}
+	})
+
 	t.Run("max-rounds", func(t *testing.T) {
 		prog := Program(func(ctx *Ctx) {
 			for {
@@ -235,6 +247,13 @@ func (bigSender) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool)
 	return 0, true
 }
 
+type bigBroadcaster struct{}
+
+func (bigBroadcaster) Start(out *Outbox) { out.Broadcast(bigMsg{bits: 10_000}) }
+func (bigBroadcaster) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+	return 0, true
+}
+
 type badPortSender struct{}
 
 func (badPortSender) Start(out *Outbox) {}
@@ -251,8 +270,11 @@ func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool)
 }
 
 // TestFuzzEquivalence drives randomized programs over randomized graphs
-// through every engine configuration and demands identical metrics and
-// identical per-node receive transcripts.
+// through every engine configuration and demands identical per-node
+// receive transcripts. The goroutine-form program reaches the stepped
+// engine through the adapter, as unicast sends; the step-form program
+// stages broadcast entries and unicast sends natively, so its runs
+// also compare Metrics and the Tracer's message stream.
 func TestFuzzEquivalence(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(100 + trial)
@@ -289,29 +311,195 @@ func TestFuzzEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	t.Run("step-form", func(t *testing.T) {
+		for trial := 0; trial < 8; trial++ {
+			seed := int64(200 + trial)
+			g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
+			var ref fuzzRun
+			var refName string
+			for name, eng := range testEngines() {
+				run := fuzzRun{logs: make([]uint64, g.N()), tracer: &hashTracer{}}
+				sp := StepProgram(func(env *NodeEnv) StepNode {
+					return &fuzzStepNode{env: env, log: &run.logs[env.ID], left: 8}
+				})
+				m, err := eng.Run(context.Background(), g, sp, Config{Seed: seed, Tracer: run.tracer})
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, name, err)
+				}
+				run.m = m
+				if ref.m == nil {
+					ref, refName = run, name
+					continue
+				}
+				if !reflect.DeepEqual(ref.m, run.m) {
+					t.Fatalf("trial %d: metrics diverge: %s=%+v vs %s=%+v", trial, refName, ref.m, name, run.m)
+				}
+				if !reflect.DeepEqual(ref.logs, run.logs) {
+					t.Fatalf("trial %d: receive transcripts diverge between %s and %s", trial, refName, name)
+				}
+				if *ref.tracer != *run.tracer {
+					t.Fatalf("trial %d: tracer streams diverge: %s=%+v vs %s=%+v", trial, refName, *ref.tracer, name, *run.tracer)
+				}
+			}
+			if ref.m.MessagesDelivered == 0 {
+				t.Fatalf("trial %d: no message delivered", trial)
+			}
+		}
+	})
+}
+
+// fuzzRun is one engine's outcome of a step-form fuzz trial.
+type fuzzRun struct {
+	m      *Metrics
+	logs   []uint64 // per-node receive transcript hashes
+	tracer *hashTracer
+}
+
+// mixLog folds one value into a transcript hash; the fold is
+// order-sensitive, so transcripts match only when every event arrives
+// in the same order.
+func mixLog(h uint64, x int64) uint64 { return (h^uint64(x))*0x100000001b3 + 0x9e3779b97f4a7c15 }
+
+// hashTracer folds the engine's event stream, in order, into hashes.
+type hashTracer struct {
+	awake, messages uint64
+}
+
+func (h *hashTracer) NodeAwake(round int64, node int) {
+	h.awake = mixLog(mixLog(h.awake, round), int64(node))
+}
+
+func (h *hashTracer) Message(round int64, from, to, bits int, delivered bool) {
+	x := mixLog(mixLog(h.messages, round), int64(from))
+	x = mixLog(mixLog(x, int64(to)), int64(bits))
+	if delivered {
+		x = mixLog(x, 1)
+	}
+	h.messages = x
+}
+
+// fuzzStepNode is a native step-form node for TestFuzzEquivalence. At
+// each wake it stages a random mix of broadcasts and unicast sends on
+// random ports (sometimes two on one port), then sleeps a random
+// number of rounds or halts. It folds every received (round, port,
+// value) into its transcript hash.
+type fuzzStepNode struct {
+	env  *NodeEnv
+	log  *uint64
+	left int
+}
+
+func (n *fuzzStepNode) stage(out *Outbox) {
+	r, deg := n.env.Rand, n.env.Degree
+	if r.Intn(3) > 0 {
+		out.Broadcast(intMsg(r.Int63n(1000)))
+	}
+	for i := r.Intn(3); i > 0 && deg > 0; i-- {
+		p := r.Intn(deg)
+		out.Send(p, intMsg(r.Int63n(1000)))
+		if r.Intn(4) == 0 {
+			out.Send(p, intMsg(r.Int63n(1000)))
+		}
+	}
+	if r.Intn(4) == 0 {
+		out.Broadcast(intMsg(r.Int63n(1000)))
+	}
+}
+
+func (n *fuzzStepNode) Start(out *Outbox) { n.stage(out) }
+
+func (n *fuzzStepNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+	for _, m := range inbox {
+		*n.log = mixLog(mixLog(mixLog(*n.log, round), int64(m.Port)), int64(m.Msg.(intMsg)))
+	}
+	n.left--
+	if n.left == 0 || n.env.Rand.Intn(5) == 0 {
+		return 0, true
+	}
+	n.stage(out)
+	return round + 1 + n.env.Rand.Int63n(3), false
 }
 
 // TestWakeQueueOrder checks the bucket queue pops rounds in order with
 // node indices sorted regardless of insertion order.
 func TestWakeQueueOrder(t *testing.T) {
-	q := newWakeQueue()
-	q.add(7, 3)
-	q.add(2, 9)
-	q.add(7, 1)
-	q.add(2, 4)
-	q.add(5, 0)
-	wantRounds := []int64{2, 5, 7}
-	wantNodes := [][]int{{4, 9}, {0}, {1, 3}}
-	for i := 0; !q.empty(); i++ {
-		r, nodes := q.pop()
-		if r != wantRounds[i] {
-			t.Fatalf("pop %d: round %d, want %d", i, r, wantRounds[i])
-		}
-		if !reflect.DeepEqual(nodes, wantNodes[i]) {
-			t.Fatalf("pop %d: nodes %v, want %v", i, nodes, wantNodes[i])
-		}
-		q.recycle(nodes)
+	type wake struct {
+		round int64
+		node  int
 	}
+	type popped struct {
+		round int64
+		nodes []int
+	}
+	// pop drains want from q, checking each round and its nodes.
+	pop := func(t *testing.T, q *wakeQueue, want ...popped) {
+		t.Helper()
+		for i, w := range want {
+			if q.empty() {
+				t.Fatalf("pop %d: queue empty, want round %d", i, w.round)
+			}
+			r, nodes := q.pop()
+			if r != w.round || !reflect.DeepEqual(nodes, w.nodes) {
+				t.Fatalf("pop %d: round %d nodes %v, want round %d nodes %v", i, r, nodes, w.round, w.nodes)
+			}
+		}
+	}
+	add := func(q *wakeQueue, wakes ...wake) {
+		for _, w := range wakes {
+			q.add(w.round, w.node)
+		}
+	}
+
+	t.Run("basic", func(t *testing.T) {
+		q := newWakeQueue(10)
+		add(q, wake{7, 3}, wake{2, 9}, wake{7, 1}, wake{2, 4}, wake{5, 0})
+		pop(t, q, popped{2, []int{4, 9}}, popped{5, []int{0}}, popped{7, []int{1, 3}})
+		if !q.empty() {
+			t.Fatal("queue not empty after draining")
+		}
+	})
+
+	t.Run("interleaved-unsorted", func(t *testing.T) {
+		// Alternating rounds defeat the cached bucket on every add, and
+		// round 3 receives its nodes in descending order, so it takes
+		// the sorting path while round 4 stays in arrival order.
+		q := newWakeQueue(10)
+		add(q, wake{3, 8}, wake{4, 1}, wake{3, 5}, wake{4, 6}, wake{3, 2}, wake{4, 7}, wake{3, 9})
+		pop(t, q, popped{3, []int{2, 5, 8, 9}}, popped{4, []int{1, 6, 7}})
+	})
+
+	t.Run("pop-cached-round", func(t *testing.T) {
+		// The last add caches round 1's bucket; popping round 1 must
+		// drop the cache, so later adds, including one to round 1
+		// again, land in live buckets.
+		q := newWakeQueue(10)
+		add(q, wake{2, 4}, wake{1, 0}, wake{1, 2})
+		pop(t, q, popped{1, []int{0, 2}})
+		add(q, wake{3, 2}, wake{3, 0}, wake{1, 6})
+		pop(t, q, popped{1, []int{6}}, popped{2, []int{4}}, popped{3, []int{0, 2}})
+		if !q.empty() {
+			t.Fatal("queue not empty after draining")
+		}
+	})
+
+	t.Run("reuse-freed-bucket", func(t *testing.T) {
+		// A freed bucket is reused for a new round and must start
+		// empty and sorted, whatever its previous round left in it.
+		q := newWakeQueue(10)
+		add(q, wake{1, 5}, wake{1, 3}, wake{1, 1})
+		pop(t, q, popped{1, []int{1, 3, 5}})
+		add(q, wake{4, 2}, wake{4, 8})
+		if len(q.buckets) != 1 {
+			t.Fatalf("queue holds %d buckets, want the freed one reused", len(q.buckets))
+		}
+		pop(t, q, popped{4, []int{2, 8}})
+		add(q, wake{6, 7}, wake{9, 3}, wake{6, 0})
+		if len(q.buckets) != 2 {
+			t.Fatalf("queue holds %d buckets, want 2", len(q.buckets))
+		}
+		pop(t, q, popped{6, []int{0, 7}}, popped{9, []int{3}})
+	})
 }
 
 func TestEngineNames(t *testing.T) {

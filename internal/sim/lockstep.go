@@ -116,7 +116,7 @@ func runLockstep(ctx context.Context, g *graph.Graph, prog Program, cfg Config) 
 	}
 	e.m.AwakePerNode = make([]int64, n)
 
-	q := newWakeQueue()
+	q := newWakeQueue(n)
 	for v := 0; v < n; v++ {
 		st := &lsNode{
 			cont:    make(chan struct{}, 1),
@@ -262,7 +262,6 @@ func (e *lockstepRun) loop(ctx context.Context, q *wakeQueue) error {
 			q.add(st.nextWake, v)
 		}
 		probe.end(&e.m, clock, len(awake))
-		q.recycle(awake)
 	}
 	return nil
 }
@@ -274,9 +273,10 @@ func (e *lockstepRun) loop(ctx context.Context, q *wakeQueue) error {
 // independently of the stepped engine's counting-sort router, as the
 // reference that the cross-engine suites check that router against.
 //
-// Arrival ports are recovered with the same galloping cursor search
-// (portFrom): senders arrive in ascending order and CSR rows are
-// sorted, so each receiver's arrival ports ascend within the round.
+// Arrival ports are recovered by a galloping search (portFrom) from a
+// cursor per receiver, not from the stepped engine's reverse-port
+// table: senders arrive in ascending order and CSR rows are sorted, so
+// each receiver's arrival ports ascend within the round.
 //
 // stamp must satisfy stamp[v] == clock+1 exactly for awake v, and cur
 // is per-receiver cursor scratch; the method establishes both
@@ -310,6 +310,31 @@ func (e *lockstepRun) routeRound(clock int64, awake []int, stamp []int64, cur []
 			m.MessagesDelivered++
 		}
 	}
+}
+
+// portFrom returns the index of v in the sorted row nb, searching from
+// position from. v must be present at or after from. Galloping keeps
+// the cost proportional to the jump actually taken: ~2 comparisons when
+// v sits at the cursor (dense traffic), O(log gap) otherwise.
+func portFrom(nb []int32, v int32, from int) int {
+	lo, step := from, 1
+	for lo+step < len(nb) && nb[lo+step] < v {
+		lo += step
+		step <<= 1
+	}
+	hi := lo + step
+	if hi > len(nb) {
+		hi = len(nb)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nb[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // collect waits for exactly count events of the given kind; an evEnd

@@ -39,12 +39,15 @@
 // private RNG stream derived from Config.Seed and its index, (b) a
 // node's step depends only on its own state and inbox, and (c) both
 // engines route the same way: senders are processed in ascending node
-// order, and each inbox is sorted by arrival port. Routing is not
-// shared code. The stepped engine delivers through a counting sort into
-// flat per-round buffers; the lockstep engine's routeRound appends to
-// per-node inboxes and is kept as an independent reference. The
-// cross-engine tests check the two against each other for every
-// algorithm in the repository.
+// order, a broadcast counts as one send per port in port order, and
+// each inbox is sorted by arrival port. Routing is not shared code. The
+// stepped engine delivers through a counting sort into one flat inbox
+// buffer, expands each staged broadcast over the sender's CSR row, and
+// reads arrival ports from a reverse-port table built once per run;
+// the lockstep engine's routeRound appends per-port sends to per-node
+// inboxes, finds arrival ports by a galloping search, and is kept as
+// an independent reference. The cross-engine tests check the two
+// against each other for every algorithm in the repository.
 //
 // The contract covers runs that complete without error. On a failing
 // run both engines report an error, but they differ in which node's
@@ -71,7 +74,9 @@ import (
 
 // Message is a payload sent over an edge in one round. Bits reports the
 // exact number of bits the message occupies on the wire; the engine
-// enforces the CONGEST bandwidth bound against it.
+// enforces the CONGEST bandwidth bound against it. Bits must be a pure
+// function of the message: engines may call it once for a broadcast
+// and charge the result to every port.
 type Message interface {
 	Bits() int
 }
@@ -278,7 +283,8 @@ func DefaultBandwidth(n int) int {
 	return 16*bitio.UintBits(uint64(n)) + 16
 }
 
-// outMsg is a staged send: a message queued on a local port. The
+// outMsg is a staged send: a message queued on a local port, or on
+// every port when port is broadcastPort. For a unicast send the
 // stepped engine's router records in to the receiving neighbor, or -1
 // when the receiver sleeps, so its second pass skips lost messages
 // without looking the receiver up again.
@@ -287,6 +293,10 @@ type outMsg struct {
 	to   int32
 	msg  Message
 }
+
+// broadcastPort marks the one staged entry of an Outbox.Broadcast,
+// which stands for a send on every port in port order.
+const broadcastPort = -1
 
 // Run simulates the goroutine-form prog on every node of g under cfg
 // and returns the measured complexity metrics. It returns an error if
@@ -321,31 +331,6 @@ func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg C
 	return engineOf(cfg).Run(ctx, g, prog, cfg)
 }
 
-// portFrom returns the index of v in the sorted row nb, searching from
-// position from. v must be present at or after from. Galloping keeps
-// the cost proportional to the jump actually taken: ~2 comparisons when
-// v sits at the cursor (dense traffic), O(log gap) otherwise.
-func portFrom(nb []int32, v int32, from int) int {
-	lo, step := from, 1
-	for lo+step < len(nb) && nb[lo+step] < v {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > len(nb) {
-		hi = len(nb)
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if nb[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // sortInbox orders a round's inbox by arrival port, identically in both
 // engines (part of the determinism contract). Both routers fill inboxes
 // in ascending sender order, which already yields ascending receiver
@@ -360,48 +345,111 @@ func sortInbox(in []Inbound) {
 	}
 }
 
-// wakeQueue schedules (round, node) wake-ups: one bucket of node
-// indices per distinct wake round, plus a min-heap over the distinct
-// rounds. Buckets are sorted at pop time, so the execution order within
-// a round is ascending node index regardless of insertion order.
+// wakeQueue schedules (round, node) wake-ups in O(n) space. Each
+// pending round owns a bucket: a FIFO list of its nodes threaded
+// through one link per node (a node waits in at most one bucket at a
+// time), and a min-heap orders the distinct pending rounds. add looks
+// a round's bucket up in the index map only when it targets a
+// different round than the previous add, and nothing grows by append
+// once the queue has seen its widest schedule. Each bucket records
+// whether its nodes arrived in ascending order, so pop sorts only the
+// buckets that did not; either way a round executes in ascending node
+// order, as the determinism contract requires.
 type wakeQueue struct {
-	buckets map[int64][]int
-	heap    []int64 // min-heap of distinct rounds with non-empty buckets
-	free    [][]int // recycled bucket storage
+	link    []int32         // next node in the same bucket
+	buckets []wakeBucket    // bucket storage, indexed by bucket id
+	free    []int32         // ids of buckets released by pop
+	index   map[int64]int32 // pending round -> bucket id
+	heap    []int64         // min-heap of distinct pending rounds
+	popped  []int           // the nodes of the last pop
+
+	// The previous add's round and bucket; lastBucket is -1 when no
+	// bucket is cached (at start, and once the cached round is popped).
+	lastRound  int64
+	lastBucket int32
 }
 
-func newWakeQueue() *wakeQueue {
-	return &wakeQueue{buckets: make(map[int64][]int)}
+// wakeBucket is one pending round's node list.
+type wakeBucket struct {
+	head, tail int32 // first and last node added
+	size       int32
+	sorted     bool // nodes were added in ascending order
+}
+
+// newWakeQueue returns an empty queue for nodes 0..n-1.
+func newWakeQueue(n int) *wakeQueue {
+	return &wakeQueue{
+		link:       make([]int32, n),
+		index:      make(map[int64]int32),
+		popped:     make([]int, 0, n),
+		lastBucket: -1,
+	}
 }
 
 func (q *wakeQueue) empty() bool { return len(q.heap) == 0 }
 
-// add schedules node v to wake in round r.
+// add schedules node v, which must not already be pending, to wake in
+// round r.
 func (q *wakeQueue) add(r int64, v int) {
-	b, ok := q.buckets[r]
-	if !ok {
-		if n := len(q.free); n > 0 {
-			b = q.free[n-1]
-			q.free = q.free[:n-1]
+	id := q.lastBucket
+	if id < 0 || r != q.lastRound {
+		var ok bool
+		if id, ok = q.index[r]; !ok {
+			id = q.newBucket()
+			q.index[r] = id
+			q.pushRound(r)
 		}
-		q.pushRound(r)
+		q.lastRound, q.lastBucket = r, id
 	}
-	q.buckets[r] = append(b, v)
+	b := &q.buckets[id]
+	if b.size == 0 {
+		b.head, b.sorted = int32(v), true
+	} else {
+		q.link[b.tail] = int32(v)
+		if int32(v) < b.tail {
+			b.sorted = false
+		}
+	}
+	b.tail = int32(v)
+	b.size++
+}
+
+// newBucket returns the id of an empty bucket, reusing a released one
+// when it can.
+func (q *wakeQueue) newBucket() int32 {
+	if n := len(q.free); n > 0 {
+		id := q.free[n-1]
+		q.free = q.free[:n-1]
+		q.buckets[id] = wakeBucket{}
+		return id
+	}
+	q.buckets = append(q.buckets, wakeBucket{})
+	return int32(len(q.buckets) - 1)
 }
 
 // pop removes and returns the earliest scheduled round and its nodes in
-// ascending index order. The slice is owned by the queue; return it
-// with recycle once processed.
+// ascending index order. The slice is owned by the queue and valid
+// until the next pop.
 func (q *wakeQueue) pop() (int64, []int) {
 	r := q.popRound()
-	b := q.buckets[r]
-	delete(q.buckets, r)
-	slices.Sort(b)
-	return r, b
+	id := q.index[r]
+	delete(q.index, r)
+	if id == q.lastBucket {
+		q.lastBucket = -1
+	}
+	b := q.buckets[id]
+	q.free = append(q.free, id)
+	nodes := q.popped[:b.size]
+	v := b.head
+	for i := range nodes {
+		nodes[i] = int(v)
+		v = q.link[v]
+	}
+	if !b.sorted {
+		slices.Sort(nodes)
+	}
+	return r, nodes
 }
-
-// recycle returns a bucket slice obtained from pop for reuse.
-func (q *wakeQueue) recycle(b []int) { q.free = append(q.free, b[:0]) }
 
 func (q *wakeQueue) pushRound(r int64) {
 	q.heap = append(q.heap, r)

@@ -62,6 +62,7 @@ type Outbox struct {
 	degree    int
 	bandwidth int
 	strict    bool
+	arc       int32 // index of the node's first arc in the graph's arc array
 }
 
 func (o *Outbox) configure(node, degree int, cfg *Config) {
@@ -77,24 +78,35 @@ func (o *Outbox) Send(port int, m Message) {
 	if port < 0 || port >= o.degree {
 		panic(fmt.Sprintf("sim: node %d: invalid port %d (degree %d)", o.node, port, o.degree))
 	}
-	if o.strict {
-		if bits := m.Bits(); bits > o.bandwidth {
-			panic(&BandwidthError{Node: o.node, Port: port, Bits: bits, Budget: o.bandwidth})
-		}
-	}
-	if cap(o.msgs) == 0 && o.degree > 1 {
-		// Most nodes that send at all address several ports (Broadcast
-		// is the common case), so grow straight to degree capacity
-		// instead of paying the append doubling churn per node.
-		o.msgs = make([]outMsg, 0, o.degree)
+	o.checkBits(port, m)
+	if n := len(o.msgs); n == cap(o.msgs) && n < o.degree {
+		// A node that sends on one port usually sends on several, so
+		// grow straight to degree capacity instead of paying the
+		// append doubling churn per node.
+		o.msgs = append(make([]outMsg, 0, o.degree), o.msgs...)
 	}
 	o.msgs = append(o.msgs, outMsg{port: int32(port), msg: m})
 }
 
-// Broadcast sends m on every port.
+// Broadcast sends m on every port. It stages one entry, which the
+// engine expands over the ports in port order; m.Bits is evaluated
+// once for all of them. Under Config.Strict an oversized m fails as
+// the send on port 0 would. A node with no ports stages nothing.
 func (o *Outbox) Broadcast(m Message) {
-	for p := 0; p < o.degree; p++ {
-		o.Send(p, m)
+	if o.degree == 0 {
+		return
+	}
+	o.checkBits(0, m)
+	o.msgs = append(o.msgs, outMsg{port: broadcastPort, msg: m})
+}
+
+// checkBits enforces the bandwidth budget on a send on port under
+// Config.Strict.
+func (o *Outbox) checkBits(port int, m Message) {
+	if o.strict {
+		if bits := m.Bits(); bits > o.bandwidth {
+			panic(&BandwidthError{Node: o.node, Port: port, Bits: bits, Budget: o.bandwidth})
+		}
 	}
 }
 
@@ -117,7 +129,11 @@ func (sp StepProgram) asProgram() Program {
 		node.Start(&out)
 		for {
 			for _, om := range out.msgs {
-				ctx.Send(int(om.port), om.msg)
+				if om.port == broadcastPort {
+					ctx.Broadcast(om.msg)
+				} else {
+					ctx.Send(int(om.port), om.msg)
+				}
 			}
 			in := ctx.Deliver()
 			out.reset()

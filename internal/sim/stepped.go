@@ -21,14 +21,17 @@ import (
 // every worker count.
 //
 // State is struct-of-arrays: the per-node machine, staged outbox,
-// inbox region, and next-wake round each live in their own flat array,
+// routing slot, and next-wake round each live in their own flat array,
 // so the hot loops (routing, stepping, rescheduling) touch only the
-// arrays they need. At steady state the engine performs zero heap
-// allocations per round: every inbox is a region of one flat buffer
-// per round parity, outboxes reset in place, arrival ports come from a
-// galloping search over the receiver's sorted CSR row, and the worker
-// pool is fed over a channel of index spans (guarded by the
-// testing.AllocsPerRun tests in alloc_test.go).
+// arrays they need. Routing costs O(1) per delivered message: arrival
+// ports come from a reverse-port table built once per run, and a
+// broadcast travels as one staged entry that the router expands over
+// the sender's own CSR row. Scheduling costs O(1) per woken node (see
+// wakeQueue). At steady state the engine performs zero heap
+// allocations per round: every inbox is a region of one flat buffer,
+// outboxes reset in place, and the worker pool is fed over a channel
+// of index spans (guarded by the testing.AllocsPerRun tests in
+// alloc_test.go).
 type steppedEngine struct {
 	workers int
 }
@@ -84,12 +87,11 @@ func (f *nodeFailure) attach(r any) {
 // rxSlot is one node's routing state. route counts the node's
 // deliveries, gives it a region of the round's flat inbox buffer with
 // a prefix sum over the awake list, and fills the region, advancing
-// off to the region's end: the inbox is inBuf[par][off-count:off].
-// The fields share one slot, not one array each, because route reaches
-// a receiver in random order and then touches all of them.
+// off to the region's end: the inbox is inBuf[off-count:off]. The
+// fields share one 16 B slot, not one array each, because route
+// reaches a receiver in random order and then touches all of them.
 type rxSlot struct {
 	stamp int64 // clock+1 iff the node is awake this round
-	cur   int32 // arrival-port cursor for the galloping search
 	count int32 // deliveries this round
 	off   int32 // region start, then fill cursor, then region end
 }
@@ -106,19 +108,18 @@ type stepState struct {
 	out  []Outbox   // sends staged for each node's next awake round
 	next []int64    // wake round returned by the last OnWake (haltedWake once done)
 	rx   []rxSlot   // per-node routing state for the current round
+	rev  []int32    // the graph's reverse-port table (graph.ReversePorts)
 
-	// Flat inboxes, one buffer per round parity; rxSlot locates each
-	// awake node's region. Inboxes are borrowed for the OnWake call
-	// only; keying the buffers by round parity leaves one round of
-	// slack before a region is overwritten.
-	inBuf [2][]Inbound
+	// Flat inbox buffer; rxSlot locates each awake node's region.
+	// Inboxes are borrowed for the OnWake call only (the goroutine
+	// adapter copies its own), so each round refills the buffer.
+	inBuf []Inbound
 
 	probe roundProbe // per-round deltas for cfg.Observer (no-op when nil)
 
 	// Round scope, published to workers before shards are dispatched.
 	awake []int
 	clock int64
-	par   int // clock & 1: which inbox parity this round fills and drains
 
 	// Worker pool: spans of the awake slice flow over jobs; a nil
 	// channel means single-worker (shards run inline).
@@ -162,28 +163,40 @@ func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*ste
 		g:     g,
 		cfg:   cfg,
 		m:     &Metrics{AwakePerNode: make([]int64, n)},
-		q:     newWakeQueue(),
+		q:     newWakeQueue(n),
 		node:  make([]StepNode, n),
 		out:   make([]Outbox, n),
 		next:  make([]int64, n),
 		rx:    make([]rxSlot, n),
+		rev:   g.ReversePorts(),
 		probe: roundProbe{obs: cfg.Observer},
 	}
 
 	// Construct every node machine and stage its round-0 sends. The
-	// environments and RNG sources are slab-allocated: two arrays for
-	// the whole run instead of two heap objects per node.
+	// environments, RNG sources, RNG states and each outbox's first
+	// entry are slab-allocated: four arrays for the whole run instead
+	// of four heap objects per node (rand.New inlines, so the
+	// dereferenced copy into the slab never escapes).
 	envs := make([]NodeEnv, n)
 	srcs := make([]nodeSource, n)
+	rnds := make([]rand.Rand, n)
+	slots := make([]outMsg, n)
+	arc := 0
 	for v := 0; v < n; v++ {
-		rs.out[v].configure(v, g.Degree(v), &rs.cfg)
+		deg := g.Degree(v)
+		out := &rs.out[v]
+		out.configure(v, deg, &rs.cfg)
+		out.arc = int32(arc)
+		out.msgs = slots[v : v : v+1]
+		arc += deg
 		srcs[v].state = uint64(rng.Stream(cfg.Seed, int64(v)))
+		rnds[v] = *rand.New(&srcs[v])
 		envs[v] = NodeEnv{
 			ID:        v,
-			Degree:    g.Degree(v),
+			Degree:    deg,
 			N:         cfg.N,
 			Bandwidth: cfg.Bandwidth,
-			Rand:      rand.New(&srcs[v]),
+			Rand:      &rnds[v],
 		}
 		if err := rs.startNode(v, sp, &envs[v]); err != nil {
 			return rs, fmt.Errorf("sim: node %d: %w", v, err)
@@ -227,9 +240,8 @@ func (rs *stepState) round(workers int) error {
 
 	// Transmit the sends staged for this round (decided at each node's
 	// previous awake round) between mutually awake nodes. The inboxes
-	// filled here are this round's parity buffer; OnWake drains them.
+	// filled here are regions of the flat buffer; OnWake drains them.
 	rs.clock = clock
-	rs.par = int(clock & 1)
 	if err := rs.route(awake); err != nil {
 		return err
 	}
@@ -255,7 +267,6 @@ func (rs *stepState) round(workers int) error {
 		rs.q.add(next, v)
 	}
 	rs.probe.end(rs.m, clock, len(awake))
-	rs.q.recycle(awake)
 	return nil
 }
 
@@ -264,43 +275,59 @@ func (rs *stepState) round(workers int) error {
 // (awake is sorted), so each receiver's arrival ports ascend within the
 // round and inboxes come out port-sorted.
 //
-// Delivery is a counting sort into the round parity's flat buffer:
-// pass one meters every send in sender order (so tracers see messages
-// in that order), counts each receiver's deliveries, and records the
-// receiver in the staged send (-1 when it sleeps); a prefix sum over
-// the awake list carves the buffer into per-receiver regions; pass two
-// fills the regions in the same sender order, skipping lost sends
-// without touching their receivers. The buffer grows at most once per
+// Delivery is a counting sort into the flat inbox buffer: pass one
+// meters and traces every send in sender order, counts each
+// receiver's deliveries, and records a unicast send's receiver in the
+// staged entry (-1 when it sleeps); a prefix sum over the awake list
+// carves the buffer into per-receiver regions; pass two fills the
+// regions in the same sender order, skipping lost sends. A broadcast
+// entry is expanded over the sender's CSR row in port order, in both
+// passes: pass one meters each port as its own send, and pass two
+// reads each receiver's stamp from the slot it fills anyway. Arrival
+// ports are read from the reverse-port table at the arc's index, so
+// each delivered message costs O(1). The buffer grows at most once per
 // round, exactly to the delivered total.
-//
-// Arrival ports are recovered by a monotone cursor per receiver:
-// because senders arrive in ascending order and CSR rows are sorted, a
-// galloping search from the receiver's cursor costs O(1) amortized when
-// most neighbors send and O(log degree) when few do, with no
-// reverse-port array held in memory.
 func (rs *stepState) route(awake []int) error {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
-	rx := rs.rx
+	rx, rev := rs.rx, rs.rev
+	stamp := clock + 1
 	for _, v := range awake {
-		rx[v] = rxSlot{stamp: clock + 1}
+		rx[v] = rxSlot{stamp: stamp}
 	}
 	for _, v := range awake {
 		msgs := rs.out[v].msgs
 		for i := range msgs {
 			om := &msgs[i]
 			bits := om.msg.Bits()
-			m.MessagesSent++
-			m.BitsSent += int64(bits)
 			if bits > m.MaxMessageBits {
 				m.MaxMessageBits = bits
 			}
+			if om.port == broadcastPort {
+				row := g.Neighbors(v)
+				m.MessagesSent += int64(len(row))
+				m.BitsSent += int64(bits) * int64(len(row))
+				for _, w := range row {
+					r := &rx[w]
+					delivered := r.stamp == stamp
+					if tracer != nil {
+						tracer.Message(clock, v, int(w), bits, delivered)
+					}
+					if delivered { // a sleeping receiver loses the message
+						r.count++
+						m.MessagesDelivered++
+					}
+				}
+				continue
+			}
+			m.MessagesSent++
+			m.BitsSent += int64(bits)
 			w := g.Neighbor(v, int(om.port))
-			delivered := rx[w].stamp == clock+1
+			delivered := rx[w].stamp == stamp
 			if tracer != nil {
 				tracer.Message(clock, v, w, bits, delivered)
 			}
 			om.to = -1
-			if delivered { // a sleeping receiver loses the message
+			if delivered {
 				om.to = int32(w)
 				rx[w].count++
 				m.MessagesDelivered++
@@ -315,21 +342,34 @@ func (rs *stepState) route(awake []int) error {
 	if total > math.MaxInt32 {
 		return fmt.Errorf("sim: round %d delivers %d messages, beyond the inbox offset range", clock, total)
 	}
-	buf := rs.inBuf[rs.par]
+	buf := rs.inBuf
 	if cap(buf) < total {
 		buf = make([]Inbound, total)
 	}
 	buf = buf[:total]
-	rs.inBuf[rs.par] = buf
+	rs.inBuf = buf
 	for _, v := range awake {
-		for _, om := range rs.out[v].msgs {
+		out := &rs.out[v]
+		arc := int(out.arc)
+		for _, om := range out.msgs {
+			if om.port == broadcastPort {
+				row := g.Neighbors(v)
+				ports := rev[arc : arc+len(row)]
+				for p, w := range row {
+					r := &rx[w]
+					if r.stamp != stamp {
+						continue
+					}
+					buf[r.off] = Inbound{Port: int(ports[p]), Msg: om.msg}
+					r.off++
+				}
+				continue
+			}
 			if om.to < 0 {
 				continue
 			}
 			r := &rx[om.to]
-			port := portFrom(g.Neighbors(int(om.to)), int32(v), int(r.cur))
-			r.cur = int32(port) // not port+1: v may send on the same port again this round
-			buf[r.off] = Inbound{Port: port, Msg: om.msg}
+			buf[r.off] = Inbound{Port: int(rev[arc+int(om.port)]), Msg: om.msg}
 			r.off++
 		}
 	}
@@ -400,7 +440,7 @@ func (rs *stepState) stepNode(v int) {
 	// The region's capacity is clamped so a program appending to its
 	// inbox cannot clobber the next receiver's region.
 	r := rs.rx[v]
-	in := rs.inBuf[rs.par][r.off-r.count : r.off : r.off]
+	in := rs.inBuf[r.off-r.count : r.off : r.off]
 	sortInbox(in)
 	out := &rs.out[v]
 	out.reset()
