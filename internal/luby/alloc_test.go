@@ -13,10 +13,10 @@ import (
 
 // maxMallocsPerNode bounds the heap allocations one Luby run makes per
 // node: the engine's per-run arrays, the per-node step state, and the
-// boxed value of each broadcast actually sent. The count is about 2.3
-// per node on G(4096, 4/n); the engine used to allocate each node's
-// RNG and outbox on its own, which read 4.3, so the bound catches a
-// per-node allocation that creeps back into engine setup or routing.
+// boxed value of each broadcast actually sent. The engine makes no
+// allocation of its own per node, so the count is about 2.3 per node
+// on G(4096, 4/n); one per-node allocation creeping into engine setup
+// or routing (a node's RNG or outbox, say) pushes it past the bound.
 const maxMallocsPerNode = 3
 
 // TestLubyAllocsPerNode is a count-based guard with no timing: it runs
