@@ -32,9 +32,11 @@ func spinGoroutineProgram() Program {
 }
 
 // cancelEngines is the grid the cancellation contract covers: the
-// lockstep engine and the stepped engine at several worker counts.
+// reference simulator, the lockstep engine and the stepped engine at
+// several worker counts.
 func cancelEngines() map[string]Engine {
 	return map[string]Engine{
+		"reference": newReferenceEngine(),
 		"lockstep":  NewLockstepEngine(),
 		"stepped-1": NewSteppedEngine(1),
 		"stepped-4": NewSteppedEngine(4),

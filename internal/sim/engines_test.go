@@ -11,9 +11,11 @@ import (
 )
 
 // testEngines returns every engine configuration under test: the
-// lockstep reference and the stepped engine at several worker counts.
+// reference simulator, the lockstep engine and the stepped engine at
+// several worker counts.
 func testEngines() map[string]Engine {
 	return map[string]Engine{
+		"reference":  newReferenceEngine(),
 		"lockstep":   NewLockstepEngine(),
 		"stepped-1":  NewSteppedEngine(1),
 		"stepped-4":  NewSteppedEngine(4),

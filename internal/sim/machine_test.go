@@ -38,8 +38,9 @@ func (floodBit) Bits() int { return 1 }
 func TestMachineDrivesStepNode(t *testing.T) {
 	g := graph.Cycle(8)
 	for ename, eng := range map[string]Engine{
-		"stepped":  NewSteppedEngine(2),
-		"lockstep": NewLockstepEngine(),
+		"stepped":   NewSteppedEngine(2),
+		"lockstep":  NewLockstepEngine(),
+		"reference": newReferenceEngine(),
 	} {
 		got := make([]int, g.N())
 		prog := StepProgram(func(env *NodeEnv) StepNode {
