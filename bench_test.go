@@ -150,19 +150,13 @@ func BenchmarkLDTConstruct(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			np := 32
 			g := graph.Cycle(np)
+			prog := func(env *sim.NodeEnv) sim.StepNode {
+				return &ldtConstructNode{env: env, np: np, det: det}
+			}
 			var last *sim.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				prog := func(ctx *sim.Ctx) {
-					p := ldt.NewProc(ctx, 1, int64(1000+ctx.Node()), np)
-					p.Hello()
-					if det {
-						p.ConstructRound(ldt.DefaultRoundPhases(np))
-					} else {
-						p.ConstructAwake(ldt.DefaultAwakePhases(np))
-					}
-				}
-				m, err := sim.Run(g, prog, sim.Config{Seed: int64(i), N: 1 << 12})
+				m, err := sim.RunStep(g, prog, sim.Config{Seed: int64(i), N: 1 << 12})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,6 +165,40 @@ func BenchmarkLDTConstruct(b *testing.B) {
 			b.ReportMetric(float64(last.MaxAwake), "awake-max")
 			b.ReportMetric(float64(last.Rounds), "rounds")
 		})
+	}
+}
+
+// ldtConstructNode runs LDT Hello and then one construction, from
+// round 1, on a sim.Machine.
+type ldtConstructNode struct {
+	sim.Machine
+	env   *sim.NodeEnv
+	p     ldt.SProc
+	np    int
+	det   bool
+	built bool
+}
+
+func (n *ldtConstructNode) Start(out *sim.Outbox) {
+	n.Begin(out, func() {
+		n.Yield(0, nil, func([]sim.Inbound) {
+			n.p.Init(&n.Machine, n.env.Rand, 1, int64(1000+n.env.ID), n.np, n.construct)
+			n.p.Hello() // always yields; construct runs once it completes
+		})
+	})
+}
+
+// construct starts the construction after Hello; it runs again when a
+// construction that yielded completes, and then the node halts.
+func (n *ldtConstructNode) construct() {
+	if n.built {
+		return
+	}
+	n.built = true
+	if n.det {
+		n.p.ConstructRound(ldt.DefaultRoundPhases(n.np))
+	} else {
+		n.p.ConstructAwake(ldt.DefaultAwakePhases(n.np))
 	}
 }
 
@@ -336,25 +364,30 @@ func BenchmarkEngineAdapter(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorFlood measures raw engine throughput (messages
-// through the lock-step barriers).
+// BenchmarkSimulatorFlood measures raw engine throughput: every node
+// of a 16×16 grid broadcasts in each of 10 rounds.
 func BenchmarkSimulatorFlood(b *testing.B) {
 	g := graph.Grid(16, 16)
-	prog := func(ctx *sim.Ctx) {
-		for i := 0; i < 10; i++ {
-			ctx.Broadcast(floodMsg{})
-			ctx.Deliver()
-			if i < 9 {
-				ctx.Advance()
-			}
-		}
-	}
+	prog := func(env *sim.NodeEnv) sim.StepNode { return floodNode{} }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(g, prog, sim.Config{Seed: int64(i)}); err != nil {
+		if _, err := sim.RunStep(g, prog, sim.Config{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// floodNode broadcasts in rounds 0..9 and halts.
+type floodNode struct{}
+
+func (floodNode) Start(out *sim.Outbox) { out.Broadcast(floodMsg{}) }
+
+func (floodNode) OnWake(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+	if round == 9 {
+		return 0, true
+	}
+	out.Broadcast(floodMsg{})
+	return round + 1, false
 }
 
 type floodMsg struct{}

@@ -18,6 +18,7 @@ type snapshot struct {
 	depth      int
 	parentPort int
 	children   []int
+	active     int // participants Hello discovered
 	rank       int
 	total      int
 	cursor     int64
@@ -35,36 +36,115 @@ func (h *harness) put(v int, s *snapshot) {
 	h.snaps[v] = s
 }
 
+// session configures one LDT session run by every participant: Hello,
+// a construction, then optionally Rank and a chunked broadcast of
+// payload, in the order ldtmis.Session runs them.
+type session struct {
+	np            int
+	deterministic bool
+	withRank      bool
+	payload       []byte
+	ids           []int  // node v's ID is ids[v]+1
+	member        []bool // nil: every node participates
+}
+
+// run executes the session on g under cfg and records each
+// participant's final state.
+func (c session) run(g *graph.Graph, cfg sim.Config) (*harness, *sim.Metrics, error) {
+	h := &harness{snaps: map[int]*snapshot{}}
+	prog := func(env *sim.NodeEnv) sim.StepNode {
+		return &sessionNode{c: &c, h: h, env: env}
+	}
+	m, err := sim.RunStep(g, prog, cfg)
+	return h, m, err
+}
+
+// sessionNode runs one participant's session on a sim.Machine, starting
+// at round 1. Each stage runs once the previous one has completed; a
+// stage whose procedure yields resumes in next.
+type sessionNode struct {
+	sim.Machine
+	c     *session
+	h     *harness
+	env   *sim.NodeEnv
+	p     SProc
+	s     snapshot
+	stage int
+}
+
+func (n *sessionNode) Start(out *sim.Outbox) {
+	n.Begin(out, func() { n.Yield(0, nil, n.begin) })
+}
+
+func (n *sessionNode) begin([]sim.Inbound) {
+	if n.c.member != nil && !n.c.member[n.env.ID] {
+		return // non-participants drop out after round 0
+	}
+	n.s.id = int64(n.c.ids[n.env.ID] + 1)
+	n.p.Init(&n.Machine, n.env.Rand, 1, n.s.id, n.c.np, n.next)
+	n.next()
+}
+
+// next runs stages until one yields or the session is over.
+func (n *sessionNode) next() {
+	p, c := &n.p, n.c
+	for {
+		n.stage++
+		switch n.stage {
+		case 1:
+			if p.Hello() {
+				return
+			}
+		case 2:
+			n.s.active = len(p.Active())
+			if c.deterministic {
+				if p.ConstructRound(DefaultRoundPhases(c.np)) {
+					return
+				}
+			} else if p.ConstructAwake(DefaultAwakePhases(c.np)) {
+				return
+			}
+		case 3:
+			n.s.rootID, n.s.depth, n.s.parentPort = p.rootID, p.depth, p.parentPort
+			n.s.children = append([]int(nil), p.children...)
+			if c.withRank && p.Rank() {
+				return
+			}
+		case 4:
+			if c.withRank {
+				n.s.rank, n.s.total = p.Ranked()
+			}
+			if c.payload != nil {
+				bits := len(c.payload) * 8
+				chunkBits := n.env.Bandwidth / 2
+				if p.BroadcastChunks(c.payload, bits, chunkBits, NumChunks(bits, chunkBits)) {
+					return
+				}
+			}
+		default:
+			if c.payload != nil {
+				n.s.payload = p.Data()
+			}
+			n.s.cursor = p.Cursor()
+			n.h.put(n.env.ID, &n.s)
+			return
+		}
+	}
+}
+
 // runLDT builds an LDT over g (all nodes participating) with the given
 // construction, then optionally ranks and broadcasts a payload.
 func runLDT(t *testing.T, g *graph.Graph, np int, seed int64, deterministic bool,
 	withRank bool, payload []byte) (*harness, *sim.Metrics) {
 	t.Helper()
-	h := &harness{snaps: map[int]*snapshot{}}
-	ids := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e)).Perm(1 << 16)
-	prog := func(ctx *sim.Ctx) {
-		id := int64(ids[ctx.Node()] + 1)
-		p := NewProc(ctx, 1, id, np)
-		p.Hello()
-		if deterministic {
-			p.ConstructRound(DefaultRoundPhases(np))
-		} else {
-			p.ConstructAwake(DefaultAwakePhases(np))
-		}
-		s := &snapshot{id: id, rootID: p.rootID, depth: p.depth,
-			parentPort: p.parentPort, children: append([]int(nil), p.children...)}
-		if withRank {
-			s.rank, s.total = p.Rank()
-		}
-		if payload != nil {
-			bits := len(payload) * 8
-			chunkBits := ctx.Bandwidth() / 2
-			s.payload = p.BroadcastChunks(payload, bits, chunkBits, NumChunks(bits, chunkBits))
-		}
-		s.cursor = p.Cursor()
-		h.put(ctx.Node(), s)
+	c := session{
+		np:            np,
+		deterministic: deterministic,
+		withRank:      withRank,
+		payload:       payload,
+		ids:           rand.New(rand.NewSource(seed ^ 0x5ca1ab1e)).Perm(1 << 16),
 	}
-	m, err := sim.Run(g, prog, sim.Config{Seed: seed, N: 1 << 16, Strict: true})
+	h, m, err := c.run(g, sim.Config{Seed: seed, N: 1 << 16, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

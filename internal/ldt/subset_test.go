@@ -37,32 +37,22 @@ func TestSubsetParticipation(t *testing.T) {
 		}
 	}
 
-	h := &harness{snaps: map[int]*snapshot{}}
-	ids := rand.New(rand.NewSource(7)).Perm(1 << 12)
-	prog := func(ctx *sim.Ctx) {
-		if !participant[ctx.Node()] {
-			return // non-participants drop out immediately
-		}
-		id := int64(ids[ctx.Node()] + 1)
-		p := NewProc(ctx, 1, id, np)
-		p.Hello()
-		// Hello must discover exactly the participating neighbors.
+	c := session{np: np, ids: rand.New(rand.NewSource(7)).Perm(1 << 12), member: participant}
+	h, _, err := c.run(g, sim.Config{Seed: 3, N: 1 << 12, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hello must discover exactly the participating neighbors.
+	for _, v := range members {
 		wantDeg := 0
-		for _, w := range g.Neighbors(ctx.Node()) {
+		for _, w := range g.Neighbors(v) {
 			if participant[w] {
 				wantDeg++
 			}
 		}
-		if len(p.Active()) != wantDeg {
-			t.Errorf("node %d discovered %d participants, want %d",
-				ctx.Node(), len(p.Active()), wantDeg)
+		if s := h.snaps[v]; s != nil && s.active != wantDeg {
+			t.Errorf("node %d discovered %d participants, want %d", v, s.active, wantDeg)
 		}
-		p.ConstructAwake(DefaultAwakePhases(np))
-		h.put(ctx.Node(), &snapshot{id: id, rootID: p.rootID, depth: p.depth,
-			parentPort: p.parentPort, children: append([]int(nil), p.children...)})
-	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 3, N: 1 << 12, Strict: true}); err != nil {
-		t.Fatal(err)
 	}
 
 	// Validate per component of the induced subgraph, using original ids.
@@ -107,23 +97,9 @@ func TestQuickConstructionsOnRandomGraphs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%14) + 2
 		g := connectify(graph.GNP(n, 0.3, rng))
-		h := &harness{snaps: map[int]*snapshot{}}
-		ids := rng.Perm(1 << 12)
-		prog := func(ctx *sim.Ctx) {
-			id := int64(ids[ctx.Node()] + 1)
-			p := NewProc(ctx, 1, id, n)
-			p.Hello()
-			if det {
-				p.ConstructRound(DefaultRoundPhases(n))
-			} else {
-				p.ConstructAwake(DefaultAwakePhases(n))
-			}
-			rank, total := p.Rank()
-			h.put(ctx.Node(), &snapshot{id: id, rootID: p.rootID, depth: p.depth,
-				parentPort: p.parentPort, children: append([]int(nil), p.children...),
-				rank: rank, total: total})
-		}
-		if _, err := sim.Run(g, prog, sim.Config{Seed: seed, N: 1 << 12, Strict: true}); err != nil {
+		c := session{np: n, deterministic: det, withRank: true, ids: rng.Perm(1 << 12)}
+		h, _, err := c.run(g, sim.Config{Seed: seed, N: 1 << 12, Strict: true})
+		if err != nil {
 			return false
 		}
 		// All same root; ranks form a permutation; totals equal n.

@@ -110,24 +110,24 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 
 // panicAtRoundProgram panics on every node once the given round is
 // reached — a mid-run abort that exercises the engines' failure path.
-func panicAtRoundProgram(r int64) Program {
-	return func(ctx *Ctx) {
-		for {
-			if ctx.Round() >= r {
+func panicAtRoundProgram(r int64) StepProgram {
+	return perNode(func(env *NodeEnv) funcNode {
+		return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+			if round >= r {
 				panic("boom")
 			}
-			ctx.Advance()
-		}
-	}
+			return round + 1, false
+		}}
+	})
 }
 
-// TestAbortedRunsLeakNoGoroutines pins down goroutineAdapter.shutdown
-// (and the lockstep engine's equivalent): every way a run can abort
-// mid-round — context cancellation, deadline, per-node panic, the
-// MaxRounds backstop — must join all per-node program goroutines before
-// Run returns. A leak of even one node per run compounds quickly under
-// the service daemon's batch traffic, so the test drives many aborted
-// runs and requires the goroutine count to settle back to baseline.
+// TestAbortedRunsLeakNoGoroutines pins down the engines' cleanup: every
+// way a run can abort mid-round — context cancellation, per-node
+// panic, the MaxRounds backstop — must release every goroutine the
+// run started (the stepped engine's worker pool) before Run returns.
+// A leak of even one goroutine per run compounds quickly under the
+// service daemon's batch traffic, so the test drives many aborted runs
+// and requires the goroutine count to settle back to baseline.
 func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 	g := graph.Cycle(96)
 	engines := cancelEngines()
@@ -135,32 +135,31 @@ func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 
 	for ename, eng := range engines {
 		for i := 0; i < 5; i++ {
-			// Context cancelled mid-round: per-node goroutines are parked in
-			// the adapter/backend handshake when quit closes.
+			// Context cancelled mid-run.
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(time.Millisecond)
 				cancel()
 			}()
-			if _, err := eng.Run(ctx, g, spinGoroutineProgram(), Config{Seed: int64(i)}); err == nil {
+			if _, err := eng.Run(ctx, g, spinStepProgram(), Config{Seed: int64(i)}); err == nil {
 				t.Fatalf("%s: cancelled run reported success", ename)
 			}
 			cancel()
 
-			// Per-node panic mid-round.
+			// Per-node panic mid-run.
 			if _, err := eng.Run(context.Background(), g, panicAtRoundProgram(50), Config{Seed: int64(i)}); err == nil {
 				t.Fatalf("%s: panicking run reported success", ename)
 			}
 
 			// MaxRounds backstop.
-			if _, err := eng.Run(context.Background(), g, spinGoroutineProgram(), Config{Seed: int64(i), MaxRounds: 64}); !errors.Is(err, ErrMaxRounds) {
+			if _, err := eng.Run(context.Background(), g, spinStepProgram(), Config{Seed: int64(i), MaxRounds: 64}); !errors.Is(err, ErrMaxRounds) {
 				t.Fatalf("%s: err = %v, want ErrMaxRounds", ename, err)
 			}
 		}
 	}
 
-	// Shutdown joins synchronously, but give the runtime a moment to
-	// retire exiting goroutines before declaring a leak.
+	// Run returns after releasing its goroutines, but give the runtime a
+	// moment to retire exiting ones before declaring a leak.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

@@ -43,14 +43,20 @@ func (r *recordingTracer) Message(round int64, from, to, bits int, delivered boo
 func TestTracerEventStream(t *testing.T) {
 	g := graph.Cycle(8)
 	tr := &recordingTracer{}
-	prog := func(ctx *Ctx) {
-		ctx.Broadcast(intMsg(1))
-		ctx.Deliver()
-		ctx.Sleep(3)
-		ctx.Broadcast(intMsg(2))
-		ctx.Deliver()
-	}
-	m, err := Run(g, prog, Config{Seed: 1, Tracer: tr})
+	// Broadcast in round 0, sleep three rounds, broadcast in round 4.
+	prog := perNode(func(env *NodeEnv) funcNode {
+		return funcNode{
+			start: func(out *Outbox) { out.Broadcast(intMsg(1)) },
+			wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+				if round > 0 {
+					return 0, true
+				}
+				out.Broadcast(intMsg(2))
+				return 4, false
+			},
+		}
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +75,23 @@ func TestTracerEventStream(t *testing.T) {
 }
 
 func TestSleepImmediatelyAtStart(t *testing.T) {
-	// A node may end round 0 without any sends or explicit Deliver.
+	// A node may end round 0 without any sends.
 	g := graph.New(2)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			ctx.SleepUntil(5)
-			if ctx.Round() != 5 {
-				t.Errorf("woke at %d, want 5", ctx.Round())
-			}
-			return
+	prog := perNode(func(env *NodeEnv) funcNode {
+		if env.ID != 0 {
+			return funcNode{wake: halt}
 		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+			if round == 0 {
+				return 5, false
+			}
+			if round != 5 {
+				t.Errorf("woke at %d, want 5", round)
+			}
+			return 0, true
+		}}
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,22 +105,25 @@ func TestHaltedNeighborsDoNotDeadlock(t *testing.T) {
 	// into the void for many rounds. The engine must neither deadlock
 	// nor deliver anything.
 	g := graph.CompleteBipartite(4, 4)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() < 4 {
-			return // halt immediately
+	prog := perNode(func(env *NodeEnv) funcNode {
+		if env.ID < 4 {
+			return funcNode{wake: halt} // halt after round 0
 		}
-		for i := 0; i < 50; i++ {
-			ctx.Broadcast(intMsg(int64(i)))
-			in := ctx.Deliver()
-			for _, m := range in {
-				if _, ok := m.Msg.(intMsg); ok && ctx.Round() > 0 {
+		// Broadcast in rounds 0..49, stay awake through round 50.
+		return funcNode{
+			start: func(out *Outbox) { out.Broadcast(intMsg(0)) },
+			wake: func(round int64, in []Inbound, out *Outbox) (int64, bool) {
+				if round > 0 && len(in) > 0 {
 					t.Error("received message from halted neighbor")
 				}
-			}
-			ctx.Advance()
+				if round < 49 {
+					out.Broadcast(intMsg(round + 1))
+				}
+				return round + 1, round == 50
+			},
 		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,27 +135,12 @@ func TestHaltedNeighborsDoNotDeadlock(t *testing.T) {
 }
 
 func TestZeroDegreeBroadcast(t *testing.T) {
+	// A broadcast from a node with no ports stages nothing, on every
+	// engine.
 	g := graph.New(3)
-	prog := func(ctx *Ctx) {
-		ctx.Broadcast(intMsg(1)) // no ports: no-op
-		in := ctx.Deliver()
-		if len(in) != 0 {
-			t.Error("isolated node received messages")
-		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.MessagesSent != 0 {
-		t.Errorf("messages = %d, want 0", m.MessagesSent)
-	}
-
-	// The step form stages nothing for a broadcast with no ports, on
-	// every engine.
 	sp := StepProgram(func(env *NodeEnv) StepNode { return isolatedBroadcaster{t: t} })
 	if m := runAll(t, g, sp, Config{Seed: 1}); m.MessagesSent != 0 {
-		t.Errorf("step form: messages = %d, want 0", m.MessagesSent)
+		t.Errorf("messages = %d, want 0", m.MessagesSent)
 	}
 }
 
@@ -167,11 +166,12 @@ func TestLongSparseScheduleMetrics(t *testing.T) {
 	// Nodes wake in disjoint singleton rounds; ExecutedRounds must equal
 	// the number of distinct wake rounds.
 	g := graph.New(5)
-	prog := func(ctx *Ctx) {
-		id := int64(ctx.Node())
-		ctx.SleepUntil(1000 + 100*id)
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := perNode(func(env *NodeEnv) funcNode {
+		return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+			return 1000 + 100*int64(env.ID), round > 0
+		}}
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,58 +96,83 @@ func TestStepMatchesGoroutineForm(t *testing.T) {
 	}
 }
 
-// TestGoroutineProgramsAcrossEngines exercises the adapter's tricky
-// control-flow paths on every engine: immediate sleep, immediate halt,
-// halting mid-compute (staged sends must still transmit), clock
-// skipping, and randomness-driven schedules.
+// TestGoroutineProgramsAcrossEngines exercises, on every engine, the
+// control-flow paths the goroutine-form programs once took through the
+// adapter, now as step programs: immediate sleep, immediate halt,
+// sends staged and then dropped by halting, clock skipping, and
+// randomness-driven schedules.
 func TestGoroutineProgramsAcrossEngines(t *testing.T) {
-	progs := map[string]Program{
-		"sleep-at-start": func(ctx *Ctx) {
-			if ctx.Node() == 0 {
-				ctx.SleepUntil(5)
+	progs := map[string]StepProgram{
+		"sleep-at-start": perNode(func(env *NodeEnv) funcNode {
+			if env.ID != 0 {
+				return funcNode{wake: halt}
 			}
-		},
-		"halt-immediately": func(ctx *Ctx) {
-			if ctx.Node()%2 == 0 {
-				ctx.Halt()
+			return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+				return 5, round > 0
+			}}
+		}),
+		"halt-immediately": perNode(func(env *NodeEnv) funcNode {
+			if env.ID%2 == 0 {
+				return funcNode{wake: halt}
 			}
-			ctx.Advance()
-			ctx.Advance()
-		},
-		"return-mid-compute": func(ctx *Ctx) {
-			ctx.Advance()
-			// Round 1: stage a send, then return without Deliver; the
-			// engine must still transmit it and meter the round.
-			ctx.Broadcast(intMsg(7))
-		},
-		"clock-skip": func(ctx *Ctx) {
-			ctx.SleepUntil(1_000_000 + int64(ctx.Node()))
-		},
-		"random-schedule": func(ctx *Ctx) {
-			for i := 0; i < 6; i++ {
-				ctx.Broadcast(intMsg(ctx.Rand().Int63n(100)))
-				in := ctx.Deliver()
-				if len(in) > 0 && ctx.Rand().Int63n(2) == 0 {
-					ctx.Sleep(ctx.Rand().Int63n(5))
-				} else {
-					ctx.Advance()
-				}
+			return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+				return round + 1, round == 2
+			}}
+		}),
+		"return-mid-compute": perNode(func(env *NodeEnv) funcNode {
+			// Round 1 transmits the broadcast staged in round 0; the one
+			// staged in round 1 is dropped when the node halts.
+			return funcNode{wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+				out.Broadcast(intMsg(7 + round))
+				return round + 1, round > 0
+			}}
+		}),
+		"clock-skip": perNode(func(env *NodeEnv) funcNode {
+			return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+				return 1_000_000 + int64(env.ID), round > 0
+			}}
+		}),
+		"random-schedule": perNode(func(env *NodeEnv) funcNode {
+			left := 6
+			return funcNode{
+				start: func(out *Outbox) { out.Broadcast(intMsg(env.Rand.Int63n(100))) },
+				wake: func(round int64, in []Inbound, out *Outbox) (int64, bool) {
+					if left == 0 {
+						return 0, true
+					}
+					next := round + 1
+					if len(in) > 0 && env.Rand.Int63n(2) == 0 {
+						next += env.Rand.Int63n(5)
+					}
+					if left--; left > 0 {
+						out.Broadcast(intMsg(env.Rand.Int63n(100)))
+					}
+					return next, false
+				},
 			}
-		},
-		"talk-then-listen": func(ctx *Ctx) {
-			if ctx.Node() < 4 {
-				ctx.Sleep(1)
-				in := ctx.Deliver()
-				if ctx.Node() == 0 && len(in) != 0 {
-					panic("should hear nothing in a skipped round")
-				}
-				return
+		}),
+		"talk-then-listen": perNode(func(env *NodeEnv) funcNode {
+			if env.ID < 4 {
+				return funcNode{wake: func(round int64, in []Inbound, _ *Outbox) (int64, bool) {
+					if round == 0 {
+						return 2, false
+					}
+					if env.ID == 0 && len(in) != 0 {
+						panic("should hear nothing in a skipped round")
+					}
+					return 0, true
+				}}
 			}
-			ctx.Broadcast(intMsg(1))
-			ctx.Deliver()
-			ctx.Advance()
-			ctx.Broadcast(intMsg(2))
-		},
+			return funcNode{
+				start: func(out *Outbox) { out.Broadcast(intMsg(1)) },
+				wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+					if round == 0 {
+						out.Broadcast(intMsg(2))
+					}
+					return round + 1, round > 0
+				},
+			}
+		}),
 	}
 	graphs := map[string]*graph.Graph{
 		"cycle": graph.Cycle(10),
@@ -168,24 +193,21 @@ func TestSteppedErrorPaths(t *testing.T) {
 	g := graph.Path(3)
 
 	t.Run("program-panic", func(t *testing.T) {
-		prog := Program(func(ctx *Ctx) {
-			if ctx.Node() == 1 {
-				panic("boom")
-			}
-			ctx.Deliver()
-		})
-		_, err := stepped.Run(context.Background(), g, prog, Config{Seed: 1})
+		_, err := stepped.Run(context.Background(), g, panicOnNode1, Config{Seed: 1})
 		if err == nil || !strings.Contains(err.Error(), "node 1") {
 			t.Fatalf("err = %v, want node 1 panic", err)
 		}
 	})
 
 	t.Run("strict-bandwidth", func(t *testing.T) {
-		prog := Program(func(ctx *Ctx) {
-			ctx.Send(0, bigMsg{bits: 10_000})
-			ctx.Deliver()
+		// The oversized send is staged in OnWake, for round 1.
+		sp := perNode(func(env *NodeEnv) funcNode {
+			return funcNode{wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+				out.Send(0, bigMsg{bits: 10_000})
+				return round + 1, round > 0
+			}}
 		})
-		_, err := stepped.Run(context.Background(), g, prog, Config{Seed: 1, Strict: true})
+		_, err := stepped.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
 		var be *BandwidthError
 		if !errors.As(err, &be) {
 			t.Fatalf("err = %v, want BandwidthError", err)
@@ -214,12 +236,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 	})
 
 	t.Run("max-rounds", func(t *testing.T) {
-		prog := Program(func(ctx *Ctx) {
-			for {
-				ctx.Sleep(100)
-			}
-		})
-		_, err := stepped.Run(context.Background(), g, prog, Config{Seed: 1, MaxRounds: 500})
+		_, err := stepped.Run(context.Background(), g, sleepForever, Config{Seed: 1, MaxRounds: 500})
 		if !errors.Is(err, ErrMaxRounds) {
 			t.Fatalf("err = %v, want ErrMaxRounds", err)
 		}
@@ -273,10 +290,10 @@ func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool)
 
 // TestFuzzEquivalence drives randomized programs over randomized graphs
 // through every engine configuration and demands identical per-node
-// receive transcripts. The goroutine-form program reaches the stepped
-// engine through the adapter, as unicast sends; the step-form program
-// stages broadcast entries and unicast sends natively, so its runs
-// also compare Metrics and the Tracer's message stream.
+// receive transcripts. The first program sends on every port one
+// unicast at a time; the step-form one stages broadcast entries and
+// unicast sends, so its runs also compare Metrics and the Tracer's
+// message stream.
 func TestFuzzEquivalence(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(100 + trial)
@@ -285,20 +302,34 @@ func TestFuzzEquivalence(t *testing.T) {
 		var refName string
 		for name, eng := range testEngines() {
 			sums := make([]int64, g.N())
-			prog := Program(func(ctx *Ctx) {
-				v := ctx.Node()
-				for i := 0; i < 8; i++ {
-					if ctx.Rand().Int63n(3) > 0 {
-						ctx.Broadcast(intMsg(ctx.Rand().Int63n(1000)))
+			prog := perNode(func(env *NodeEnv) funcNode {
+				r, left := env.Rand, 8
+				stage := func(out *Outbox) {
+					if r.Int63n(3) > 0 {
+						msg := intMsg(r.Int63n(1000))
+						for p := 0; p < env.Degree; p++ {
+							out.Send(p, msg)
+						}
 					}
-					in := ctx.Deliver()
-					for _, m := range in {
-						sums[v] += int64(m.Msg.(intMsg)) * int64(m.Port+1)
-					}
-					if ctx.Rand().Int63n(4) == 0 {
-						return
-					}
-					ctx.Sleep(ctx.Rand().Int63n(3))
+				}
+				return funcNode{
+					start: stage,
+					wake: func(round int64, in []Inbound, out *Outbox) (int64, bool) {
+						if left == 0 {
+							return 0, true
+						}
+						for _, m := range in {
+							sums[env.ID] += int64(m.Msg.(intMsg)) * int64(m.Port+1)
+						}
+						if r.Int63n(4) == 0 {
+							return 0, true
+						}
+						next := round + 1 + r.Int63n(3)
+						if left--; left > 0 {
+							stage(out)
+						}
+						return next, false
+					},
 				}
 			})
 			if _, err := eng.Run(context.Background(), g, prog, Config{Seed: seed}); err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -39,19 +40,48 @@ func (c *collector) add(node int, v int64) {
 	c.vals[node] = append(c.vals[node], v)
 }
 
+// funcNode is a StepNode built from closures: start stages the node's
+// round-0 sends (nil stages nothing), and wake is its OnWake.
+type funcNode struct {
+	start func(out *Outbox)
+	wake  func(round int64, in []Inbound, out *Outbox) (int64, bool)
+}
+
+func (n funcNode) Start(out *Outbox) {
+	if n.start != nil {
+		n.start(out)
+	}
+}
+
+func (n funcNode) OnWake(round int64, in []Inbound, out *Outbox) (int64, bool) {
+	return n.wake(round, in, out)
+}
+
+// perNode builds a step program from a per-node funcNode constructor.
+func perNode(f func(env *NodeEnv) funcNode) StepProgram {
+	return func(env *NodeEnv) StepNode { return f(env) }
+}
+
+// halt is a wake that halts the node.
+func halt(int64, []Inbound, *Outbox) (int64, bool) { return 0, true }
+
 func TestPingExchange(t *testing.T) {
 	g := graph.Path(2)
 	got := newCollector()
-	prog := func(ctx *Ctx) {
-		ctx.Send(0, intMsg(int64(100+ctx.Node())))
-		in := ctx.Deliver()
-		if len(in) != 1 {
-			t.Errorf("node %d: got %d messages, want 1", ctx.Node(), len(in))
-			return
+	prog := perNode(func(env *NodeEnv) funcNode {
+		return funcNode{
+			start: func(out *Outbox) { out.Send(0, intMsg(int64(100+env.ID))) },
+			wake: func(_ int64, in []Inbound, _ *Outbox) (int64, bool) {
+				if len(in) != 1 {
+					t.Errorf("node %d: got %d messages, want 1", env.ID, len(in))
+					return 0, true
+				}
+				got.add(env.ID, int64(in[0].Msg.(intMsg)))
+				return 0, true
+			},
 		}
-		got.add(ctx.Node(), int64(in[0].Msg.(intMsg)))
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,24 +102,28 @@ func TestPingExchange(t *testing.T) {
 func TestMessageToSleepingNodeIsLost(t *testing.T) {
 	g := graph.Path(2)
 	got := newCollector()
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			// Round 0: sleep through round 1, wake round 2.
-			ctx.Sleep(1)
-			// Round 2: nothing should be waiting (round-1 msg lost).
-			in := ctx.Deliver()
-			got.add(0, int64(len(in)))
-			return
+	prog := perNode(func(env *NodeEnv) funcNode {
+		if env.ID == 0 {
+			// Round 0: sleep through round 1, wake round 2, where only
+			// the round-2 message is waiting (the round-1 one is lost).
+			return funcNode{wake: func(round int64, in []Inbound, _ *Outbox) (int64, bool) {
+				if round == 0 {
+					return 2, false
+				}
+				got.add(0, int64(len(in)))
+				return 0, true
+			}}
 		}
 		// Node 1: round 0 idle, round 1 send (lost), round 2 send (heard).
-		ctx.Advance()
-		ctx.Send(0, intMsg(7))
-		ctx.Advance()
-		ctx.Send(0, intMsg(9))
-		in := ctx.Deliver()
-		got.add(1, int64(len(in)))
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		return funcNode{wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+			if round == 2 {
+				return 0, true
+			}
+			out.Send(0, intMsg(7+2*round))
+			return round + 1, false
+		}}
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +140,24 @@ func TestSenderAsleepMessageNotSent(t *testing.T) {
 	// nothing is delivered to an awake listener from a sleeping neighbor.
 	g := graph.Path(2)
 	heard := newCollector()
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			ctx.Sleep(3)
-			return
+	prog := perNode(func(env *NodeEnv) funcNode {
+		if env.ID == 0 {
+			return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+				if round == 0 {
+					return 4, false
+				}
+				return 0, true
+			}}
 		}
-		for i := 0; i < 3; i++ {
-			in := ctx.Deliver()
+		return funcNode{wake: func(round int64, in []Inbound, _ *Outbox) (int64, bool) {
 			heard.add(1, int64(len(in)))
-			ctx.Advance()
-		}
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+			if round == 3 {
+				return 0, true
+			}
+			return round + 1, false
+		}}
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range heard.vals[1] {
@@ -129,11 +169,13 @@ func TestSenderAsleepMessageNotSent(t *testing.T) {
 
 func TestClockSkipping(t *testing.T) {
 	g := graph.New(3)
-	prog := func(ctx *Ctx) {
-		ctx.SleepUntil(1_000_000)
-		// One more awake round at 1e6, then halt.
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := perNode(func(env *NodeEnv) funcNode {
+		// Sleep to round 1e6, stay awake there for one round, then halt.
+		return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+			return 1_000_000, round > 0
+		}}
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,31 +193,30 @@ func TestClockSkipping(t *testing.T) {
 func TestRoundNumbersVisible(t *testing.T) {
 	g := graph.New(1)
 	var rounds []int64
-	prog := func(ctx *Ctx) {
-		rounds = append(rounds, ctx.Round())
-		ctx.Advance()
-		rounds = append(rounds, ctx.Round())
-		ctx.SleepUntil(10)
-		rounds = append(rounds, ctx.Round())
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+	schedule := map[int64]int64{0: 1, 1: 10}
+	prog := perNode(func(env *NodeEnv) funcNode {
+		return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+			rounds = append(rounds, round)
+			next, ok := schedule[round]
+			return next, !ok
+		}}
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{0, 1, 10}
-	for i := range want {
-		if rounds[i] != want[i] {
-			t.Errorf("round[%d] = %d, want %d", i, rounds[i], want[i])
-		}
+	if !reflect.DeepEqual(rounds, want) {
+		t.Errorf("rounds = %v, want %v", rounds, want)
 	}
 }
 
+// bigSendProgram stages one oversized message on port 0 for round 0.
+var bigSendProgram = perNode(func(env *NodeEnv) funcNode {
+	return funcNode{start: func(out *Outbox) { out.Send(0, bigMsg{bits: 10_000}) }, wake: halt}
+})
+
 func TestStrictCongestViolation(t *testing.T) {
-	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Send(0, bigMsg{bits: 10_000})
-		ctx.Deliver()
-	}
-	_, err := Run(g, prog, Config{Seed: 1, Strict: true})
+	_, err := RunStep(graph.Path(2), bigSendProgram, Config{Seed: 1, Strict: true})
 	if err == nil {
 		t.Fatal("expected bandwidth error")
 	}
@@ -186,12 +227,7 @@ func TestStrictCongestViolation(t *testing.T) {
 }
 
 func TestNonStrictAllowsBigMessages(t *testing.T) {
-	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Send(0, bigMsg{bits: 10_000})
-		ctx.Deliver()
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	m, err := RunStep(graph.Path(2), bigSendProgram, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,44 +236,47 @@ func TestNonStrictAllowsBigMessages(t *testing.T) {
 	}
 }
 
+// sleepForever sleeps 100 rounds at a time, forever.
+var sleepForever = perNode(func(env *NodeEnv) funcNode {
+	return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		return round + 101, false
+	}}
+})
+
 func TestMaxRoundsAborts(t *testing.T) {
-	g := graph.New(1)
-	prog := func(ctx *Ctx) {
-		for {
-			ctx.Sleep(100)
-		}
-	}
-	_, err := Run(g, prog, Config{Seed: 1, MaxRounds: 500})
+	_, err := RunStep(graph.New(1), sleepForever, Config{Seed: 1, MaxRounds: 500})
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
 }
 
-func TestProgramPanicBecomesError(t *testing.T) {
-	g := graph.Path(3)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 1 {
+// panicOnNode1 panics on node 1 in round 0; every other node halts.
+var panicOnNode1 = perNode(func(env *NodeEnv) funcNode {
+	return funcNode{wake: func(int64, []Inbound, *Outbox) (int64, bool) {
+		if env.ID == 1 {
 			panic("boom")
 		}
-		ctx.Deliver()
-	}
-	_, err := Run(g, prog, Config{Seed: 1})
-	if err == nil {
+		return 0, true
+	}}
+})
+
+func TestProgramPanicBecomesError(t *testing.T) {
+	if _, err := RunStep(graph.Path(3), panicOnNode1, Config{Seed: 1}); err == nil {
 		t.Fatal("expected error from panicking program")
 	}
 }
 
 func TestHalt(t *testing.T) {
 	g := graph.New(2)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			ctx.Halt()
-			t.Error("unreachable after Halt")
+	prog := perNode(func(env *NodeEnv) funcNode {
+		if env.ID == 0 {
+			return funcNode{wake: halt}
 		}
-		ctx.Advance()
-		ctx.Advance()
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		return funcNode{wake: func(round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+			return round + 1, round == 2
+		}}
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,19 +292,25 @@ func TestDeterministicReplay(t *testing.T) {
 	g := graph.Cycle(16)
 	run := func() []int64 {
 		vals := make([]int64, g.N())
-		prog := func(ctx *Ctx) {
-			x := ctx.Rand().Int63n(1000)
-			ctx.Broadcast(intMsg(x))
-			in := ctx.Deliver()
-			sum := x
-			for _, m := range in {
-				sum += int64(m.Msg.(intMsg))
+		prog := perNode(func(env *NodeEnv) funcNode {
+			x := env.Rand.Int63n(1000)
+			return funcNode{
+				start: func(out *Outbox) { out.Broadcast(intMsg(x)) },
+				wake: func(round int64, in []Inbound, _ *Outbox) (int64, bool) {
+					if round == 1 {
+						vals[env.ID] += env.Rand.Int63n(10)
+						return 0, true
+					}
+					sum := x
+					for _, m := range in {
+						sum += int64(m.Msg.(intMsg))
+					}
+					vals[env.ID] = sum
+					return 1, false
+				},
 			}
-			vals[ctx.Node()] = sum
-			ctx.Advance()
-			vals[ctx.Node()] += ctx.Rand().Int63n(10)
-		}
-		if _, err := Run(g, prog, Config{Seed: 42}); err != nil {
+		})
+		if _, err := RunStep(g, prog, Config{Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
 		return vals
@@ -283,13 +328,16 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	run := func(seed int64) int64 {
 		var mu sync.Mutex
 		var total int64
-		prog := func(ctx *Ctx) {
-			v := ctx.Rand().Int63n(1 << 30)
-			mu.Lock()
-			total += v
-			mu.Unlock()
-		}
-		if _, err := Run(g, prog, Config{Seed: seed}); err != nil {
+		prog := perNode(func(env *NodeEnv) funcNode {
+			return funcNode{wake: func(int64, []Inbound, *Outbox) (int64, bool) {
+				v := env.Rand.Int63n(1 << 30)
+				mu.Lock()
+				total += v
+				mu.Unlock()
+				return 0, true
+			}}
+		})
+		if _, err := RunStep(g, prog, Config{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		return total
@@ -302,18 +350,18 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 func TestInboxSortedByPort(t *testing.T) {
 	g := graph.Star(5) // center 0 with 4 leaves
 	var ports []int
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			in := ctx.Deliver()
-			for _, m := range in {
-				ports = append(ports, m.Port)
-			}
-			return
+	prog := perNode(func(env *NodeEnv) funcNode {
+		if env.ID == 0 {
+			return funcNode{wake: func(_ int64, in []Inbound, _ *Outbox) (int64, bool) {
+				for _, m := range in {
+					ports = append(ports, m.Port)
+				}
+				return 0, true
+			}}
 		}
-		ctx.Send(0, intMsg(int64(ctx.Node())))
-		ctx.Deliver()
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+		return funcNode{start: func(out *Outbox) { out.Send(0, intMsg(int64(env.ID))) }, wake: halt}
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ports) != 4 {
@@ -331,18 +379,22 @@ func TestPortSymmetry(t *testing.T) {
 	// back to the sender.
 	g := graph.Cycle(6)
 	bad := newCollector()
-	prog := func(ctx *Ctx) {
-		// Everybody announces on every port; receivers echo next round.
-		ctx.Broadcast(intMsg(int64(ctx.Node())))
-		in := ctx.Deliver()
-		for _, m := range in {
-			nb := g.Neighbor(ctx.Node(), m.Port)
-			if nb != int(m.Msg.(intMsg)) {
-				bad.add(ctx.Node(), int64(nb))
-			}
+	prog := perNode(func(env *NodeEnv) funcNode {
+		// Everybody announces its index on every port.
+		return funcNode{
+			start: func(out *Outbox) { out.Broadcast(intMsg(int64(env.ID))) },
+			wake: func(_ int64, in []Inbound, _ *Outbox) (int64, bool) {
+				for _, m := range in {
+					nb := g.Neighbor(env.ID, m.Port)
+					if nb != int(m.Msg.(intMsg)) {
+						bad.add(env.ID, int64(nb))
+					}
+				}
+				return 0, true
+			},
 		}
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(bad.vals) != 0 {
@@ -362,18 +414,17 @@ func TestSendAfterDeliverPanics(t *testing.T) {
 }
 
 func TestInvalidPortPanics(t *testing.T) {
-	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Send(5, intMsg(1))
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err == nil {
+	prog := perNode(func(env *NodeEnv) funcNode {
+		return funcNode{start: func(out *Outbox) { out.Send(5, intMsg(1)) }, wake: halt}
+	})
+	if _, err := RunStep(graph.Path(2), prog, Config{Seed: 1}); err == nil {
 		t.Fatal("expected invalid-port error")
 	}
 }
 
 func TestNTooSmallRejected(t *testing.T) {
-	g := graph.New(10)
-	if _, err := Run(g, func(ctx *Ctx) {}, Config{N: 5}); err == nil {
+	prog := perNode(func(env *NodeEnv) funcNode { return funcNode{wake: halt} })
+	if _, err := RunStep(graph.New(10), prog, Config{N: 5}); err == nil {
 		t.Fatal("expected error for N < n")
 	}
 }
@@ -400,14 +451,19 @@ func TestAvgAwake(t *testing.T) {
 
 func TestManyNodesFloodStress(t *testing.T) {
 	g := graph.Grid(30, 30)
-	prog := func(ctx *Ctx) {
-		for i := 0; i < 5; i++ {
-			ctx.Broadcast(intMsg(int64(i)))
-			ctx.Deliver()
-			ctx.Advance()
+	// Broadcast in rounds 0..4, stay awake through round 5, then halt.
+	prog := perNode(func(env *NodeEnv) funcNode {
+		return funcNode{
+			start: func(out *Outbox) { out.Broadcast(intMsg(0)) },
+			wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+				if round < 4 {
+					out.Broadcast(intMsg(round + 1))
+				}
+				return round + 1, round == 5
+			},
 		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,8 +477,8 @@ func TestManyNodesFloodStress(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := graph.New(0)
-	m, err := Run(g, func(ctx *Ctx) {}, Config{Seed: 1})
+	prog := perNode(func(env *NodeEnv) funcNode { return funcNode{wake: halt} })
+	m, err := RunStep(graph.New(0), prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

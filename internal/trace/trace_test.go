@@ -14,19 +14,15 @@ func run(t *testing.T) *Collector {
 	t.Helper()
 	c := NewCollector()
 	g := graph.Path(2)
-	prog := func(ctx *sim.Ctx) {
-		if ctx.Node() == 0 {
-			// Awake rounds 0,1,2 then 10.
-			ctx.Advance()
-			ctx.Send(0, probe{})
-			ctx.Advance() // round 2: neighbor asleep -> lost? neighbor awake in 0 only
-			ctx.SleepUntil(10)
-		} else {
-			// Awake round 0 only; the round-1 message from node 0 is lost.
-			_ = ctx
+	prog := func(env *sim.NodeEnv) sim.StepNode {
+		if env.ID == 0 {
+			// Awake rounds 0, 1, 2 and 10, sending in round 1.
+			return &scripted{wakes: []int64{1, 2, 10}, send: map[int64]bool{1: true}}
 		}
+		// Awake round 0 only; the round-1 message from node 0 is lost.
+		return &scripted{}
 	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -35,6 +31,33 @@ func run(t *testing.T) *Collector {
 type probe struct{}
 
 func (probe) Bits() int { return 1 }
+
+// scripted is a step node that wakes in round 0 and then in each round
+// of wakes (ascending), broadcasts a probe in every round send lists,
+// and halts after its last wake.
+type scripted struct {
+	wakes []int64
+	send  map[int64]bool
+	next  int
+}
+
+func (s *scripted) Start(out *sim.Outbox) {
+	if s.send[0] {
+		out.Broadcast(probe{})
+	}
+}
+
+func (s *scripted) OnWake(_ int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+	if s.next == len(s.wakes) {
+		return 0, true
+	}
+	r := s.wakes[s.next]
+	s.next++
+	if s.send[r] {
+		out.Broadcast(probe{})
+	}
+	return r, false
+}
 
 func TestCollectorAwakeRounds(t *testing.T) {
 	c := run(t)
@@ -136,14 +159,10 @@ func TestMaxNodesSampling(t *testing.T) {
 	c := NewCollector()
 	c.MaxNodes = 4
 	g := graph.Cycle(16)
-	prog := func(ctx *sim.Ctx) {
-		ctx.Broadcast(probe{})
-		ctx.Deliver()
-		ctx.Advance()
-		ctx.Broadcast(probe{})
-		ctx.Deliver()
+	prog := func(env *sim.NodeEnv) sim.StepNode {
+		return &scripted{wakes: []int64{1}, send: map[int64]bool{0: true, 1: true}}
 	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.AwakeRounds) != 4 {
@@ -189,16 +208,13 @@ func TestDefaultCapUnbounded(t *testing.T) {
 func TestRoundLog(t *testing.T) {
 	l := NewRoundLog()
 	g := graph.Cycle(32)
-	prog := func(ctx *sim.Ctx) {
-		ctx.Broadcast(probe{})
-		ctx.Deliver()
-		if ctx.Node()%2 == 0 {
-			ctx.Advance() // odd nodes sleep after round 0
-			ctx.Broadcast(probe{})
-			ctx.Deliver()
+	prog := func(env *sim.NodeEnv) sim.StepNode {
+		if env.ID%2 == 0 {
+			return &scripted{wakes: []int64{1}, send: map[int64]bool{0: true, 1: true}}
 		}
+		return &scripted{send: map[int64]bool{0: true}} // odd nodes halt after round 0
 	}
-	m, err := sim.Run(g, prog, sim.Config{Seed: 1, Observer: l})
+	m, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: l})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,25 +21,10 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 	g := graph.Path(6)
 	ids := []int{1, 2, 3, 4, 5, 6}
 	in := make([]bool, g.N())
-	prog := func(ctx *sim.Ctx) {
-		id := ids[ctx.Node()]
-		state := misproto.Undecided
-		if id > 1 {
-			ctx.SleepUntil(int64(id - 1)) // wake only in own round (round id-1)
-		}
-		ctx.Broadcast(misproto.StateMsg{State: state})
-		inbox := ctx.Deliver()
-		for _, m := range inbox {
-			if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-				state = misproto.NotInMIS
-			}
-		}
-		if state == misproto.Undecided {
-			state = misproto.InMIS
-		}
-		in[ctx.Node()] = state == misproto.InMIS
+	prog := func(env *sim.NodeEnv) sim.StepNode {
+		return &ownRoundNode{id: ids[env.ID], in: &in[env.ID]}
 	}
-	m, err := sim.Run(g, prog, sim.Config{Seed: 1})
+	m, err := sim.RunStep(g, prog, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +49,34 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 	}
 }
 
-// TestSubProcedureComposition exercises RunSub's entry/exit contract
+// ownRoundNode is the broken schedule: it wakes only in its own round
+// id-1 (round 0 for ID 1), announces its state there and decides.
+type ownRoundNode struct {
+	id int
+	in *bool
+}
+
+func (n *ownRoundNode) Start(out *sim.Outbox) {
+	if n.id == 1 {
+		out.Broadcast(misproto.StateMsg{State: misproto.Undecided})
+	}
+}
+
+func (n *ownRoundNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (int64, bool) {
+	if round < int64(n.id-1) {
+		out.Broadcast(misproto.StateMsg{State: misproto.Undecided})
+		return int64(n.id - 1), false
+	}
+	*n.in = true
+	for _, m := range inbox {
+		if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
+			*n.in = false
+		}
+	}
+	return 0, true
+}
+
+// TestSubProcedureComposition exercises Sub's entry/exit contract
 // directly: two consecutive VT-MIS instances on disjoint windows, the
 // second on the residual graph semantics (decided nodes keep silent) —
 // the composability property of §3 in distributed form.
@@ -75,32 +87,53 @@ func TestSubProcedureComposition(t *testing.T) {
 		ids[v] = v + 1
 	}
 	in := make([]bool, g.N())
-	prog := func(ctx *sim.Ctx) {
-		state := misproto.Undecided
-		ports := make([]int, ctx.Degree())
-		for i := range ports {
-			ports[i] = i
-		}
-		// First window: rounds 1..12.
-		RunSub(ctx, 1, ids[ctx.Node()], 12, &state, ports)
-		// Second window: rounds 101..112; decided nodes re-announce,
-		// undecided nodes (there are none for MIS, but the contract
-		// must hold) would decide here. States must be unchanged by a
-		// second pass.
-		before := state
-		RunSub(ctx, 101, ids[ctx.Node()], 12, &state, ports)
-		if state == misproto.Undecided {
-			t.Errorf("node %d undecided after two windows", ctx.Node())
-		}
-		if before == misproto.InMIS && state != misproto.InMIS {
-			t.Errorf("node %d left the MIS across windows", ctx.Node())
-		}
-		in[ctx.Node()] = state == misproto.InMIS
+	prog := func(env *sim.NodeEnv) sim.StepNode {
+		return &twoWindows{t: t, env: env, id: ids[env.ID], in: in}
 	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 2}); err != nil {
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.CheckMIS(g, in); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// twoWindows runs VT-MIS over rounds 1..12 and again over rounds
+// 101..112. A second pass must leave every decision unchanged.
+type twoWindows struct {
+	sim.Machine
+	t            *testing.T
+	env          *sim.NodeEnv
+	id           int
+	in           []bool
+	state, first misproto.State
+	ports        []int
+	sub, again   Sub
+}
+
+func (n *twoWindows) Start(out *sim.Outbox) {
+	n.ports = make([]int, n.env.Degree)
+	for i := range n.ports {
+		n.ports[i] = i
+	}
+	n.Begin(out, func() {
+		n.Yield(0, nil, func([]sim.Inbound) {
+			n.sub.Start(&n.Machine, 1, n.id, 12, &n.state, n.ports, n.second)
+		})
+	})
+}
+
+func (n *twoWindows) second() {
+	n.first = n.state
+	n.again.Start(&n.Machine, 101, n.id, 12, &n.state, n.ports, n.finish)
+}
+
+func (n *twoWindows) finish() {
+	if n.state == misproto.Undecided {
+		n.t.Errorf("node %d undecided after two windows", n.env.ID)
+	}
+	if n.first == misproto.InMIS && n.state != misproto.InMIS {
+		n.t.Errorf("node %d left the MIS across windows", n.env.ID)
+	}
+	n.in[n.env.ID] = n.state == misproto.InMIS
 }
