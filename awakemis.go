@@ -80,31 +80,24 @@ func Algorithms() []Algorithm {
 	return []Algorithm{AwakeMIS, AwakeMISRound, Luby, NaiveGreedy, VTMIS, LDTMIS}
 }
 
-// Engine selects the simulation runtime (see internal/sim): the
-// default stepped engine keeps node state inline and shards step calls
-// across a worker pool; the lockstep engine runs one goroutine per
-// node. Both produce bit-identical results for equal seeds.
+// Engine names the simulation runtime (see internal/sim). The stepped
+// engine, which keeps node state inline and shards step calls across a
+// worker pool, is the only one; the name stays on the wire so specs,
+// Reports and study artifacts record it.
 type Engine string
 
-const (
-	// EngineStepped is the default: the inline-state parallel engine.
-	EngineStepped Engine = "stepped"
-	// EngineLockstep is the goroutine-per-node reference engine.
-	EngineLockstep Engine = "lockstep"
-)
-
-// Engines lists the available engines.
-func Engines() []Engine { return []Engine{EngineStepped, EngineLockstep} }
+// EngineStepped is the stepped engine, the only engine.
+const EngineStepped Engine = "stepped"
 
 // Options configures a run. The zero value is usable, and the struct
 // marshals to/from JSON for batch spec files.
 type Options struct {
-	// Seed drives all randomness; equal seeds replay identical runs on
-	// every engine at every worker count. Every derived stream (per-node
+	// Seed drives all randomness; equal seeds replay identical runs at
+	// every worker count. Every derived stream (per-node
 	// randomness, ID permutations, edge orders) comes from this seed
 	// through the centralized splitmix64 deriver (see DeriveSeed).
 	Seed int64 `json:"seed,omitempty"`
-	// Engine selects the runtime engine ("" means EngineStepped).
+	// Engine names the runtime engine: "" or EngineStepped.
 	Engine Engine `json:"engine,omitempty"`
 	// Workers caps the stepped engine's worker pool (0 means one per
 	// CPU). Worker count never changes results, only wall-clock time.
@@ -140,10 +133,10 @@ type Options struct {
 // simConfig resolves the options into an engine configuration. workers
 // overrides Options.Workers when the caller manages a shared budget
 // (Runner.RunBatch); pass o.Workers otherwise.
-func (o Options) simConfig(workers int) (sim.Config, error) {
-	eng, err := sim.EngineByName(string(o.Engine), workers)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("awakemis: %w", err)
+func (o Options) simConfig(workers int) sim.Config {
+	eng := sim.Default()
+	if workers != 0 {
+		eng = sim.NewSteppedEngine(workers)
 	}
 	return sim.Config{
 		Seed:      o.Seed,
@@ -152,7 +145,7 @@ func (o Options) simConfig(workers int) (sim.Config, error) {
 		Strict:    o.Strict,
 		MaxRounds: o.MaxRounds,
 		Engine:    eng,
-	}, nil
+	}
 }
 
 // Metrics reports the complexity measures of a run (§1.3–1.4).

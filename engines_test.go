@@ -1,14 +1,16 @@
-// Cross-engine equivalence tests: the determinism contract of
+// Worker-count equivalence tests: the determinism contract of
 // internal/sim, asserted at the public API for every algorithm. For a
-// fixed seed, the lockstep and stepped engines — and the stepped engine
-// at every worker count — must produce identical Results: the same MIS
-// membership, the same round count, and the same per-node awake
-// counters. The natively ported step-form algorithms are additionally
-// checked bit-identical against their goroutine-form originals.
+// fixed seed, the stepped engine must produce identical Results at
+// every worker count: the same MIS membership, the same round count,
+// and the same per-node awake counters. Each algorithm's step program
+// is additionally pinned to the output of its goroutine-form original.
 package awakemis_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -30,7 +32,6 @@ import (
 // engineConfigs is the grid of (engine, workers) the contract covers.
 func engineConfigs() []awakemis.Options {
 	return []awakemis.Options{
-		{Engine: awakemis.EngineLockstep},
 		{Engine: awakemis.EngineStepped, Workers: 1},
 		{Engine: awakemis.EngineStepped, Workers: 4},
 		{Engine: awakemis.EngineStepped, Workers: runtime.NumCPU()},
@@ -104,11 +105,12 @@ func TestColoringMatchingIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestStepPortsMatchGoroutineOriginals runs each natively ported
-// algorithm in both program forms on both engines and demands identical
-// outputs and metrics — the port-faithfulness check. Since PR 4 this
-// covers all eight algorithms: the awake-mis (core) and ldt-mis ports
-// exercise the resumable ldt.SProc tree machinery.
+// TestStepPortsMatchGoroutineOriginals is the port-faithfulness check
+// for every algorithm: each step program's output and Metrics must be
+// identical at one and four workers, and their digest must equal the
+// one its goroutine-form original produced on the same input (the pins
+// in internal/sim's algorithms_test.go, which also run these inputs on
+// the reference simulator).
 func TestStepPortsMatchGoroutineOriginals(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := graph.GNP(70, 0.07, rng)
@@ -133,142 +135,69 @@ func TestStepPortsMatchGoroutineOriginals(t *testing.T) {
 	bigIDs := rng2.IDs40(n, 42)
 	np := 1
 	for _, c := range g.Components() {
-		if len(c) > np {
-			np = len(c)
-		}
+		np = max(np, len(c))
 	}
 
-	type variant struct {
+	type port struct {
+		pin  string
+		cfg  sim.Config
 		out  func() any // fresh result container read back after the run
-		prog func(out any) sim.NodeProgram
+		prog func(out any) sim.StepProgram
 	}
-	cases := map[string]map[string]variant{
-		"naive": {
-			"goroutine": {
-				out:  func() any { return &naive.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return naive.Program(o.(*naive.Result), ids, n) },
-			},
-			"step": {
-				out:  func() any { return &naive.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return naive.StepProgram(o.(*naive.Result), ids, n) },
-			},
-		},
-		"luby": {
-			"goroutine": {
-				out:  func() any { return &luby.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return luby.Program(o.(*luby.Result)) },
-			},
-			"step": {
-				out:  func() any { return &luby.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return luby.StepProgram(o.(*luby.Result)) },
-			},
-		},
-		"vtmis": {
-			"goroutine": {
-				out:  func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return vtmis.Program(o.(*vtmis.Result), ids, n) },
-			},
-			"step": {
-				out:  func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return vtmis.StepProgram(o.(*vtmis.Result), ids, n) },
-			},
-		},
-		"vtcolor": {
-			"goroutine": {
-				out:  func() any { return &vtcolor.Result{Color: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram { return vtcolor.Program(o.(*vtcolor.Result), ids, n) },
-			},
-			"step": {
-				out:  func() any { return &vtcolor.Result{Color: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram { return vtcolor.StepProgram(o.(*vtcolor.Result), ids, n) },
-			},
-		},
-		"vtmatch": {
-			"goroutine": {
-				out: func() any {
-					r := &vtmatch.Result{MatchedWith: make([]int, n)}
-					for i := range r.MatchedWith {
-						r.MatchedWith[i] = -1
-					}
-					return r
-				},
-				prog: func(o any) sim.NodeProgram { return vtmatch.Program(o.(*vtmatch.Result), g, edgeIDs) },
-			},
-			"step": {
-				out: func() any {
-					r := &vtmatch.Result{MatchedWith: make([]int, n)}
-					for i := range r.MatchedWith {
-						r.MatchedWith[i] = -1
-					}
-					return r
-				},
-				prog: func(o any) sim.NodeProgram { return vtmatch.StepProgram(o.(*vtmatch.Result), g, edgeIDs) },
-			},
-		},
-		"awake-mis": {
-			"goroutine": {
-				out: func() any { return &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return core.Program(o.(*core.Result), sched, params, n)
-				},
-			},
-			"step": {
-				out: func() any { return &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return core.StepProgram(o.(*core.Result), sched, params, n)
-				},
-			},
-		},
-		"ldt-mis": {
-			"goroutine": {
-				out: func() any { return &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return ldtmis.Program(o.(*ldtmis.Result), bigIDs, np, ldtmis.VariantAwake)
-				},
-			},
-			"step": {
-				out: func() any { return &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return ldtmis.StepProgram(o.(*ldtmis.Result), bigIDs, np, ldtmis.VariantAwake)
-				},
-			},
-		},
+	matched := func() any {
+		r := &vtmatch.Result{MatchedWith: make([]int, n)}
+		for i := range r.MatchedWith {
+			r.MatchedWith[i] = -1
+		}
+		return r
 	}
-	// ldt-mis ships 40-bit IDs in its control messages; its CONGEST
-	// budget scales with log I like the task shim's.
-	cfgs := map[string]sim.Config{"ldt-mis": bigCfg}
-
-	engines := map[string]sim.Engine{
-		"lockstep":  sim.NewLockstepEngine(),
-		"stepped-1": sim.NewSteppedEngine(1),
-		"stepped-4": sim.NewSteppedEngine(4),
+	cases := map[string]port{
+		"naive": {"3e2f60b1e8bbaf66", baseCfg,
+			func() any { return &naive.Result{InMIS: make([]bool, n)} },
+			func(o any) sim.StepProgram { return naive.StepProgram(o.(*naive.Result), ids, n) }},
+		"luby": {"c841a2a3d7e07e54", baseCfg,
+			func() any { return &luby.Result{InMIS: make([]bool, n)} },
+			func(o any) sim.StepProgram { return luby.StepProgram(o.(*luby.Result)) }},
+		"vtmis": {"954517d11194f122", baseCfg,
+			func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
+			func(o any) sim.StepProgram { return vtmis.StepProgram(o.(*vtmis.Result), ids, n) }},
+		"vtcolor": {"1cebe350cdf1090b", baseCfg,
+			func() any { return &vtcolor.Result{Color: make([]int, n)} },
+			func(o any) sim.StepProgram { return vtcolor.StepProgram(o.(*vtcolor.Result), ids, n) }},
+		"vtmatch": {"98e59bb7f0eb9b84", baseCfg, matched,
+			func(o any) sim.StepProgram { return vtmatch.StepProgram(o.(*vtmatch.Result), g, edgeIDs) }},
+		"awake-mis": {"13ca303759128249", baseCfg,
+			func() any { return &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)} },
+			func(o any) sim.StepProgram { return core.StepProgram(o.(*core.Result), sched, params, n) }},
+		// ldt-mis ships 40-bit IDs in its control messages; its CONGEST
+		// budget scales with log I like the task shim's.
+		"ldt-mis": {"346026e2c5c0bd0a", bigCfg,
+			func() any { return &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)} },
+			func(o any) sim.StepProgram {
+				return ldtmis.StepProgram(o.(*ldtmis.Result), bigIDs, np, ldtmis.VariantAwake)
+			}},
 	}
-	for algo, forms := range cases {
+	for algo, c := range cases {
 		t.Run(algo, func(t *testing.T) {
-			cfg, ok := cfgs[algo]
-			if !ok {
-				cfg = baseCfg
-			}
 			var refOut any
 			var refMetrics *sim.Metrics
-			for fname, form := range forms {
-				for ename, eng := range engines {
-					out := form.out()
-					m, err := eng.Run(context.Background(), g, form.prog(out), cfg)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", fname, ename, err)
-					}
-					if refOut == nil {
-						refOut, refMetrics = out, m
-						continue
-					}
-					if !reflect.DeepEqual(refOut, out) {
-						t.Fatalf("%s/%s: output diverges from reference", fname, ename)
-					}
-					if !reflect.DeepEqual(refMetrics, m) {
-						t.Fatalf("%s/%s: metrics diverge:\n%+v\nvs\n%+v", fname, ename, refMetrics, m)
-					}
+			for _, workers := range []int{1, 4} {
+				out := c.out()
+				m, err := sim.NewSteppedEngine(workers).Run(context.Background(), g, c.prog(out), c.cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				if refOut == nil {
+					refOut, refMetrics = out, m
+					continue
+				}
+				if !reflect.DeepEqual(refOut, out) || !reflect.DeepEqual(refMetrics, m) {
+					t.Fatalf("workers=%d: run diverges from workers=1", workers)
+				}
+			}
+			sum := sha256.Sum256([]byte(fmt.Sprintf("%+v\n%+v", refOut, *refMetrics)))
+			if got := hex.EncodeToString(sum[:8]); got != c.pin {
+				t.Errorf("digest %s, goroutine original %s", got, c.pin)
 			}
 		})
 	}

@@ -1,12 +1,10 @@
 package core
 
-// Step form of Awake-MIS: the phase loop of Program as an explicit
-// state machine. Each node attends its O(log log n) communication
-// rounds (staged one wake at a time through a sim.Machine) and, in its
-// own phase, runs the step-form LDT-MIS window in place — so the
-// paper's headline algorithm executes on the stepped engine's inline
-// hot path with no per-node goroutine. Bit-identical with the
-// goroutine form; the cross-form tests assert it.
+// Awake-MIS's phase loop as an explicit state machine. Each node
+// attends its O(log log n) communication rounds (staged one wake at a
+// time through a sim.Machine) and, in its own phase, runs the LDT-MIS
+// window in place — so the paper's headline algorithm executes on the
+// stepped engine's inline hot path with no per-node goroutine.
 
 import (
 	"awakemis/internal/ldtmis"
@@ -34,7 +32,7 @@ type stepNode struct {
 	recvFn func([]sim.Inbound)
 }
 
-// StepProgram returns the per-node Awake-MIS program in step form.
+// StepProgram returns the per-node Awake-MIS program.
 func StepProgram(res *Result, sched *Schedule, params Params, n int) sim.StepProgram {
 	params = params.WithDefaults(n)
 	return func(env *sim.NodeEnv) sim.StepNode {

@@ -482,7 +482,7 @@ func TestBitCopiesMatchBitReference(t *testing.T) {
 
 		// An accumulator holding a random prefix (so both aligned and
 		// unaligned destinations occur) then the range.
-		a := newBitAccum(0)
+		a := &bitAccum{}
 		prefix := make([]byte, 8)
 		rng.Read(prefix)
 		pbits := rng.Intn(64)

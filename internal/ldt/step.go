@@ -1,25 +1,19 @@
 package ldt
 
-// This file is the resumable-step form of the LDT session: SProc
-// mirrors Proc primitive by primitive, but instead of blocking a
-// dedicated goroutine at each wake point it yields to a sim.Machine,
-// so the whole session runs natively on the stepped engine's inline hot
-// path. Every primitive stages exactly the same messages and wakes in
-// exactly the same rounds as its goroutine original — the cross-form
-// tests hold the two bit-identical.
+// This file is the LDT session: SProc runs the tree primitives on a
+// sim.Machine, yielding at each wake point instead of blocking, so the
+// whole session runs natively on the stepped engine's inline hot path.
 //
 // The session runs from one frame. The in-flight primitive keeps its
 // parameters and results in SProc's fields, and every Yield passes the
 // same send and receive methods, bound once in Init, so a wake costs no
 // allocation beyond the payloads of the messages it actually sends.
 //
-// Conversion rules (see sim.Machine):
-//   - each wake of the goroutine form becomes one Machine.Yield whose
-//     send stages what the goroutine sent after waking (the node is
-//     asleep in between, so the staged state is identical);
-//   - code between two wakes runs inside the earlier wake's receive;
-//   - a primitive that skips a conditional wake completes without
-//     yielding.
+// Each wake is one Machine.Yield whose send stages the messages the
+// node transmits in that round (the node is asleep in between, so the
+// staged state is its state at the end of its previous awake round);
+// code between two wakes runs inside the earlier wake's receive; a
+// primitive that skips a conditional wake completes without yielding.
 //
 // Primitives and procedures report whether they yielded. One that did
 // not has completed, and its caller continues inline. One that did
@@ -59,9 +53,10 @@ const (
 )
 
 // SProc is a node's participation in one LDT session over a connected
-// participant set of at most np nodes, in resumable-step form. The
-// scheduling contract matches Proc: all participants start their
-// session with the same base round and np.
+// participant set of at most np nodes. All participants must start
+// their session with the same base round and np; the window cursor
+// then advances identically everywhere, which is what synchronizes the
+// schedule without communication.
 type SProc struct {
 	treeState
 	m   *sim.Machine
@@ -122,7 +117,7 @@ type SProc struct {
 	bits                   bitAccum
 }
 
-// Init prepares a step-form LDT session starting at sim round base.
+// Init prepares an LDT session starting at sim round base.
 // The caller must be at the end of an awake round strictly before base
 // (i.e. inside a Machine continuation). rnd is the node's private
 // randomness stream (sim.NodeEnv.Rand). k runs each time a procedure
@@ -325,7 +320,8 @@ func (p *SProc) setPend(f []int64, parent, viaChild int) {
 	p.hasPend = true
 }
 
-// Hello runs the one-round participant discovery.
+// Hello runs the one-round participant discovery: everyone broadcasts
+// its ID on all ports; the awake senders are exactly the participants.
 func (p *SProc) Hello() bool {
 	w := p.cur
 	p.cur += spanAdjacent
@@ -353,9 +349,12 @@ func (p *SProc) adjacentTargeted(port int, payload []int64) bool {
 	return p.yield(w, opTargeted, 0, port >= 0 && payload != nil)
 }
 
-// upcast runs one upcast half-window (same offsets and conditional
-// wakes as Proc.upcast); when it completes, p.acc holds the accumulated
-// value and p.childVals the per-child values.
+// upcast runs one upcast half-window: a node at depth d listens for its
+// children's values at offset np-d-1 and sends its merged value to its
+// parent at offset np-d. own is the node's contribution (nil for
+// none); merge folds child values into the accumulator. When it
+// completes, p.acc holds the node's accumulated value (at the root:
+// the tree-wide aggregate) and p.childVals the per-child values.
 func (p *SProc) upcast(own []int64, merge func(acc, in []int64) []int64) bool {
 	p.w = p.cur
 	p.cur += spanWindow(p.np)
@@ -373,9 +372,12 @@ func (p *SProc) upcastSend() bool {
 	return false
 }
 
-// downcast runs one downcast half-window (same offsets and conditional
-// wakes as Proc.downcast); when it completes, p.mine holds the node's
-// value. split, if non-nil, derives each child's value.
+// downcast runs one downcast half-window: a node at depth d receives
+// its value from its parent at offset d-1 and sends per-child values at
+// offset d. rootVal seeds the root; split, if non-nil, derives each
+// child's value (nil forwards the node's value unchanged). Nodes whose
+// parent sends nothing receive nil and send nothing. When it
+// completes, p.mine holds the node's value.
 func (p *SProc) downcast(rootVal []int64, split func(p *SProc, mine []int64, i int) []int64) bool {
 	p.w = p.cur
 	p.cur += spanWindow(p.np)
@@ -395,8 +397,11 @@ func (p *SProc) downcastSend() bool {
 	return false
 }
 
-// upRelabel runs the first relabel half-window for the pending relabel
-// in p.pend (if p.hasPend), which it may discover.
+// upRelabel runs the first relabel half-window (Appendix A, stage 3b):
+// the wave climbs from the attachment node to the old fragment root
+// along old-depth offsets, reversing parent pointers. A pending relabel
+// in p.pend (if p.hasPend) marks this node as the attachment
+// initiator; otherwise the node may discover one.
 func (p *SProc) upRelabel() bool {
 	p.w = p.cur
 	p.cur += spanWindow(p.np)
@@ -413,7 +418,9 @@ func (p *SProc) upRelabelSend() bool {
 	return false
 }
 
-// downRelabel runs the second relabel half-window.
+// downRelabel runs the second relabel half-window: nodes off the
+// reversal path learn their new root ID and depth from their (old)
+// parent, along old-depth offsets.
 func (p *SProc) downRelabel() bool {
 	p.w = p.cur
 	p.cur += spanWindow(p.np)
@@ -430,8 +437,10 @@ func (p *SProc) downRelabelSend() bool {
 	return false
 }
 
-// Rank computes the node's rank and the exact tree size (step form of
-// Proc.Rank), read afterwards with Ranked.
+// Rank computes the node's rank in the in-order-style total ordering of
+// Appendix A.3 (visit the lowest-port subtree, then the node, then the
+// remaining subtrees) and the exact number of nodes in the LDT, read
+// afterwards with Ranked. Ranks are 1-based.
 func (p *SProc) Rank() bool {
 	p.proc, p.pc = procRank, 0
 	return p.runRank()
@@ -496,9 +505,11 @@ func rankSplit(p *SProc, mine []int64, i int) []int64 {
 	return []int64{off, mine[1]}
 }
 
-// BroadcastChunks ships a root payload to every node in numChunks
-// downcast windows (step form of Proc.BroadcastChunks); Data returns
-// the reassembled payload bytes afterwards.
+// BroadcastChunks ships a root payload of payloadBits bits to every
+// node in numChunks downcast windows of chunkBits bits each; the root
+// sends "null" chunks once the payload is exhausted (§5.3). The root
+// supplies the payload, and Data returns the reassembled payload bytes
+// (zero-padded to whole bytes) on every node afterwards.
 func (p *SProc) BroadcastChunks(payload []byte, payloadBits, chunkBits, numChunks int) bool {
 	p.proc, p.iter, p.iters = procChunks, 0, numChunks
 	p.payload, p.payloadBits, p.chunkBits = payload, payloadBits, chunkBits

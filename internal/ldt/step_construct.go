@@ -1,12 +1,6 @@
 package ldt
 
-// Step forms of the two LDT constructions, transcribing
-// Proc.ConstructAwake and Proc.ConstructRound in construct.go. Every
-// wake, message, and RNG draw happens at the same sequential point as
-// in the goroutine originals, which is what keeps the two forms
-// bit-identical (the cross-form tests assert it). When changing one
-// form, change the other in lockstep.
-//
+// The two LDT constructions described in construct.go, run on SProc.
 // ConstructAwake, which every Awake-MIS window runs, is a state machine
 // over SProc's frame. ConstructRound, which no hot path runs, stays in
 // closure-passing form: each primitive's continuation goes through
@@ -25,7 +19,8 @@ const (
 )
 
 // ConstructAwake runs the randomized construction for the given number
-// of phases (step form of Proc.ConstructAwake).
+// of phases. Once it completes, every participant of a component of
+// size ≤ np belongs (w.h.p.) to a single LDT spanning the component.
 func (p *SProc) ConstructAwake(phases int) bool {
 	p.proc, p.pc, p.iter, p.iters = procAwake, awPhase, 0, phases
 	return p.runAwake()
@@ -132,8 +127,8 @@ func (p *SProc) after(yielded bool, k func()) {
 	k()
 }
 
-// ConstructRound runs the deterministic Appendix A construction (step
-// form of Proc.ConstructRound).
+// ConstructRound runs the deterministic Appendix A construction for the
+// given number of phases (DefaultRoundPhases(np) suffices).
 func (p *SProc) ConstructRound(phases int) bool {
 	if phases == 0 {
 		return false
@@ -154,8 +149,7 @@ func (p *SProc) ConstructRound(phases int) bool {
 }
 
 func (p *SProc) constructRoundPhaseStep(done func()) {
-	// Phase state shared by the stage continuations, mirroring the
-	// locals of Proc.constructRoundPhase.
+	// Phase state shared by the stage continuations.
 	var (
 		nbrRoot        []int64
 		nbrChosen      map[int][2]int64

@@ -1,11 +1,9 @@
 package ldtmis
 
-// Step form of LDT-MIS: the same pipeline as RunSub — hello, LDT
-// construction, ranking, chunked permutation broadcast, VT-MIS — but
-// running on a sim.Machine instead of a goroutine, so the stepped
-// engine executes it natively. Session is also the building block
-// core's step-form Awake-MIS embeds into its phase windows. Both forms
-// are bit-identical; the cross-form tests assert it.
+// The LDT-MIS pipeline — hello, LDT construction, ranking, chunked
+// permutation broadcast, VT-MIS — running on a sim.Machine, so the
+// stepped engine executes it natively. Session is also the building
+// block Awake-MIS embeds into its phase windows.
 
 import (
 	"math/rand"
@@ -27,9 +25,12 @@ const (
 	sDone
 )
 
-// Session is one node's LDT-MIS window (RunSub) in step form. It runs
-// from one frame: the LDT session and VT-MIS resume it through one
-// continuation, bound once in Start.
+// Session is one node's LDT-MIS window: it runs LDT-MIS as a
+// sub-procedure over rounds [base, base+Span(...)). id must be unique
+// among participants; state is updated to the node's MIS decision, and
+// NewID returns the node's new small ID (its permutation entry) for
+// verification. It runs from one frame: the LDT session and VT-MIS
+// resume it through one continuation, bound once in Start.
 type Session struct {
 	tree      ldt.SProc
 	vt        vtmis.Sub
@@ -47,11 +48,10 @@ type Session struct {
 
 // Start runs the window from sim round base, driven by m. rnd is the
 // node's private randomness stream (sim.NodeEnv.Rand) and bandwidth the
-// run's CONGEST budget — the two values RunSub reads from its Ctx.
-// Entry/exit contract matches RunSub: call it at the end of an awake
-// round strictly before base; k runs inside the final awake round's
-// receive, with the node's MIS decision in *state and its new small ID
-// in NewID. Start always yields.
+// run's CONGEST budget. Call it at the end of an awake round strictly
+// before base; k runs inside the final awake round's receive, with the
+// node's MIS decision in *state and its new small ID in NewID. Start
+// always yields.
 func (s *Session) Start(m *sim.Machine, rnd *rand.Rand, bandwidth int, base int64, id int64, np int, v Variant, state *misproto.State, k func()) {
 	*s = Session{m: m, rnd: rnd, bandwidth: bandwidth, np: np, v: v, state: state, k: k}
 	s.resumeFn = s.resume
@@ -131,7 +131,7 @@ type stepNode struct {
 	sess  Session
 }
 
-// StepProgram returns the standalone per-node program in step form.
+// StepProgram returns the standalone per-node program.
 func StepProgram(res *Result, ids []int64, np int, v Variant) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{env: env, res: res, id: ids[env.ID], np: np, v: v}

@@ -395,7 +395,20 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := srv.Submit(bad); !errors.Is(err, awakemis.ErrInvalidSpec) {
 		t.Errorf("Server.Submit = %v, want ErrInvalidSpec", err)
 	}
-	// Nothing was spent on the bad spec.
+	// The removed lockstep engine is a bad spec that names the one engine.
+	lockstep := awakemis.Spec{Task: "luby", Options: awakemis.Options{Engine: "lockstep"}}
+	_, err = c.Submit(ctx, lockstep)
+	apiErr = new(client.APIError)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Errorf("lockstep engine: %v, want HTTP 400", err)
+	}
+	if !strings.Contains(apiErr.Message, "stepped is the only engine") {
+		t.Errorf("error message %q does not name the stepped engine", apiErr.Message)
+	}
+	if _, err := srv.Submit(lockstep); !errors.Is(err, awakemis.ErrInvalidSpec) {
+		t.Errorf("Server.Submit(lockstep) = %v, want ErrInvalidSpec", err)
+	}
+	// Nothing was spent on the bad specs.
 	if st := srv.StatsSnapshot(); st.JobsSubmitted != 0 || st.EngineRuns != 0 {
 		t.Errorf("bad specs counted: %+v", st)
 	}

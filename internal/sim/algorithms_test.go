@@ -26,11 +26,10 @@ import (
 // output container, the program writing into it, and the run's
 // configuration.
 type algoCase struct {
-	cfg       sim.Config
-	g         *graph.Graph
-	out       func() any
-	step      func(out any) sim.StepProgram
-	goroutine func(out any) sim.Program
+	cfg  sim.Config
+	g    *graph.Graph
+	out  func() any
+	step func(out any) sim.StepProgram
 }
 
 // algorithmPins holds the digest of each case's (output, Metrics)
@@ -76,7 +75,7 @@ var algorithmPins = map[string]string{
 }
 
 // algorithmCases returns every algorithm's step program on the inputs
-// of the former cross-form tests: three G(70, 0.07) graphs running
+// the goroutine-form originals were checked on: three G(70, 0.07) graphs running
 // all nine programs, a G(60, 0.06) graph running Awake-MIS in both LDT
 // variants, and three graphs with several components running LDT-MIS
 // in both variants.
@@ -101,24 +100,20 @@ func algorithmCases() map[string]algoCase {
 		prefix := fmt.Sprintf("gnp70-%d/", seed)
 
 		cases[prefix+"naive"] = algoCase{cfg: cfg, g: g,
-			out:       func() any { return &naive.Result{InMIS: make([]bool, n)} },
-			step:      func(o any) sim.StepProgram { return naive.StepProgram(o.(*naive.Result), ids, n) },
-			goroutine: func(o any) sim.Program { return naive.Program(o.(*naive.Result), ids, n) },
+			out:  func() any { return &naive.Result{InMIS: make([]bool, n)} },
+			step: func(o any) sim.StepProgram { return naive.StepProgram(o.(*naive.Result), ids, n) },
 		}
 		cases[prefix+"luby"] = algoCase{cfg: cfg, g: g,
-			out:       func() any { return &luby.Result{InMIS: make([]bool, n)} },
-			step:      func(o any) sim.StepProgram { return luby.StepProgram(o.(*luby.Result)) },
-			goroutine: func(o any) sim.Program { return luby.Program(o.(*luby.Result)) },
+			out:  func() any { return &luby.Result{InMIS: make([]bool, n)} },
+			step: func(o any) sim.StepProgram { return luby.StepProgram(o.(*luby.Result)) },
 		}
 		cases[prefix+"vtmis"] = algoCase{cfg: cfg, g: g,
-			out:       func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
-			step:      func(o any) sim.StepProgram { return vtmis.StepProgram(o.(*vtmis.Result), ids, n) },
-			goroutine: func(o any) sim.Program { return vtmis.Program(o.(*vtmis.Result), ids, n) },
+			out:  func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
+			step: func(o any) sim.StepProgram { return vtmis.StepProgram(o.(*vtmis.Result), ids, n) },
 		}
 		cases[prefix+"vtcolor"] = algoCase{cfg: cfg, g: g,
-			out:       func() any { return &vtcolor.Result{Color: make([]int, n)} },
-			step:      func(o any) sim.StepProgram { return vtcolor.StepProgram(o.(*vtcolor.Result), ids, n) },
-			goroutine: func(o any) sim.Program { return vtcolor.Program(o.(*vtcolor.Result), ids, n) },
+			out:  func() any { return &vtcolor.Result{Color: make([]int, n)} },
+			step: func(o any) sim.StepProgram { return vtcolor.StepProgram(o.(*vtcolor.Result), ids, n) },
 		}
 		cases[prefix+"vtmatch"] = algoCase{cfg: cfg, g: g,
 			out: func() any {
@@ -128,8 +123,7 @@ func algorithmCases() map[string]algoCase {
 				}
 				return r
 			},
-			step:      func(o any) sim.StepProgram { return vtmatch.StepProgram(o.(*vtmatch.Result), g, edgeIDs) },
-			goroutine: func(o any) sim.Program { return vtmatch.Program(o.(*vtmatch.Result), g, edgeIDs) },
+			step: func(o any) sim.StepProgram { return vtmatch.StepProgram(o.(*vtmatch.Result), g, edgeIDs) },
 		}
 		for _, v := range []ldtmis.Variant{ldtmis.VariantAwake, ldtmis.VariantRound} {
 			cases[prefix+"core/"+v.String()] = coreCase(g, cfg, v)
@@ -172,7 +166,6 @@ func coreCase(g *graph.Graph, cfg sim.Config, v ldtmis.Variant) algoCase {
 		step: func(o any) sim.StepProgram {
 			return core.StepProgram(o.(*core.Result), sched, params, n)
 		},
-		goroutine: func(o any) sim.Program { return core.Program(o.(*core.Result), sched, params, n) },
 	}
 }
 
@@ -185,7 +178,6 @@ func ldtmisCase(g *graph.Graph, cfg sim.Config, ids []int64, np int, v ldtmis.Va
 		step: func(o any) sim.StepProgram {
 			return ldtmis.StepProgram(o.(*ldtmis.Result), ids, np, v)
 		},
-		goroutine: func(o any) sim.Program { return ldtmis.Program(o.(*ldtmis.Result), ids, np, v) },
 	}
 }
 
@@ -244,17 +236,8 @@ func TestStepProgramsMatchReference(t *testing.T) {
 					t.Fatalf("%s: metrics diverge from the reference:\n%+v\nvs\n%+v", e.name, refM, m)
 				}
 			}
-			got := digest(refOut, refM)
-			if want := algorithmPins[name]; got != want {
+			if got, want := digest(refOut, refM), algorithmPins[name]; got != want {
 				t.Errorf("digest %s, pinned %s", got, want)
-			}
-			out := c.out()
-			m, err := sim.NewLockstepEngine().Run(context.Background(), c.g, c.goroutine(out), c.cfg)
-			if err != nil {
-				t.Fatalf("goroutine original: %v", err)
-			}
-			if d := digest(out, m); d != got {
-				t.Errorf("goroutine original digest %s, step form %s", d, got)
 			}
 		})
 	}

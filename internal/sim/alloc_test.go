@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -70,42 +71,44 @@ func TestSteppedRoundZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAdapterInboxNotReused documents the adapter boundary of the reuse
-// optimization: goroutine-form programs receive their inbox through
-// Ctx.Deliver, which makes no borrowing promise, so the engine must
-// hand the slice over rather than truncate it for the next round.
-func TestAdapterInboxNotReused(t *testing.T) {
+// sentinel is the message a program appends to its own inbox.
+type sentinel struct{}
+
+func (sentinel) Bits() int { return 0 }
+
+// appendingNode broadcasts every round for four rounds, counts the
+// sentinels it finds in its inbox, and then appends one of its own.
+type appendingNode struct{ seen *int64 }
+
+func (n appendingNode) Start(out *Outbox) { out.Broadcast(emptyMsg{}) }
+
+func (n appendingNode) OnWake(round int64, in []Inbound, out *Outbox) (int64, bool) {
+	for _, m := range in {
+		if _, ok := m.Msg.(sentinel); ok {
+			*n.seen++
+		}
+	}
+	_ = append(in, Inbound{Msg: sentinel{}})
+	out.Broadcast(emptyMsg{})
+	return round + 1, round == 3
+}
+
+// TestInboxAppendStaysInRegion guards the inbox borrowing contract: an
+// inbox is a region of the round's flat buffer, capped at its own
+// length, so a program that appends to its inbox reallocates instead
+// of overwriting the next receiver's region.
+func TestInboxAppendStaysInRegion(t *testing.T) {
 	g := graph.Cycle(8)
-	var retained [][]Inbound
-	prog := Program(func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.Broadcast(emptyMsg{})
-			in := ctx.Deliver()
-			if ctx.id == 0 {
-				retained = append(retained, in)
-			}
-			ctx.Advance()
+	for name, eng := range testEngines() {
+		seen := make([]int64, g.N())
+		sp := StepProgram(func(env *NodeEnv) StepNode { return appendingNode{seen: &seen[env.ID]} })
+		if _, err := eng.Run(context.Background(), g, sp, Config{Seed: 3}); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	})
-	if _, err := Run(g, prog, Config{Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[*Inbound]bool{}
-	for _, in := range retained {
-		if len(in) == 0 {
-			continue
-		}
-		if seen[&in[0]] {
-			t.Fatal("adapter-delivered inbox buffer was reused across rounds")
-		}
-		seen[&in[0]] = true
-		for _, ib := range in {
-			if _, ok := ib.Msg.(emptyMsg); !ok {
-				t.Fatalf("retained inbox corrupted: %T", ib.Msg)
+		for v, c := range seen {
+			if c != 0 {
+				t.Fatalf("%s: node %d found %d sentinels another node appended", name, v, c)
 			}
 		}
-	}
-	if len(retained) < 3 {
-		t.Fatalf("expected node 0 to retain inboxes from several rounds, got %d", len(retained))
 	}
 }

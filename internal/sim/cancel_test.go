@@ -23,21 +23,11 @@ func spinStepProgram() StepProgram {
 	return func(env *NodeEnv) StepNode { return spinNode{} }
 }
 
-func spinGoroutineProgram() Program {
-	return func(ctx *Ctx) {
-		for {
-			ctx.Advance()
-		}
-	}
-}
-
 // cancelEngines is the grid the cancellation contract covers: the
-// reference simulator, the lockstep engine and the stepped engine at
-// several worker counts.
+// reference simulator and the stepped engine at several worker counts.
 func cancelEngines() map[string]Engine {
 	return map[string]Engine{
 		"reference": newReferenceEngine(),
-		"lockstep":  NewLockstepEngine(),
 		"stepped-1": NewSteppedEngine(1),
 		"stepped-4": NewSteppedEngine(4),
 	}
@@ -45,9 +35,8 @@ func cancelEngines() map[string]Engine {
 
 func TestCancelMidRunBothEngines(t *testing.T) {
 	g := graph.Cycle(64)
-	progs := map[string]NodeProgram{
-		"step-form":      spinStepProgram(),
-		"goroutine-form": spinGoroutineProgram(),
+	progs := map[string]StepProgram{
+		"step-form": spinStepProgram(),
 	}
 	for ename, eng := range cancelEngines() {
 		for pname, prog := range progs {
@@ -179,7 +168,7 @@ func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 
 func TestUncancelledContextHarmless(t *testing.T) {
 	// A live context must not perturb results: same metrics with and
-	// without one, on both engines.
+	// without one, on every engine.
 	g := graph.Cycle(16)
 	prog := spinStepProgram()
 	cfg := Config{Seed: 4, MaxRounds: 100}

@@ -2,37 +2,30 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"awakemis/internal/graph"
 )
 
-// NodeProgram is either form of per-node algorithm: Program (goroutine
-// form) or StepProgram (state-machine form). Every Engine accepts both,
-// adapting whichever is not its native form.
-type NodeProgram interface {
-	isNodeProgram()
-}
-
-// Engine executes a node program over a graph. Implementations must
-// honor the package's determinism contract: identical (graph, program,
-// Config.Seed) runs produce identical Metrics and per-node outputs on
-// every engine.
+// Engine executes a step program over a graph. The stepped engine is
+// the one implementation; the interface is the seam through which the
+// tests run the same programs on the reference simulator in
+// reference_test.go. Implementations must honor the package's
+// determinism contract: identical (graph, program, Config.Seed) runs
+// produce identical Metrics and per-node outputs.
 type Engine interface {
-	// Name identifies the engine ("lockstep" or "stepped").
+	// Name identifies the engine ("stepped").
 	Name() string
 	// Run executes prog on every node of g under cfg. cfg.Engine is
 	// ignored (the receiver runs the program). Engines poll ctx at every
 	// round boundary: once it is cancelled or past its deadline, Run
-	// stops the simulation, releases every node, and returns an error
-	// wrapping ctx.Err().
-	Run(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error)
+	// stops the simulation and returns an error wrapping ctx.Err().
+	Run(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error)
 }
 
 var defaultEngine Engine = NewSteppedEngine(0)
 
-// Default returns the engine Run uses when Config.Engine is nil: the
-// stepped engine with one worker per CPU.
+// Default returns the engine RunStep uses when Config.Engine is nil:
+// the stepped engine with one worker per CPU.
 func Default() Engine { return defaultEngine }
 
 func engineOf(cfg Config) Engine {
@@ -40,20 +33,4 @@ func engineOf(cfg Config) Engine {
 		return cfg.Engine
 	}
 	return defaultEngine
-}
-
-// EngineByName resolves an engine from its CLI/config name: "stepped"
-// (or "") with the given worker count, or "lockstep".
-func EngineByName(name string, workers int) (Engine, error) {
-	switch name {
-	case "", "stepped":
-		if workers == 0 {
-			return defaultEngine, nil
-		}
-		return NewSteppedEngine(workers), nil
-	case "lockstep":
-		return NewLockstepEngine(), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %q (want stepped or lockstep)", name)
-	}
 }

@@ -11,12 +11,10 @@ import (
 )
 
 // testEngines returns every engine configuration under test: the
-// reference simulator, the lockstep engine and the stepped engine at
-// several worker counts.
+// reference simulator and the stepped engine at several worker counts.
 func testEngines() map[string]Engine {
 	return map[string]Engine{
 		"reference":  newReferenceEngine(),
-		"lockstep":   NewLockstepEngine(),
 		"stepped-1":  NewSteppedEngine(1),
 		"stepped-4":  NewSteppedEngine(4),
 		"stepped-16": NewSteppedEngine(16),
@@ -25,7 +23,7 @@ func testEngines() map[string]Engine {
 
 // runAll executes prog under every engine configuration and asserts all
 // runs produced identical metrics, returning the common metrics.
-func runAll(t *testing.T, g *graph.Graph, prog NodeProgram, cfg Config) *Metrics {
+func runAll(t *testing.T, g *graph.Graph, prog StepProgram, cfg Config) *Metrics {
 	t.Helper()
 	var ref *Metrics
 	var refName string
@@ -75,24 +73,22 @@ func TestStepProgramAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestStepMatchesGoroutineForm runs semantically identical programs in
-// both forms and demands bit-identical metrics.
+// TestStepMatchesGoroutineForm pins the step-form flood's Metrics to
+// those its goroutine-form original produced on the same input: five
+// rounds of broadcasts on a 12-cycle, 24 messages per round.
 func TestStepMatchesGoroutineForm(t *testing.T) {
 	g := graph.Cycle(12)
-	gp := Program(func(ctx *Ctx) {
-		for i := int64(0); i < 5; i++ {
-			ctx.Broadcast(intMsg(i))
-			ctx.Deliver()
-			if i < 4 {
-				ctx.Advance()
-			}
-		}
-	})
 	sp := StepProgram(func(env *NodeEnv) StepNode { return &stepFlood{rounds: 5} })
-	a := runAll(t, g, gp, Config{Seed: 9})
-	b := runAll(t, g, sp, Config{Seed: 9})
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("forms diverge: goroutine=%+v step=%+v", a, b)
+	awake := make([]int64, g.N())
+	for v := range awake {
+		awake[v] = 5
+	}
+	want := &Metrics{
+		Rounds: 5, ExecutedRounds: 5, AwakePerNode: awake, MaxAwake: 5, TotalAwake: 60,
+		MessagesSent: 120, MessagesDelivered: 120, BitsSent: 24 * (2 + 2 + 3 + 3 + 4), MaxMessageBits: 4,
+	}
+	if got := runAll(t, g, sp, Config{Seed: 9}); !reflect.DeepEqual(got, want) {
+		t.Errorf("metrics %+v, goroutine original %+v", got, want)
 	}
 }
 
@@ -536,21 +532,13 @@ func TestWakeQueueOrder(t *testing.T) {
 }
 
 func TestEngineNames(t *testing.T) {
-	if NewLockstepEngine().Name() != "lockstep" || NewSteppedEngine(2).Name() != "stepped" {
+	if NewSteppedEngine(2).Name() != "stepped" || newReferenceEngine().Name() != "reference" {
 		t.Error("engine names wrong")
 	}
 	if Default().Name() != "stepped" {
 		t.Error("default engine must be stepped")
 	}
-	for _, name := range []string{"", "stepped", "lockstep"} {
-		if _, err := EngineByName(name, 0); err != nil {
-			t.Errorf("EngineByName(%q): %v", name, err)
-		}
-	}
-	if _, err := EngineByName("bogus", 0); err == nil {
-		t.Error("bogus engine accepted")
-	}
-	if e, _ := EngineByName("stepped", 3); e.(*steppedEngine).workers != 3 {
+	if NewSteppedEngine(3).(*steppedEngine).workers != 3 {
 		t.Error("worker count not honored")
 	}
 }

@@ -4,24 +4,24 @@ package sim
 // StepNode: no goroutine, no channels, just a registered receive
 // continuation per awake round. It exists so that deeply sequential
 // algorithms (the LDT tree procedures, Awake-MIS's phase loop) can be
-// CPS-converted once and then run on the stepped engine's inline hot
-// path instead of through the goroutine adapter.
+// written once in continuation-passing style and run on the stepped
+// engine's inline hot path.
 //
 // A procedure is ordinary Go code whose wake points are expressed as
 // Yield calls: Yield(r, send, recv) declares that the node's next awake
 // round is r, stages r's messages immediately via send (we are at the
-// end of the node's previous awake round — the same information horizon
-// the StepNode contract gives every native port), and registers recv to
-// handle round r's inbox. When recv runs it either Yields again
-// (directly or through any chain of nested calls) or returns without
-// yielding, which halts the node.
+// end of the node's previous awake round, the information horizon the
+// StepNode contract gives every program), and registers recv to handle
+// round r's inbox. When recv runs it either Yields again (directly or
+// through any chain of nested calls) or returns without yielding,
+// which halts the node.
 //
-// Two rules keep a CPS procedure faithful to its goroutine original:
+// Two rules keep a procedure's wakes and sends in program order:
 //
 //  1. Yield must be in tail position — no code may run after it in the
-//     continuation, because the goroutine form would execute that code
-//     only after the next wake. Machine panics on a second Yield
-//     without an intervening wake, which catches most violations.
+//     continuation, because that code belongs after the next wake.
+//     Machine panics on a second Yield without an intervening wake,
+//     which catches most violations.
 //  2. The inbox slice passed to recv is borrowed: consume it inside the
 //     continuation, never retain it across a Yield.
 //

@@ -33,13 +33,13 @@ type floodBit struct{}
 func (floodBit) Bits() int { return 1 }
 
 // TestMachineDrivesStepNode checks the CPS trampoline end to end on
-// both engines: wakes in exactly the yielded rounds, sends staged by
-// the yield's send closure, halt on continuation return.
+// the stepped engine and the reference simulator: wakes in exactly the
+// yielded rounds, sends staged by the yield's send closure, halt on
+// continuation return.
 func TestMachineDrivesStepNode(t *testing.T) {
 	g := graph.Cycle(8)
 	for ename, eng := range map[string]Engine{
 		"stepped":   NewSteppedEngine(2),
-		"lockstep":  NewLockstepEngine(),
 		"reference": newReferenceEngine(),
 	} {
 		got := make([]int, g.N())

@@ -39,7 +39,8 @@ var staggerProg StepProgram = func(env *NodeEnv) StepNode {
 
 // TestObserverTotalsMatchMetrics pins the observer identity: summing
 // the per-round deltas over all observed rounds reproduces the final
-// Metrics exactly, on both engines at several worker counts, and the
+// Metrics exactly, on the reference simulator and the stepped engine
+// at several worker counts, and the
 // deterministic RoundStat fields are bit-identical across all engine
 // configurations.
 func TestObserverTotalsMatchMetrics(t *testing.T) {

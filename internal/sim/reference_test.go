@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
 	"awakemis/internal/graph"
+	"awakemis/internal/rng"
 )
 
 // referenceEngine is the plainest reading of the SLEEPING-CONGEST
@@ -29,27 +31,12 @@ func newReferenceEngine() Engine { return referenceEngine{} }
 // Name implements Engine.
 func (referenceEngine) Name() string { return "reference" }
 
-// Run implements Engine. Goroutine programs are adapted to step form.
-func (referenceEngine) Run(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error) {
+// Run implements Engine.
+func (referenceEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
 	cfg, err := cfg.withDefaults(g.N())
 	if err != nil {
 		return nil, err
 	}
-	var sp StepProgram
-	switch p := prog.(type) {
-	case StepProgram:
-		sp = p
-	case Program:
-		ad := newGoroutineAdapter(p, &cfg)
-		defer ad.shutdown()
-		sp = ad.stepProgram()
-	default:
-		return nil, fmt.Errorf("sim: reference: unsupported program type %T", prog)
-	}
-	return runReference(ctx, g, sp, cfg)
-}
-
-func runReference(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
 	n := g.N()
 	m := &Metrics{AwakePerNode: make([]int64, n)}
 	nodes := make([]StepNode, n)
@@ -146,7 +133,6 @@ func runReference(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Confi
 			}
 			if done {
 				nodes[v] = nil
-				outs[v].reset()
 				continue
 			}
 			next[v] = r
@@ -183,8 +169,6 @@ func refCall(f func()) (err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
-		case *nodeFailure:
-			err = r.err
 		case error:
 			err = fmt.Errorf("program panic: %w", r)
 		default:
@@ -193,4 +177,10 @@ func refCall(f func()) (err error) {
 	}()
 	f()
 	return nil
+}
+
+// newNodeRand returns node id's private randomness for a run seed,
+// derived as the stepped engine derives it.
+func newNodeRand(seed int64, id int) *rand.Rand {
+	return rand.New(&nodeSource{state: uint64(rng.Stream(seed, int64(id)))})
 }

@@ -10,52 +10,43 @@
 //
 // # Node programs
 //
-// Algorithms come in two interchangeable forms. A Program is a
-// goroutine-style procedure that drives rounds imperatively through a
-// Ctx (Send, Deliver, Sleep). A StepProgram is an explicit state
-// machine: the engine calls OnWake once per awake round with the
-// round's inbox, and the node returns the messages for its next awake
-// round plus when that round is. Adapters convert each form to the
-// other, so every engine runs every program.
+// An algorithm is a StepProgram: a factory for one StepNode state
+// machine per node. The engine calls OnWake once per awake round with
+// the round's inbox, and the node returns the messages for its next
+// awake round plus when that round is. Deeply sequential procedures
+// are written against a Machine, which turns a continuation-passing
+// procedure into a StepNode.
 //
-// # Engines
+// # Engine
 //
-// Two Engine implementations execute programs:
-//
-//   - LockstepEngine runs one goroutine per node, synchronized in
-//     lock-step by channels — simple, and the reference semantics.
-//   - SteppedEngine (the default) keeps all node state inline, drives
-//     awake nodes from a wake-time bucket queue, and fans each round's
-//     OnWake calls across a worker pool in deterministic node-index
-//     shards. It avoids per-node goroutines and channel handshakes
-//     entirely, which makes million-node runs feasible.
+// The stepped engine (NewSteppedEngine, the Default) keeps all node
+// state inline, drives awake nodes from a wake-time bucket queue, and
+// fans each round's OnWake calls across a worker pool in deterministic
+// node-index shards. It runs no goroutine per node and no channel
+// handshake per round, which makes million-node runs feasible.
 //
 // # Determinism contract
 //
-// For a fixed (graph, program, Config.Seed), both engines — and the
-// stepped engine at every worker count — produce bit-identical results:
-// the same per-node outputs, the same Metrics (including AwakePerNode),
-// and the same message streams. This holds because (a) each node owns a
+// For a fixed (graph, program, Config.Seed), the stepped engine
+// produces bit-identical results at every worker count: the same
+// per-node outputs, the same Metrics (including AwakePerNode), and the
+// same message streams. This holds because (a) each node owns a
 // private RNG stream derived from Config.Seed and its index, (b) a
-// node's step depends only on its own state and inbox, and (c) both
-// engines route the same way: senders are processed in ascending node
+// node's step depends only on its own state and inbox, and (c) routing
+// is serial and ordered: senders are processed in ascending node
 // order, a broadcast counts as one send per port in port order, and
-// each inbox is sorted by arrival port. Routing is not shared code. The
-// stepped engine delivers through a counting sort into one flat inbox
-// buffer, expands each staged broadcast over the sender's CSR row, and
-// reads arrival ports from a reverse-port table built once per run;
-// the lockstep engine's routeRound appends per-port sends to per-node
-// inboxes, finds arrival ports by a galloping search, and is kept as
-// an independent reference. The cross-engine tests check the two
-// against each other for every algorithm in the repository.
+// each inbox is sorted by arrival port. The engine delivers through a
+// counting sort into one flat inbox buffer, expands each staged
+// broadcast over the sender's CSR row, and reads arrival ports from a
+// reverse-port table built once per run. The tests check it against a
+// reference simulator (reference_test.go) that implements the same
+// semantics in the plainest way, for every algorithm in the
+// repository.
 //
-// The contract covers runs that complete without error. On a failing
-// run both engines report an error, but they differ in which node's
-// failure surfaces and in how far the metrics advanced: the stepped
-// engine aborts at the first failing round (lowest node index first),
-// while the lockstep engine lets unaffected nodes keep running.
+// On a failing run the engine aborts at the first failing round and
+// surfaces the lowest-indexed failing node's error.
 //
-// Both engines skip over rounds in which every node sleeps, so round
+// The engine skips over rounds in which every node sleeps, so round
 // numbers are exact (round complexity is measured faithfully) while
 // simulation cost is proportional to the total number of awake
 // node-rounds. Awake complexity (§1.4) is metered per node.
@@ -94,7 +85,7 @@ type Inbound struct {
 // the default (stepped) engine.
 type Config struct {
 	// Seed derives every node's private randomness; identical seeds
-	// replay identical executions on every engine.
+	// replay identical executions at every worker count.
 	Seed int64
 	// N is the common polynomial upper bound on the node count known to
 	// every node (the paper's N). Zero means the exact node count.
@@ -116,7 +107,8 @@ type Config struct {
 	// so attaching it costs O(1) per round regardless of n. Observer
 	// methods are called from the engine goroutine only.
 	Observer RoundObserver
-	// Engine selects the runtime engine. Nil means Default().
+	// Engine runs the program. Nil means Default(); tests set it to
+	// the reference simulator.
 	Engine Engine
 }
 
@@ -151,7 +143,7 @@ type Tracer interface {
 // per-node state, just counters. The message counters are deltas for
 // this round alone; summed over all observed rounds they equal the
 // corresponding final Metrics totals exactly (the identity is frozen by
-// test across engines and worker counts).
+// test at every worker count and on the reference simulator).
 type RoundStat struct {
 	// Round is the round number (clock); rounds where every node sleeps
 	// are skipped, so consecutive stats may jump.
@@ -298,32 +290,18 @@ type outMsg struct {
 // which stands for a send on every port in port order.
 const broadcastPort = -1
 
-// Run simulates the goroutine-form prog on every node of g under cfg
-// and returns the measured complexity metrics. It returns an error if
-// any node program panicked, violated the CONGEST bound under Strict,
-// or the run exceeded MaxRounds. The engine is cfg.Engine (Default()
-// when nil).
-func Run(g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
-	return RunContext(context.Background(), g, prog, cfg)
-}
-
-// RunContext is Run under a context: the engine polls ctx at every
-// round boundary and aborts the simulation — returning an error that
-// wraps ctx.Err() — once it is cancelled or past its deadline. A nil
-// ctx means context.Background().
-func RunContext(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return engineOf(cfg).Run(ctx, g, prog, cfg)
-}
-
-// RunStep is Run for step-form programs.
+// RunStep simulates prog on every node of g under cfg and returns the
+// measured complexity metrics. It returns an error if any node program
+// panicked, violated the CONGEST bound under Strict, or the run
+// exceeded MaxRounds. The engine is cfg.Engine (Default() when nil).
 func RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	return RunStepContext(context.Background(), g, prog, cfg)
 }
 
-// RunStepContext is RunContext for step-form programs.
+// RunStepContext is RunStep under a context: the engine polls ctx at
+// every round boundary and aborts the simulation — returning an error
+// that wraps ctx.Err() — once it is cancelled or past its deadline. A
+// nil ctx means context.Background().
 func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -331,12 +309,12 @@ func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg C
 	return engineOf(cfg).Run(ctx, g, prog, cfg)
 }
 
-// sortInbox orders a round's inbox by arrival port, identically in both
-// engines (part of the determinism contract). Both routers fill inboxes
-// in ascending sender order, which already yields ascending receiver
-// ports (port numbering is sorted by neighbor index), so this insertion
-// sort is a stable O(len) verification pass in practice — and allocates
-// nothing, unlike sort.Slice, keeping it off the steady-state heap.
+// sortInbox orders a round's inbox by arrival port (part of the
+// determinism contract). The router fills inboxes in ascending sender
+// order, which already yields ascending receiver ports (port numbering
+// is sorted by neighbor index), so this insertion sort is a stable
+// O(len) verification pass in practice — and allocates nothing, unlike
+// sort.Slice, keeping it off the steady-state heap.
 func sortInbox(in []Inbound) {
 	for i := 1; i < len(in); i++ {
 		for j := i; j > 0 && in[j].Port < in[j-1].Port; j-- {

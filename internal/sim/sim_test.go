@@ -402,17 +402,6 @@ func TestPortSymmetry(t *testing.T) {
 	}
 }
 
-func TestSendAfterDeliverPanics(t *testing.T) {
-	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Deliver()
-		ctx.Send(0, intMsg(1)) // misuse
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err == nil {
-		t.Fatal("expected misuse error")
-	}
-}
-
 func TestInvalidPortPanics(t *testing.T) {
 	prog := perNode(func(env *NodeEnv) funcNode {
 		return funcNode{start: func(out *Outbox) { out.Send(5, intMsg(1)) }, wake: halt}
@@ -484,18 +473,5 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if m.Rounds != 0 {
 		t.Errorf("Rounds = %d, want 0", m.Rounds)
-	}
-}
-
-func TestExtraScratch(t *testing.T) {
-	g := graph.New(1)
-	prog := func(ctx *Ctx) {
-		ctx.SetExtra(42)
-		if ctx.Extra().(int) != 42 {
-			t.Error("Extra round-trip failed")
-		}
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
-		t.Fatal(err)
 	}
 }

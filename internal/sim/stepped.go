@@ -48,40 +48,25 @@ func NewSteppedEngine(workers int) Engine {
 // Name implements Engine.
 func (e *steppedEngine) Name() string { return "stepped" }
 
-// Run implements Engine. Goroutine programs are adapted to step form.
-func (e *steppedEngine) Run(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error) {
+// Run implements Engine.
+func (e *steppedEngine) Run(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	cfg, err := cfg.withDefaults(g.N())
 	if err != nil {
 		return nil, err
 	}
-	switch p := prog.(type) {
-	case StepProgram:
-		return e.run(ctx, g, p, cfg)
-	case Program:
-		ad := newGoroutineAdapter(p, &cfg)
-		defer ad.shutdown()
-		return e.run(ctx, g, ad.stepProgram(), cfg)
-	default:
-		return nil, fmt.Errorf("sim: stepped: unsupported program type %T", prog)
-	}
+	return e.run(ctx, g, prog, cfg)
 }
 
 // haltedWake marks a node that returned done from its last OnWake.
 const haltedWake = math.MinInt64
 
-// nodeFailure wraps a per-node error recovered from a step call.
-type nodeFailure struct {
-	node int
-	err  error
-}
-
-func (f *nodeFailure) attach(r any) {
-	switch v := r.(type) {
-	case error:
-		f.err = fmt.Errorf("program panic: %w", v)
-	default:
-		f.err = fmt.Errorf("program panic: %v", v)
+// panicError converts a value recovered from a program panic into an
+// error, wrapping it when it is one.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("program panic: %w", err)
 	}
+	return fmt.Errorf("program panic: %v", r)
 }
 
 // rxSlot is one node's routing state. route counts the node's
@@ -111,8 +96,8 @@ type stepState struct {
 	rev  []int32    // the graph's reverse-port table (graph.ReversePorts)
 
 	// Flat inbox buffer; rxSlot locates each awake node's region.
-	// Inboxes are borrowed for the OnWake call only (the goroutine
-	// adapter copies its own), so each round refills the buffer.
+	// Inboxes are borrowed for the OnWake call only, so each round
+	// refills the buffer.
 	inBuf []Inbound
 
 	probe roundProbe // per-round deltas for cfg.Observer (no-op when nil)
@@ -428,13 +413,7 @@ func (rs *stepState) fail(v int, err error) {
 func (rs *stepState) stepNode(v int) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*nodeFailure); ok {
-				rs.fail(v, f.err)
-			} else {
-				f := &nodeFailure{}
-				f.attach(r)
-				rs.fail(v, f.err)
-			}
+			rs.fail(v, panicError(r))
 		}
 	}()
 	// The region's capacity is clamped so a program appending to its
@@ -456,13 +435,7 @@ func (rs *stepState) stepNode(v int) {
 func (rs *stepState) startNode(v int, sp StepProgram, env *NodeEnv) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*nodeFailure); ok {
-				err = f.err
-			} else {
-				f := &nodeFailure{}
-				f.attach(r)
-				err = f.err
-			}
+			err = panicError(r)
 		}
 	}()
 	rs.node[v] = sp(env)

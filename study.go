@@ -22,11 +22,10 @@ import (
 // cell's trials and fits every metric's growth over the n-sweep.
 //
 // Seeds derive through internal/rng: one graph seed per (family,
-// size) and one run seed per (family, size, trial). Every task,
-// engine, and trial in one cell column therefore runs on an identical
-// graph — cross-task comparisons are paired, an engine axis is a pure
-// determinism check, and replication measures algorithmic randomness
-// on a fixed input. StudySpec marshals to/from JSON (the
+// size) and one run seed per (family, size, trial). Every task and
+// trial in one cell column therefore runs on an identical graph —
+// cross-task comparisons are paired, and replication measures
+// algorithmic randomness on a fixed input. StudySpec marshals to/from JSON (the
 // `awakemis -study` file, the POST /v1/studies body, and the
 // `graphgen -format study` output).
 type StudySpec struct {
@@ -42,9 +41,9 @@ type StudySpec struct {
 	// Sizes is the n-sweep (default 64, 256, 1024). Growth fits need at
 	// least two sizes.
 	Sizes []int `json:"sizes,omitempty"`
-	// Engines lists the engines to run (default: the stepped engine).
-	// Results never depend on the engine; a two-engine study is a
-	// determinism check that costs 2× the simulations.
+	// Engines is the engine axis. The stepped engine is the only one,
+	// so it may list only "" or "stepped" (the default); it stays on
+	// the wire so artifacts record the engine that produced them.
 	Engines []Engine `json:"engines,omitempty"`
 	// Trials is the replication count per cell (default 3).
 	Trials int `json:"trials,omitempty"`

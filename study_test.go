@@ -44,14 +44,14 @@ func TestStudySpecExpansion(t *testing.T) {
 		Tasks:    []string{"awake-mis", "luby"},
 		Families: []awakemis.GraphSpec{{Family: "gnp"}, {Family: "Regular", Degree: 6}},
 		Sizes:    []int{32, 64},
-		Engines:  []awakemis.Engine{"", awakemis.EngineLockstep},
+		Engines:  []awakemis.Engine{""},
 		Trials:   2,
 		Seed:     9,
 	}
 	cells := ss.Cells()
 	specs := ss.Specs()
-	if len(cells) != 2*2*2*2 {
-		t.Fatalf("cells = %d, want 16", len(cells))
+	if len(cells) != 2*2*2 {
+		t.Fatalf("cells = %d, want 8", len(cells))
 	}
 	if len(specs) != len(cells)*2 {
 		t.Fatalf("specs = %d, want %d", len(specs), len(cells)*2)
@@ -123,6 +123,7 @@ func TestStudySpecValidate(t *testing.T) {
 		{"options engine", awakemis.StudySpec{Tasks: []string{"luby"}, Options: awakemis.Options{Engine: awakemis.EngineStepped}}, "options.engine"},
 		{"bad size", awakemis.StudySpec{Tasks: []string{"luby"}, Sizes: []int{0}}, "sizes[0]"},
 		{"bad engine", awakemis.StudySpec{Tasks: []string{"luby"}, Engines: []awakemis.Engine{"quantum"}}, "unknown engine"},
+		{"lockstep engine", awakemis.StudySpec{Tasks: []string{"luby"}, Engines: []awakemis.Engine{"lockstep"}}, "stepped is the only engine"},
 		{"oversized grid", awakemis.StudySpec{Tasks: []string{"luby"}, Trials: 1 << 40}, "split the grid"},
 		// 3 sizes × 2^62 overflows a naive running product past the cap
 		// check; the per-factor guard must trip instead of panicking in

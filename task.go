@@ -110,10 +110,7 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 // specs; worker count never changes results, so reports stay
 // bit-identical to standalone runs).
 func runTask(ctx context.Context, g *Graph, task string, opt Options, workers int) (*Report, error) {
-	cfg, err := opt.simConfig(workers)
-	if err != nil {
-		return nil, err
-	}
+	cfg := opt.simConfig(workers)
 	t, ok := taskRegistry[task]
 	if !ok {
 		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",

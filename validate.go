@@ -91,10 +91,8 @@ func (gs GraphSpec) validate() error {
 // validate checks the run options: engine name, and non-negative
 // resource knobs (zero always means "the default").
 func (o Options) validate() error {
-	switch o.Engine {
-	case "", EngineStepped, EngineLockstep:
-	default:
-		return fmt.Errorf("unknown engine %q (have stepped|lockstep)", o.Engine)
+	if o.Engine != "" && o.Engine != EngineStepped {
+		return fmt.Errorf("unknown engine %q (stepped is the only engine)", o.Engine)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("workers must be non-negative, got %d", o.Workers)

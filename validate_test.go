@@ -40,6 +40,7 @@ func TestSpecValidate(t *testing.T) {
 			s.Graph = awakemis.GraphSpec{Family: "regular", N: 8, Degree: 8}
 		}, "degree < n"},
 		{"unknown engine", func(s *awakemis.Spec) { s.Options.Engine = "quantum" }, `unknown engine "quantum"`},
+		{"lockstep engine", func(s *awakemis.Spec) { s.Options.Engine = "lockstep" }, `unknown engine "lockstep" (stepped is the only engine)`},
 		{"negative workers", func(s *awakemis.Spec) { s.Options.Workers = -2 }, "workers must be non-negative"},
 		{"negative N bound", func(s *awakemis.Spec) { s.Options.N = -1 }, "network-size bound"},
 		{"negative bandwidth", func(s *awakemis.Spec) { s.Options.Bandwidth = -8 }, "bandwidth"},
