@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -345,37 +346,64 @@ func TestFuzzEquivalence(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			seed := int64(200 + trial)
 			g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
-			var ref fuzzRun
-			var refName string
-			for name, eng := range testEngines() {
-				run := fuzzRun{logs: make([]uint64, g.N()), tracer: &hashTracer{}}
-				sp := StepProgram(func(env *NodeEnv) StepNode {
-					return &fuzzStepNode{env: env, log: &run.logs[env.ID], left: 8}
-				})
-				m, err := eng.Run(context.Background(), g, sp, Config{Seed: seed, Tracer: run.tracer})
-				if err != nil {
-					t.Fatalf("trial %d %s: %v", trial, name, err)
-				}
-				run.m = m
-				if ref.m == nil {
-					ref, refName = run, name
-					continue
-				}
-				if !reflect.DeepEqual(ref.m, run.m) {
-					t.Fatalf("trial %d: metrics diverge: %s=%+v vs %s=%+v", trial, refName, ref.m, name, run.m)
-				}
-				if !reflect.DeepEqual(ref.logs, run.logs) {
-					t.Fatalf("trial %d: receive transcripts diverge between %s and %s", trial, refName, name)
-				}
-				if *ref.tracer != *run.tracer {
-					t.Fatalf("trial %d: tracer streams diverge: %s=%+v vs %s=%+v", trial, refName, *ref.tracer, name, *run.tracer)
-				}
-			}
-			if ref.m.MessagesDelivered == 0 {
+			if m := checkStepFuzz(t, g, seed); m.MessagesDelivered == 0 {
 				t.Fatalf("trial %d: no message delivered", trial)
 			}
 		}
 	})
+}
+
+// FuzzSteppedMatchesReference runs TestFuzzEquivalence's step-form
+// program on G(n+1, p) drawn from graphSeed under run seed seed, and
+// demands identical Metrics, receive transcripts and Tracer streams on
+// every engine of the grid. p is folded into [0, 0.25). The seed corpus
+// is the test's sixteen trial seeds.
+func FuzzSteppedMatchesReference(f *testing.F) {
+	for trial := int64(0); trial < 8; trial++ {
+		f.Add(100+trial, 100+trial, uint8(39), 0.12)
+		f.Add(200+trial, 200+trial, uint8(39), 0.12)
+	}
+	f.Fuzz(func(t *testing.T, graphSeed, seed int64, n uint8, p float64) {
+		if math.IsNaN(p) {
+			p = 0
+		}
+		g := graph.GNP(int(n)+1, math.Mod(math.Abs(p), 0.25), newNodeRand(graphSeed, 777))
+		checkStepFuzz(t, g, seed)
+	})
+}
+
+// checkStepFuzz runs the step-form fuzz program on g under seed on every
+// engine of the grid and fails t unless Metrics, receive transcripts
+// and Tracer streams all agree. It returns the common Metrics.
+func checkStepFuzz(t *testing.T, g *graph.Graph, seed int64) *Metrics {
+	t.Helper()
+	var ref fuzzRun
+	var refName string
+	for name, eng := range testEngines() {
+		run := fuzzRun{logs: make([]uint64, g.N()), tracer: &hashTracer{}}
+		sp := StepProgram(func(env *NodeEnv) StepNode {
+			return &fuzzStepNode{env: env, log: &run.logs[env.ID], left: 8}
+		})
+		m, err := eng.Run(context.Background(), g, sp, Config{Seed: seed, Tracer: run.tracer})
+		if err != nil {
+			t.Fatalf("seed %d %s: %v", seed, name, err)
+		}
+		run.m = m
+		if ref.m == nil {
+			ref, refName = run, name
+			continue
+		}
+		if !reflect.DeepEqual(ref.m, run.m) {
+			t.Fatalf("seed %d: metrics diverge: %s=%+v vs %s=%+v", seed, refName, ref.m, name, run.m)
+		}
+		if !reflect.DeepEqual(ref.logs, run.logs) {
+			t.Fatalf("seed %d: receive transcripts diverge between %s and %s", seed, refName, name)
+		}
+		if *ref.tracer != *run.tracer {
+			t.Fatalf("seed %d: tracer streams diverge: %s=%+v vs %s=%+v", seed, refName, *ref.tracer, name, *run.tracer)
+		}
+	}
+	return ref.m
 }
 
 // fuzzRun is one engine's outcome of a step-form fuzz trial.
