@@ -31,7 +31,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 
 // ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
 // starting with "%" or "//" are ignored; a leading "# n m" header fixes
-// the vertex count (otherwise it is inferred as max index + 1). The
+// the vertex count (otherwise it is inferred as max index + 1). Vertex
+// indices must be non-negative, and every index and the header's n
+// must fit in an int32, so no input wraps or sizes the graph beyond
+// the CSR arrays' range. The
 // parse collects flat half-edge arrays (4 bytes per endpoint) and the
 // graph is assembled by the same count + fill CSR build the generators
 // use, so a 100M-edge file is never held as a boxed edge list.
@@ -51,6 +54,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if strings.HasPrefix(line, "#") {
 			var hn, hm int
 			if _, err := fmt.Sscanf(line, "# %d %d", &hn, &hm); err == nil {
+				if hn < 0 || hn > math.MaxInt32 {
+					return nil, fmt.Errorf("graph: line %d: header n=%d outside [0, %d]", lineNo, hn, math.MaxInt32)
+				}
 				n = hn
 			}
 			continue
@@ -58,6 +64,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		var u, v int
 		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %q: %w", lineNo, line, err)
+		}
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative vertex index", lineNo)
 		}
 		if u > math.MaxInt32 || v > math.MaxInt32 {
 			return nil, fmt.Errorf("graph: line %d: vertex index exceeds int32", lineNo)

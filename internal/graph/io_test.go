@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,6 +74,71 @@ func TestReadEdgeListErrors(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("1 1\n")); err == nil {
 		t.Error("self-loop accepted")
 	}
+	// A negative index must not wrap through int32 into a valid one
+	// (-4294967295 wraps to 1).
+	if _, err := ReadEdgeList(strings.NewReader("-4294967295 3\n")); err == nil {
+		t.Error("negative vertex index accepted")
+	}
+	// A header n beyond int32 must fail before the CSR arrays are sized.
+	if _, err := ReadEdgeList(strings.NewReader("# 3000000000 0\n")); err == nil {
+		t.Error("header n beyond int32 accepted")
+	}
+	if _, err := ReadEdgeList(strings.NewReader("# -5 0\n")); err == nil {
+		t.Error("negative header n accepted")
+	}
+}
+
+// FuzzReadEdgeList checks the parser at its trust boundary: it never
+// panics, and a graph it accepts round-trips through WriteEdgeList and
+// ReadEdgeList to identical rows. Inputs whose header or largest vertex
+// index implies more than 2²⁰ vertices are skipped, so the fuzzer's own
+// memory stays bounded.
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add([]byte("# 4 2\n0 1\n2 3\n"))
+	f.Add([]byte("0 1\n1 2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if impliedVertices(data) > 1<<20 {
+			t.Skip("input implies more than 2^20 vertices")
+		}
+		g, err := ReadEdgeList(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("written graph rejected: %v", err)
+		}
+		if back.N() != g.N() || back.M() != g.M() {
+			t.Fatalf("round trip: n=%d m=%d, want n=%d m=%d", back.N(), back.M(), g.N(), g.M())
+		}
+		for v := 0; v < g.N(); v++ {
+			if !slices.Equal(g.Neighbors(v), back.Neighbors(v)) {
+				t.Fatalf("round trip: row %d is %v, want %v", v, back.Neighbors(v), g.Neighbors(v))
+			}
+		}
+	})
+}
+
+// impliedVertices returns the largest vertex count data's header or
+// vertex indices imply, scanning lines as ReadEdgeList does.
+func impliedVertices(data []byte) int {
+	n := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		var a, b int
+		if strings.HasPrefix(line, "#") {
+			if _, err := fmt.Sscanf(line, "# %d %d", &a, &b); err == nil {
+				n = max(n, a)
+			}
+		} else if _, err := fmt.Sscanf(line, "%d %d", &a, &b); err == nil {
+			n = max(n, a+1, b+1)
+		}
+	}
+	return n
 }
 
 func TestHypercube(t *testing.T) {
