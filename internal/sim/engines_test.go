@@ -93,11 +93,10 @@ func TestStepMatchesGoroutineForm(t *testing.T) {
 	}
 }
 
-// TestGoroutineProgramsAcrossEngines exercises, on every engine, the
-// control-flow paths the goroutine-form programs once took through the
-// adapter, now as step programs: immediate sleep, immediate halt,
-// sends staged and then dropped by halting, clock skipping, and
-// randomness-driven schedules.
+// TestGoroutineProgramsAcrossEngines exercises control-flow edge cases
+// on every engine: immediate sleep, immediate halt, sends staged and
+// then dropped by halting, clock skipping, and randomness-driven
+// schedules.
 func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 	progs := map[string]StepProgram{
 		"sleep-at-start": perNode(func(env *NodeEnv) funcNode {
