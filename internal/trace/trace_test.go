@@ -203,44 +203,6 @@ func TestDefaultCapUnbounded(t *testing.T) {
 	}
 }
 
-// TestRoundLog runs the round observer through a real simulation and
-// checks totals, peak, timeline, and summary.
-func TestRoundLog(t *testing.T) {
-	l := NewRoundLog()
-	g := graph.Cycle(32)
-	prog := func(env *sim.NodeEnv) sim.StepNode {
-		if env.ID%2 == 0 {
-			return &scripted{wakes: []int64{1}, send: map[int64]bool{0: true, 1: true}}
-		}
-		return &scripted{send: map[int64]bool{0: true}} // odd nodes halt after round 0
-	}
-	m, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(l.Stats)) != m.ExecutedRounds {
-		t.Fatalf("logged %d rounds, metrics executed %d", len(l.Stats), m.ExecutedRounds)
-	}
-	sent, delivered, bits, awake := l.Totals()
-	if sent != m.MessagesSent || delivered != m.MessagesDelivered || bits != m.BitsSent || awake != m.TotalAwake {
-		t.Errorf("totals %d/%d/%d/%d != metrics %d/%d/%d/%d",
-			sent, delivered, bits, awake, m.MessagesSent, m.MessagesDelivered, m.BitsSent, m.TotalAwake)
-	}
-	round, peak := l.PeakAwake()
-	if round != 0 || peak != 32 {
-		t.Errorf("peak = %d at round %d, want 32 at round 0", peak, round)
-	}
-	if out := l.Timeline(10); !strings.Contains(out, "awake |") {
-		t.Errorf("timeline: %s", out)
-	}
-	if s := l.Summary(); !strings.Contains(s, "peak 32 awake at round 0") {
-		t.Errorf("summary: %s", s)
-	}
-	if (&RoundLog{}).Summary() != "no rounds observed" {
-		t.Errorf("empty summary: %q", (&RoundLog{}).Summary())
-	}
-}
-
 func TestDensityRow(t *testing.T) {
 	if got := densityRow([]int{0, 1, 2, 5}); len([]rune(got)) != 4 {
 		t.Errorf("row length wrong: %q", got)
