@@ -408,6 +408,20 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := srv.Submit(lockstep); !errors.Is(err, awakemis.ErrInvalidSpec) {
 		t.Errorf("Server.Submit(lockstep) = %v, want ErrInvalidSpec", err)
 	}
+	// K_46400 overflows the CSR edge cap: a 400, never a generator
+	// panic on a worker goroutine (which would take the daemon down).
+	huge := awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "complete", N: 46400}}
+	_, err = c.Submit(ctx, huge)
+	apiErr = new(client.APIError)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Errorf("complete n=46400: %v, want HTTP 400", err)
+	}
+	if !strings.Contains(apiErr.Message, "CSR cap") {
+		t.Errorf("error message %q does not name the edge cap", apiErr.Message)
+	}
+	if _, err := c.Health(ctx); err != nil {
+		t.Errorf("daemon unhealthy after the oversized spec: %v", err)
+	}
 	// Nothing was spent on the bad specs.
 	if st := srv.StatsSnapshot(); st.JobsSubmitted != 0 || st.EngineRuns != 0 {
 		t.Errorf("bad specs counted: %+v", st)

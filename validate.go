@@ -45,21 +45,13 @@ func (s Spec) check() error {
 
 // validate checks the graph spec against its family's constraints.
 // Zero values are legal (they mean "family default"); negative or
-// out-of-range values are not.
+// out-of-range values are not, and neither is a graph too large for
+// the int32 node ids or the CSR edge cap (planGraph, which Generate
+// applies too).
 func (gs GraphSpec) validate() error {
 	family := gs.Family
 	if family == "" {
 		family = "gnp"
-	}
-	known := false
-	for _, f := range Families() {
-		if strings.EqualFold(family, f) {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown graph family %q (have %s)", gs.Family, strings.Join(Families(), "|"))
 	}
 	if gs.N < 0 {
 		return fmt.Errorf("family %q needs a non-negative node count, got n=%d (0 means the default, 1024)", family, gs.N)
@@ -73,19 +65,8 @@ func (gs GraphSpec) validate() error {
 	if gs.Radius < 0 || math.IsNaN(gs.Radius) {
 		return fmt.Errorf("radius must be non-negative, got radius=%v", gs.Radius)
 	}
-	if strings.EqualFold(family, "regular") {
-		n, d := gs.N, gs.Degree
-		if n == 0 {
-			n = 1024
-		}
-		if d == 0 {
-			d = 4
-		}
-		if d >= n {
-			return fmt.Errorf("regular family needs degree < n, got degree=%d >= n=%d", d, n)
-		}
-	}
-	return nil
+	_, err := planGraph(family, GenOptions{N: gs.N, P: gs.P, Degree: gs.Degree, Radius: gs.Radius})
+	return err
 }
 
 // validate checks the run options: engine name, and non-negative
@@ -93,9 +74,6 @@ func (gs GraphSpec) validate() error {
 func (o Options) validate() error {
 	if o.Engine != "" && o.Engine != EngineStepped {
 		return fmt.Errorf("unknown engine %q (stepped is the only engine)", o.Engine)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("workers must be non-negative, got %d", o.Workers)
 	}
 	if o.N < 0 {
 		return fmt.Errorf("the known network-size bound N must be non-negative, got %d", o.N)

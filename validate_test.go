@@ -3,6 +3,7 @@ package awakemis_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -39,9 +40,17 @@ func TestSpecValidate(t *testing.T) {
 		{"regular degree >= n", func(s *awakemis.Spec) {
 			s.Graph = awakemis.GraphSpec{Family: "regular", N: 8, Degree: 8}
 		}, "degree < n"},
+		// K_46400 has 1,076,456,800 edges, past the CSR cap of 2³⁰−1:
+		// validation must reject it before the generator panics.
+		{"complete graph past the edge cap", func(s *awakemis.Spec) {
+			s.Task = "luby"
+			s.Graph = awakemis.GraphSpec{Family: "complete", N: 46400}
+		}, "beyond the CSR cap"},
+		{"n past int32 node ids", func(s *awakemis.Spec) {
+			s.Graph = awakemis.GraphSpec{Family: "cycle", N: math.MaxInt32 + 1}
+		}, "exceeds the int32 node ids"},
 		{"unknown engine", func(s *awakemis.Spec) { s.Options.Engine = "quantum" }, `unknown engine "quantum"`},
 		{"lockstep engine", func(s *awakemis.Spec) { s.Options.Engine = "lockstep" }, `unknown engine "lockstep" (stepped is the only engine)`},
-		{"negative workers", func(s *awakemis.Spec) { s.Options.Workers = -2 }, "workers must be non-negative"},
 		{"negative N bound", func(s *awakemis.Spec) { s.Options.N = -1 }, "network-size bound"},
 		{"negative bandwidth", func(s *awakemis.Spec) { s.Options.Bandwidth = -8 }, "bandwidth"},
 		{"negative max rounds", func(s *awakemis.Spec) { s.Options.MaxRounds = -1 }, "max_rounds"},
