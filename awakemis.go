@@ -23,10 +23,14 @@
 //	// O(log log n); rep.JSON() is the wire form.
 //
 // Spec-driven execution goes through the single entry point
-// Run(ctx, spec, ...RunOption): functional options select worker
-// budgets (WithWorkers) and per-round observers (WithObserver). A
-// study runs each trial of a cell as one such run. RunMIS returns the
-// typed MIS view.
+// Run(ctx, spec, ...RunOption); the functional option WithObserver
+// attaches a per-round observer. A study runs each trial of a cell as
+// one such run. RunMIS returns the typed MIS view.
+//
+// No setting here sizes the simulator's worker pool: the engine reads
+// runtime.GOMAXPROCS(0) at the start of each run, and Reports are
+// bit-identical at every pool size. Runner.Parallel and
+// StudyRunner.Parallel bound how many runs are in flight.
 package awakemis
 
 import (
@@ -82,8 +86,8 @@ func Algorithms() []Algorithm {
 
 // Engine names the simulation runtime (see internal/sim). The stepped
 // engine, which keeps node state inline and shards step calls across a
-// worker pool, is the only one; the name stays on the wire so specs,
-// Reports and study artifacts record it.
+// worker pool of GOMAXPROCS goroutines, is the only one; the name
+// stays on the wire so specs, Reports and study artifacts record it.
 type Engine string
 
 // EngineStepped is the stepped engine, the only engine.
@@ -93,15 +97,12 @@ const EngineStepped Engine = "stepped"
 // marshals to/from JSON for batch spec files.
 type Options struct {
 	// Seed drives all randomness; equal seeds replay identical runs at
-	// every worker count. Every derived stream (per-node
+	// every GOMAXPROCS setting. Every derived stream (per-node
 	// randomness, ID permutations, edge orders) comes from this seed
 	// through the centralized splitmix64 deriver (see DeriveSeed).
 	Seed int64 `json:"seed,omitempty"`
 	// Engine names the runtime engine: "" or EngineStepped.
 	Engine Engine `json:"engine,omitempty"`
-	// Workers caps the stepped engine's worker pool (0 means one per
-	// CPU). Worker count never changes results, only wall-clock time.
-	Workers int `json:"workers,omitempty"`
 	// N is the common polynomial upper bound on the network size known
 	// to nodes (the paper's N). Zero means the exact node count.
 	N int `json:"n,omitempty"`
@@ -130,21 +131,15 @@ type Options struct {
 	Observer RoundObserver `json:"-"`
 }
 
-// simConfig resolves the options into an engine configuration. workers
-// overrides Options.Workers when the caller manages a shared budget
-// (Runner.RunBatch); pass o.Workers otherwise.
-func (o Options) simConfig(workers int) sim.Config {
-	eng := sim.Default()
-	if workers != 0 {
-		eng = sim.NewSteppedEngine(workers)
-	}
+// simConfig resolves the options into an engine configuration.
+func (o Options) simConfig() sim.Config {
 	return sim.Config{
 		Seed:      o.Seed,
 		N:         o.N,
 		Bandwidth: o.Bandwidth,
 		Strict:    o.Strict,
 		MaxRounds: o.MaxRounds,
-		Engine:    eng,
+		Engine:    sim.Default(),
 	}
 }
 
@@ -253,8 +248,8 @@ func (r *Result) TraceSummary() string {
 // and metrics; it dispatches through the task registry (RunTask is the
 // registry-level equivalent and also covers coloring and matching).
 // The output is always verified to be a maximal independent set before
-// returning. For spec-driven execution — serializable inputs, worker
-// budgets, observers — use Run.
+// returning. For spec-driven execution — serializable inputs,
+// observers — use Run.
 func RunMIS(g *Graph, algo Algorithm, opt Options) (*Result, error) {
 	return RunMISContext(context.Background(), g, algo, opt)
 }

@@ -7,7 +7,7 @@
 //
 //	awakemis -algo awake-mis -graph gnp -n 1024 -p 0.004 -seed 1
 //	awakemis -algo coloring -json
-//	awakemis -algo luby -n 1000000 -workers 8
+//	awakemis -algo luby -n 1000000
 //	awakemis -batch specs.json -parallel 4 > reports.json
 //	awakemis -batch specs.json -server http://127.0.0.1:7600
 //	awakemis -study study.json > result.json
@@ -26,15 +26,19 @@
 // deterministically, aggregates each cell, and fits every metric's
 // growth over the n-sweep. Output is the StudyResult artifact as JSON
 // (or, with -csv, the cells and fits tables as CSV). The artifact is
-// byte-identical at every -parallel/-workers setting and across local
-// and -server execution.
+// byte-identical at every -parallel and GOMAXPROCS setting and across
+// local and -server execution.
+//
+// Each simulation sizes its engine's worker pool from GOMAXPROCS; set
+// the GOMAXPROCS environment variable to change it. No run's output
+// depends on it.
 //
 // With -server, the work is submitted to a running awakemisd daemon
 // instead of executing locally: specs are resolved with the same
 // per-spec seed derivation the local Runner uses, so reports carry
 // the same results a local run produces (the daemon canonicalizes
-// specs, so the workers echo field and traces are dropped — neither
-// affects results). Duplicate specs coalesce server-side, repeated
+// specs, so traces are dropped — they never affect results).
+// Duplicate specs coalesce server-side, repeated
 // submissions are served byte-identically from the daemon's report
 // cache, and a re-submitted study therefore runs zero simulations.
 // With -progress, server-side studies additionally render a live
@@ -73,7 +77,6 @@ func main() {
 		d        = flag.Int("d", 4, "degree for regular / attachments for powerlaw")
 		r        = flag.Float64("r", 0.1, "radius for geometric")
 		seed     = flag.Int64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "stepped-engine worker pool size; with -batch, the total budget divided among in-flight specs (0 = one per CPU)")
 		strict   = flag.Bool("strict", true, "enforce the CONGEST bandwidth bound")
 		timeline = flag.Int("timeline", 0, "show an awake timeline of the k busiest nodes (text mode)")
 		asJSON   = flag.Bool("json", false, "emit the run's Report as JSON")
@@ -113,7 +116,7 @@ func main() {
 		if *progress && *server == "" {
 			fail(errors.New("-progress requires -server (local studies already report per-run progress)"))
 		}
-		runStudy(ctx, *study, *server, *parallel, *workers, *csvOut, *progress)
+		runStudy(ctx, *study, *server, *parallel, *csvOut, *progress)
 		return
 	}
 	if *csvOut {
@@ -126,7 +129,7 @@ func main() {
 		if *server != "" {
 			submitBatch(ctx, *batch, *server, *parallel, *seed)
 		} else {
-			runBatch(ctx, *batch, *parallel, *workers, *seed)
+			runBatch(ctx, *batch, *parallel, *seed)
 		}
 		return
 	}
@@ -151,7 +154,6 @@ func main() {
 	}
 	opt := awakemis.Options{
 		Seed: *seed, Strict: *strict, Trace: *timeline > 0,
-		Workers:      *workers,
 		RoundSummary: *roundSum,
 	}
 	var rl *runlogWriter
@@ -188,8 +190,8 @@ func main() {
 	fmt.Printf("avg awake        %.2f\n", m.AvgAwake)
 	fmt.Printf("rounds           %d    (executed: %d; the rest everyone slept through)\n", m.Rounds, m.ExecutedRounds)
 	fmt.Printf("messages         %d    (%d bits, max %d bits/message)\n", m.MessagesSent, m.BitsSent, m.MaxMessageBits)
-	// Wall time goes to stderr: stdout stays byte-identical across
-	// worker counts (the determinism contract verify flows diff it).
+	// Wall time goes to stderr: stdout stays byte-identical at every
+	// GOMAXPROCS setting (the determinism contract verify flows diff it).
 	fmt.Fprintf(os.Stderr, "(%.1fms on the %s engine)\n", rep.WallMS, rep.Engine)
 	if *timeline > 0 {
 		fmt.Println()
@@ -292,11 +294,10 @@ func loadSpecs(path string) []awakemis.Spec {
 
 // runBatch executes a JSON spec file through the batch Runner:
 // reports to stdout (a JSON array, in spec order), progress to stderr.
-func runBatch(ctx context.Context, path string, parallel, workers int, seed int64) {
+func runBatch(ctx context.Context, path string, parallel int, seed int64) {
 	specs := loadSpecs(path)
 	runner := &awakemis.Runner{
 		Parallel: parallel,
-		Workers:  workers,
 		Seed:     seed,
 		OnProgress: func(p awakemis.Progress) {
 			status := "ok"
@@ -324,8 +325,7 @@ func runBatch(ctx context.Context, path string, parallel, workers int, seed int6
 
 // submitBatch runs a spec file against a remote awakemisd: every spec
 // is resolved with the Runner's per-spec seed derivation (so remote
-// reports carry the same results as a local -batch run; the daemon's
-// canonicalization drops the result-irrelevant workers echo field),
+// reports carry the same results as a local -batch run),
 // submitted through the typed client, and awaited. Output matches
 // runBatch: a JSON array of Reports in spec order on stdout — the
 // daemon serves the exact bytes it cached, so resubmissions are
@@ -419,7 +419,7 @@ func submitBatch(ctx context.Context, path, server string, parallel int, seed in
 // daemon assembles its result through the same accumulator, and the
 // CLI re-renders the decoded artifact with the same canonical
 // marshaling.
-func runStudy(ctx context.Context, path, server string, parallel, workers int, csvOut, progress bool) {
+func runStudy(ctx context.Context, path, server string, parallel int, csvOut, progress bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
@@ -437,7 +437,6 @@ func runStudy(ctx context.Context, path, server string, parallel, workers int, c
 	} else {
 		runner := &awakemis.StudyRunner{
 			Parallel: parallel,
-			Workers:  workers,
 			OnProgress: func(p awakemis.Progress) {
 				status := "ok"
 				if p.Err != nil {

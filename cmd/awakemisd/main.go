@@ -8,6 +8,10 @@
 //
 //	awakemisd -addr :7600 -workers 4 -queue 256 -cache-mb 64
 //
+// -workers bounds how many simulations run at once. Each simulation
+// sizes its engine's worker pool from GOMAXPROCS, and Go's scheduler
+// shares the CPUs among them; no Report depends on either setting.
+//
 // With -store-dir the in-memory cache is backed by a persistent
 // content-addressed store that survives restarts; with -peers the
 // daemon becomes a cluster front that runs no simulations itself and
@@ -72,7 +76,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7600", "listen address")
 		workers     = flag.Int("workers", 0, "simulations in flight at once (0 = one per CPU, capped at 4)")
-		simWorkers  = flag.Int("sim-workers", 0, "total stepped-engine worker budget divided among the slots (0 = one per CPU)")
 		queue       = flag.Int("queue", 0, "pending-simulation queue bound (0 = 256)")
 		cacheMB     = flag.Int64("cache-mb", 0, "report cache budget in MiB (0 = 64, negative disables)")
 		history     = flag.Int("history", 0, "finished jobs kept queryable (0 = 4096)")
@@ -106,7 +109,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:    *workers,
-		SimWorkers: *simWorkers,
 		QueueSize:  *queue,
 		CacheBytes: *cacheMB << 20,
 		JobHistory: *history,

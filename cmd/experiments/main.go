@@ -7,6 +7,9 @@
 //	experiments                # run the whole suite
 //	experiments -run e1,e7     # selected experiments
 //	experiments -quick         # smaller sweeps
+//
+// Every simulation sizes its engine's worker pool from GOMAXPROCS; the
+// tables are identical at every setting.
 package main
 
 import (
@@ -24,12 +27,11 @@ import (
 
 func main() {
 	var (
-		run     = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		quick   = flag.Bool("quick", false, "smaller sweeps")
-		seed    = flag.Int64("seed", 1, "random seed")
-		trials  = flag.Int("trials", 0, "trials per configuration (0 = default)")
-		sizes   = flag.String("sizes", "", "comma-separated n sweep (default: 64,256,1024,4096)")
-		workers = flag.Int("workers", 0, "stepped-engine worker pool size (0 = one per CPU)")
+		run    = flag.String("run", "", "comma-separated experiment ids (default: all)")
+		quick  = flag.Bool("quick", false, "smaller sweeps")
+		seed   = flag.Int64("seed", 1, "random seed")
+		trials = flag.Int("trials", 0, "trials per configuration (0 = default)")
+		sizes  = flag.String("sizes", "", "comma-separated n sweep (default: 64,256,1024,4096)")
 	)
 	flag.Parse()
 
@@ -37,10 +39,7 @@ func main() {
 	// round boundary instead of running to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opts := expt.Options{
-		Seed: *seed, Quick: *quick, Trials: *trials,
-		Workers: *workers, Context: ctx,
-	}
+	opts := expt.Options{Seed: *seed, Quick: *quick, Trials: *trials, Context: ctx}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			var n int

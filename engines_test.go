@@ -1,9 +1,10 @@
 // Worker-count equivalence tests: the determinism contract of
-// internal/sim, asserted at the public API for every algorithm. For a
-// fixed seed, the stepped engine must produce identical Results at
-// every worker count: the same MIS membership, the same round count,
-// and the same per-node awake counters. Each algorithm's step program
-// is additionally pinned to the output of its goroutine-form original.
+// internal/sim, asserted at the public API for every algorithm. The
+// engine sizes its worker pool from GOMAXPROCS, so for a fixed seed it
+// must produce identical Results at every GOMAXPROCS setting: the same
+// MIS membership, the same round count, and the same per-node awake
+// counters. Each algorithm's step program is additionally pinned to
+// the digest its goroutine-form original produced.
 package awakemis_test
 
 import (
@@ -29,13 +30,19 @@ import (
 	"awakemis/internal/vtmis"
 )
 
-// engineConfigs is the grid of (engine, workers) the contract covers.
-func engineConfigs() []awakemis.Options {
-	return []awakemis.Options{
-		{Engine: awakemis.EngineStepped, Workers: 1},
-		{Engine: awakemis.EngineStepped, Workers: 4},
-		{Engine: awakemis.EngineStepped, Workers: runtime.NumCPU()},
-	}
+// engineConfigs is the grid of GOMAXPROCS values, and so of engine
+// worker-pool sizes, the contract covers.
+func engineConfigs() []int {
+	return []int{1, 4, runtime.NumCPU()}
+}
+
+// atGOMAXPROCS runs f with runtime.GOMAXPROCS set to procs and restores
+// the previous setting afterwards. The engine reads GOMAXPROCS at the
+// start of each run, so this is how a test picks its pool size. No
+// test in the package calls t.Parallel, so the setting is not raced.
+func atGOMAXPROCS(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
 }
 
 func equivGraphs() map[string]*awakemis.Graph {
@@ -52,24 +59,24 @@ func TestAllAlgorithmsIdenticalAcrossEngines(t *testing.T) {
 			t.Run(gname+"/"+string(algo), func(t *testing.T) {
 				for _, seed := range []int64{1, 17} {
 					var ref *awakemis.Result
-					for _, base := range engineConfigs() {
-						opt := base
-						opt.Seed = seed
-						opt.Strict = true
-						res, err := awakemis.RunMIS(g, algo, opt)
+					for _, procs := range engineConfigs() {
+						opt := awakemis.Options{Engine: awakemis.EngineStepped, Seed: seed, Strict: true}
+						var res *awakemis.Result
+						var err error
+						atGOMAXPROCS(procs, func() { res, err = awakemis.RunMIS(g, algo, opt) })
 						if err != nil {
-							t.Fatalf("engine %s/%d: %v", opt.Engine, opt.Workers, err)
+							t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 						}
 						if ref == nil {
 							ref = res
 							continue
 						}
 						if !reflect.DeepEqual(ref.InMIS, res.InMIS) {
-							t.Fatalf("seed %d: MIS diverges on %s/%d", seed, opt.Engine, opt.Workers)
+							t.Fatalf("seed %d: MIS diverges at GOMAXPROCS=%d", seed, procs)
 						}
 						if !reflect.DeepEqual(ref.Metrics, res.Metrics) {
-							t.Fatalf("seed %d: metrics diverge on %s/%d:\n%+v\nvs\n%+v",
-								seed, opt.Engine, opt.Workers, ref.Metrics, res.Metrics)
+							t.Fatalf("seed %d: metrics diverge at GOMAXPROCS=%d:\n%+v\nvs\n%+v",
+								seed, procs, ref.Metrics, res.Metrics)
 						}
 					}
 				}
@@ -81,26 +88,29 @@ func TestAllAlgorithmsIdenticalAcrossEngines(t *testing.T) {
 func TestColoringMatchingIdenticalAcrossEngines(t *testing.T) {
 	g := awakemis.GNP(80, 0.06, 3)
 	var refColor, refMatch *awakemis.Report
-	for _, base := range engineConfigs() {
-		opt := base
-		opt.Seed = 5
-		crep, err := awakemis.RunTask(g, awakemis.TaskColoring, opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, procs := range engineConfigs() {
+		opt := awakemis.Options{Engine: awakemis.EngineStepped, Seed: 5}
+		var crep, mrep *awakemis.Report
+		var cerr, merr error
+		atGOMAXPROCS(procs, func() {
+			crep, cerr = awakemis.RunTask(g, awakemis.TaskColoring, opt)
+			mrep, merr = awakemis.RunTask(g, awakemis.TaskMatching, opt)
+		})
+		if cerr != nil {
+			t.Fatal(cerr)
 		}
-		mrep, err := awakemis.RunTask(g, awakemis.TaskMatching, opt)
-		if err != nil {
-			t.Fatal(err)
+		if merr != nil {
+			t.Fatal(merr)
 		}
 		if refColor == nil {
 			refColor, refMatch = crep, mrep
 			continue
 		}
 		if !reflect.DeepEqual(refColor.Output, crep.Output) || !reflect.DeepEqual(refColor.Metrics, crep.Metrics) {
-			t.Errorf("coloring diverges on %s/%d", opt.Engine, opt.Workers)
+			t.Errorf("coloring diverges at GOMAXPROCS=%d", procs)
 		}
 		if !reflect.DeepEqual(refMatch.Output, mrep.Output) || !reflect.DeepEqual(refMatch.Metrics, mrep.Metrics) {
-			t.Errorf("matching diverges on %s/%d", opt.Engine, opt.Workers)
+			t.Errorf("matching diverges at GOMAXPROCS=%d", procs)
 		}
 	}
 }

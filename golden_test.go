@@ -19,7 +19,8 @@ import (
 // optimization must leave every digest as it is. Keys are
 // task/family/n/seed, with a /g<seed> segment before the run seed when
 // the graph seed is explicit and a trailing /round-summary or /trace
-// when that option is on; every key is checked at two worker counts.
+// when that option is on; every key is checked at two GOMAXPROCS
+// values, which size the engine's worker pool.
 var goldenDigests = map[string]string{
 	"awake-mis-round/geometric/160/1":   "1ab42e45b56844e664589a5487b26a808ce7fccf499ab3c4271bd31329854b58",
 	"awake-mis-round/geometric/160/2":   "86c852cfe88f7d4e457c46c6d37f86291cc645cd6a69dbdd6926de057a909eac",
@@ -103,10 +104,10 @@ func goldenDigest(t *testing.T, rep *awakemis.Report, traced bool) string {
 }
 
 type goldenCase struct {
-	task    string
-	graph   awakemis.GraphSpec
-	seed    int64
-	workers []int
+	task  string
+	graph awakemis.GraphSpec
+	seed  int64
+	procs []int // GOMAXPROCS values, which size the engine's pool
 	// roundSummary and trace switch on Options.RoundSummary and
 	// Options.Trace, which pin the observer and tracer streams.
 	roundSummary, trace bool
@@ -139,20 +140,20 @@ func goldenCases() []goldenCase {
 	for _, task := range tasks {
 		for _, gs := range families {
 			for _, seed := range []int64{1, 2} {
-				cases = append(cases, goldenCase{task: task, graph: gs, seed: seed, workers: []int{1, 4}})
+				cases = append(cases, goldenCase{task: task, graph: gs, seed: seed, procs: []int{1, 4}})
 			}
 		}
 	}
 	// A graph large enough that the engine fans LDT rounds across
 	// worker shards (it does so only when ≥ 128 nodes are awake).
 	cases = append(cases, goldenCase{
-		task: "ldt-mis", graph: awakemis.GraphSpec{Family: "gnp", N: 1024}, seed: 3, workers: []int{4, 1},
+		task: "ldt-mis", graph: awakemis.GraphSpec{Family: "gnp", N: 1024}, seed: 3, procs: []int{4, 1},
 	})
 	// Dense luby rounds: every node is awake at first, so the early
 	// rounds cross the shard threshold and grow the engine's inbox
 	// storage.
 	cases = append(cases, goldenCase{
-		task: "luby", graph: awakemis.GraphSpec{Family: "gnp", N: 4096}, seed: 5, workers: []int{4, 1},
+		task: "luby", graph: awakemis.GraphSpec{Family: "gnp", N: 4096}, seed: 5, procs: []int{4, 1},
 	})
 	// Trials of one study cell: a shared explicit graph seed, re-seeded
 	// runs.
@@ -161,17 +162,17 @@ func goldenCases() []goldenCase {
 		{Family: "geometric", N: 160, Seed: 8},
 	} {
 		for _, seed := range []int64{11, 12, 13} {
-			cases = append(cases, goldenCase{task: "awake-mis", graph: gs, seed: seed, workers: []int{1, 4}})
+			cases = append(cases, goldenCase{task: "awake-mis", graph: gs, seed: seed, procs: []int{1, 4}})
 		}
 	}
 	// The observer and tracer streams.
 	for _, task := range []string{"luby", "awake-mis"} {
 		cases = append(cases, goldenCase{
-			task: task, graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, workers: []int{1, 4}, roundSummary: true,
+			task: task, graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, procs: []int{1, 4}, roundSummary: true,
 		})
 	}
 	cases = append(cases, goldenCase{
-		task: "luby", graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, workers: []int{1, 4}, trace: true,
+		task: "luby", graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, procs: []int{1, 4}, trace: true,
 	})
 	return cases
 }
@@ -183,14 +184,14 @@ func TestGoldenReportDigests(t *testing.T) {
 	ctx := context.Background()
 	var missing []string
 	seen := map[string]bool{}
-	// check pins one key: every worker count must produce the digest
-	// the first one did, and that digest must be the pinned one.
-	check := func(key string, byWorkers map[int]string, workers []int) {
+	// check pins one key: every GOMAXPROCS value must produce the
+	// digest the first one did, and that digest must be the pinned one.
+	check := func(key string, byProcs map[int]string, procs []int) {
 		seen[key] = true
-		first := byWorkers[workers[0]]
-		for _, w := range workers[1:] {
-			if byWorkers[w] != first {
-				t.Errorf("%s: workers=%d digest %s differs from workers=%d digest %s", key, w, byWorkers[w], workers[0], first)
+		first := byProcs[procs[0]]
+		for _, p := range procs[1:] {
+			if byProcs[p] != first {
+				t.Errorf("%s: GOMAXPROCS=%d digest %s differs from GOMAXPROCS=%d digest %s", key, p, byProcs[p], procs[0], first)
 			}
 		}
 		want, ok := goldenDigests[key]
@@ -203,18 +204,20 @@ func TestGoldenReportDigests(t *testing.T) {
 	}
 
 	for _, c := range goldenCases() {
-		byWorkers := map[int]string{}
-		for _, w := range c.workers {
+		byProcs := map[int]string{}
+		for _, p := range c.procs {
 			spec := awakemis.Spec{Task: c.task, Graph: c.graph, Options: awakemis.Options{
 				Seed: c.seed, RoundSummary: c.roundSummary, Trace: c.trace,
 			}}
-			rep, err := awakemis.Run(ctx, spec, awakemis.WithWorkers(w))
+			var rep *awakemis.Report
+			var err error
+			atGOMAXPROCS(p, func() { rep, err = awakemis.Run(ctx, spec) })
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.key(), w, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", c.key(), p, err)
 			}
-			byWorkers[w] = goldenDigest(t, rep, c.trace)
+			byProcs[p] = goldenDigest(t, rep, c.trace)
 		}
-		check(c.key(), byWorkers, c.workers)
+		check(c.key(), byProcs, c.procs)
 	}
 
 	for key := range goldenDigests {

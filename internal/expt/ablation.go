@@ -43,7 +43,7 @@ func runE10(o Options, w io.Writer) error {
 			params := k.set(base, v)
 			seed := o.Seed + int64(v)
 			g := workload(n, seed)
-			res, m, err := core.RunContext(o.ctx(), g, params, o.simConfig(sim.Config{Seed: seed, Strict: true}))
+			res, m, err := core.RunContext(o.ctx(), g, params, sim.Config{Seed: seed, Strict: true})
 			if err != nil {
 				return fmt.Errorf("ablation %s=%d: %w", k.name, v, err)
 			}
@@ -76,7 +76,7 @@ func runE12(o Options, w io.Writer) error {
 		for i, e := range g.Edges() {
 			ids[e] = perm[i] + 1
 		}
-		res, m, err := vtmatch.RunContext(o.ctx(), g, ids, g.M(), o.simConfig(sim.Config{Seed: seed, Strict: true}))
+		res, m, err := vtmatch.RunContext(o.ctx(), g, ids, g.M(), sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return err
 		}
@@ -106,7 +106,7 @@ func runE11(o Options, w io.Writer) error {
 		for v, p := range perm {
 			ids[v] = p + 1
 		}
-		res, m, err := vtcolor.RunContext(o.ctx(), g, ids, n, o.simConfig(sim.Config{Seed: seed, Strict: true}))
+		res, m, err := vtcolor.RunContext(o.ctx(), g, ids, n, sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return err
 		}

@@ -37,8 +37,6 @@ type Options struct {
 	Trials int
 	// Quick shrinks sweeps for CI-speed runs.
 	Quick bool
-	// Workers caps the stepped engine's worker pool (0 = one per CPU).
-	Workers int
 	// Context cancels the whole suite: experiments poll it at round
 	// boundaries and between runs. Nil means context.Background().
 	Context context.Context
@@ -50,15 +48,6 @@ func (o Options) ctx() context.Context {
 		return o.Context
 	}
 	return context.Background()
-}
-
-// simConfig applies the harness-wide worker budget to one run's
-// configuration.
-func (o Options) simConfig(cfg sim.Config) sim.Config {
-	if o.Workers != 0 {
-		cfg.Engine = sim.NewSteppedEngine(o.Workers)
-	}
-	return cfg
 }
 
 func (o Options) withDefaults() Options {
@@ -187,7 +176,7 @@ func runStudySweep(o Options, w io.Writer, tasks []string, sizes []int) error {
 		Seed:    o.Seed,
 		Options: awakemis.Options{Strict: true},
 	}
-	runner := &awakemis.StudyRunner{Workers: o.Workers}
+	runner := &awakemis.StudyRunner{}
 	res, err := runner.Run(o.ctx(), ss)
 	if err != nil {
 		return err
@@ -228,7 +217,7 @@ func runE2(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "the paper's round-complexity advantage of this variant inverts; awake stays O(log log n)·log* n.")
 	return sweepMIS(o, w, "awake-mis-round", func(g *graph.Graph, n int, seed int64) (*sim.Metrics, []bool, error) {
 		res, m, err := core.RunContext(o.ctx(), g, core.Params{Variant: ldtmis.VariantRound},
-			o.simConfig(sim.Config{Seed: seed, Strict: true}))
+			sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -252,7 +241,7 @@ func runE3(o Options, w io.Writer) error {
 			for v := range ids {
 				ids[v] = perm[v] + 1
 			}
-			res, m, err := vtmis.RunContext(o.ctx(), g, ids, idBound, o.simConfig(sim.Config{Seed: seed, Strict: true}))
+			res, m, err := vtmis.RunContext(o.ctx(), g, ids, idBound, sim.Config{Seed: seed, Strict: true})
 			if err != nil {
 				return err
 			}
@@ -279,7 +268,7 @@ func runE4(o Options, w io.Writer) error {
 			seed := o.Seed + int64(np) + int64(v)
 			g := graph.Cycle(np)
 			ids := rng.IDs40(np, seed)
-			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, o.simConfig(sim.Config{Seed: seed, N: 1 << 16, Strict: true}))
+			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, sim.Config{Seed: seed, N: 1 << 16, Strict: true})
 			if err != nil {
 				return err
 			}
@@ -377,13 +366,13 @@ func runE8(o Options, w io.Writer) error {
 	for _, n := range o.Sizes {
 		seed := o.Seed + int64(n)
 		g := workload(n, seed)
-		lres, lm, err := luby.RunContext(o.ctx(), g, o.simConfig(sim.Config{Seed: seed}))
+		lres, lm, err := luby.RunContext(o.ctx(), g, sim.Config{Seed: seed})
 		if err != nil {
 			return err
 		}
 		_ = lres
 		tb.Add(n, "luby", lm.AvgAwake(), lm.MaxAwake, float64(lm.MaxAwake)/lm.AvgAwake())
-		ares, am, err := core.RunContext(o.ctx(), g, core.Params{}, o.simConfig(sim.Config{Seed: seed}))
+		ares, am, err := core.RunContext(o.ctx(), g, core.Params{}, sim.Config{Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -407,7 +396,7 @@ func runE9(o Options, w io.Writer) error {
 			seed := o.Seed + int64(np)
 			g := graph.Path(np)
 			ids := rng.IDs40(np, seed)
-			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, o.simConfig(sim.Config{Seed: seed, N: 1 << 16, Strict: true}))
+			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, sim.Config{Seed: seed, N: 1 << 16, Strict: true})
 			if err != nil {
 				return err
 			}

@@ -11,7 +11,9 @@
 // The subsystem exploits the determinism contract of the simulator:
 // a resolved (Spec, seed, engine) triple always produces the same
 // Report (up to wall time), so equal canonical specs can share one
-// simulation and cached bytes can be served forever.
+// simulation and cached bytes can be served forever. Config.Workers
+// bounds how many simulations run at once; each sizes its engine's
+// worker pool from GOMAXPROCS, which no Report depends on.
 package service
 
 import (
@@ -39,12 +41,11 @@ import (
 //     regular/powerlaw, Radius = 0.1 for geometric).
 //   - Graph.Seed 0 resolves to Options.Seed (the substitution
 //     GraphSpec already performs at build time).
-//   - Options.Engine "" becomes "stepped". Options.Workers,
-//     Options.Trace, and Options.Observer are zeroed: worker counts
-//     never change results, and traces and observers never reach the
-//     wire. Options.RoundSummary is kept — it adds a (deterministic)
-//     block to the report bytes, so summarized and plain submissions
-//     cache separately.
+//   - Options.Engine "" becomes "stepped". Options.Trace and
+//     Options.Observer are zeroed: traces and observers never reach
+//     the wire. Options.RoundSummary is kept — it adds a
+//     (deterministic) block to the report bytes, so summarized and
+//     plain submissions cache separately.
 //   - Options.Seed is taken literally (Run runs seed 0 as seed 0),
 //     as are N, Bandwidth, Strict, MaxRounds, and Params. Name is kept
 //     verbatim: it is part of the Report, so differently named
@@ -95,7 +96,6 @@ func Canonicalize(spec awakemis.Spec) awakemis.Spec {
 	if c.Options.Engine == "" {
 		c.Options.Engine = awakemis.EngineStepped
 	}
-	c.Options.Workers = 0
 	c.Options.Trace = false
 	c.Options.Observer = nil
 	return c

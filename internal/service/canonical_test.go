@@ -27,7 +27,7 @@ func TestCanonicalizeZeroesIrrelevantFields(t *testing.T) {
 	got := service.Canonicalize(awakemis.Spec{
 		Task:    "luby",
 		Graph:   awakemis.GraphSpec{Family: "Cycle", N: 64, P: 0.5, Degree: 7, Radius: 0.3},
-		Options: awakemis.Options{Seed: 3, Workers: 8, Trace: true},
+		Options: awakemis.Options{Seed: 3, Trace: true},
 	})
 	want := awakemis.Spec{
 		Task:    "luby",
@@ -95,11 +95,10 @@ func TestHashEquivalenceClasses(t *testing.T) {
 		return hash
 	}
 
-	// Equal: defaults made explicit, worker/trace knobs, family case.
+	// Equal: defaults made explicit, the trace knob, family case.
 	same := []awakemis.Spec{base, base, base}
 	same[1].Graph.P = 4.0 / 64
 	same[1].Options.Engine = awakemis.EngineStepped
-	same[1].Options.Workers = 16
 	same[2].Graph.Family = "GNP"
 	same[2].Graph.Seed = 1
 	same[2].Options.Trace = true
@@ -148,7 +147,7 @@ func TestHashFrozen(t *testing.T) {
 // as the original (the property content-addressed caching relies on).
 func TestCanonicalSpecRunsIdentically(t *testing.T) {
 	specs := []awakemis.Spec{
-		{Task: "luby", Graph: awakemis.GraphSpec{Family: "Cycle", N: 40, P: 0.9}, Options: awakemis.Options{Seed: 4, Workers: 3}},
+		{Task: "luby", Graph: awakemis.GraphSpec{Family: "Cycle", N: 40, P: 0.9}, Options: awakemis.Options{Seed: 4}},
 		{Task: "awake-mis", Graph: awakemis.GraphSpec{N: 48}, Options: awakemis.Options{Seed: 2}},
 		{Task: "coloring", Graph: awakemis.GraphSpec{Family: "geometric", N: 30}, Options: awakemis.Options{Seed: 6, Engine: awakemis.EngineStepped}},
 	}
@@ -162,9 +161,6 @@ func TestCanonicalSpecRunsIdentically(t *testing.T) {
 			t.Fatalf("spec %d canonical: %v", i, err)
 		}
 		raw.WallMS, canon.WallMS = 0, 0
-		// Workers is zeroed by canonicalization and worker counts never
-		// change results; ignore it like wall time.
-		raw.Workers, canon.Workers = 0, 0
 		if !reflect.DeepEqual(raw, canon) {
 			t.Errorf("spec %d: canonical run diverges:\n%+v\nvs\n%+v", i, raw, canon)
 		}

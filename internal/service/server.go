@@ -22,12 +22,10 @@ import (
 // production-minded default.
 type Config struct {
 	// Workers is the number of simulations in flight at once (0 means
-	// one per CPU, capped at 4 — simulations are themselves parallel).
+	// one per CPU, capped at 4 — simulations are themselves parallel:
+	// each sizes its engine's pool from GOMAXPROCS, and Go's scheduler
+	// shares the CPUs among them).
 	Workers int
-	// SimWorkers is the total stepped-engine worker budget, divided
-	// evenly among the Workers slots (0 means one per CPU), mirroring
-	// Runner.Workers. Worker counts never change results.
-	SimWorkers int
 	// QueueSize bounds the pending-simulation queue; submissions that
 	// need a new simulation when the queue is full are rejected with
 	// 503 (0 means 256). Duplicate and cached submissions never take a
@@ -87,9 +85,6 @@ func (noopHandler) WithGroup(string) slog.Handler             { return noopHandl
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = min(runtime.NumCPU(), 4)
-	}
-	if c.SimWorkers <= 0 {
-		c.SimWorkers = runtime.NumCPU()
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
@@ -280,8 +275,7 @@ type Stats struct {
 // in front, and the HTTP API over all of it. Create with New, serve
 // Handler, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	perRun int // stepped-engine workers per simulation slot
+	cfg Config
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signaled on queue pushes and on drain
@@ -326,7 +320,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:          cfg,
-		perRun:       max(1, cfg.SimWorkers/cfg.Workers),
 		jobs:         map[string]*job{},
 		inflight:     map[string]*flight{},
 		studies:      map[string]*studyRun{},
@@ -675,8 +668,7 @@ func (s *Server) worker() {
 			// The observer rides a run option, never the canonical spec,
 			// so it cannot reach canonicalization or the wire.
 			var rep *awakemis.Report
-			rep, err = awakemis.Run(ctx, f.spec,
-				awakemis.WithWorkers(s.perRun), awakemis.WithObserver(f.tracker))
+			rep, err = awakemis.Run(ctx, f.spec, awakemis.WithObserver(f.tracker))
 			if err == nil {
 				data, err = json.Marshal(rep)
 			}

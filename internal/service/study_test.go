@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -149,8 +150,10 @@ func TestStudyDaemonVectorizedVsLocalScalar(t *testing.T) {
 		Seed:    11,
 		Options: awakemis.Options{Strict: true},
 	}
-	serial := awakemis.StudyRunner{Parallel: 1, Workers: 1}
+	serial := awakemis.StudyRunner{Parallel: 1}
+	prev := runtime.GOMAXPROCS(1) // the engine sizes its pool from GOMAXPROCS
 	local, err := serial.Run(ctx, spec)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@ type Engine interface {
 var defaultEngine Engine = NewSteppedEngine(0)
 
 // Default returns the engine RunStep uses when Config.Engine is nil:
-// the stepped engine with one worker per CPU.
+// the stepped engine, its pool sized from runtime.GOMAXPROCS(0) at the
+// start of each run.
 func Default() Engine { return defaultEngine }
 
 func engineOf(cfg Config) Engine {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -567,5 +568,23 @@ func TestEngineNames(t *testing.T) {
 	}
 	if NewSteppedEngine(3).(*steppedEngine).workers != 3 {
 		t.Error("worker count not honored")
+	}
+}
+
+// TestDefaultPoolFollowsGOMAXPROCS: the Default engine resolves its
+// worker count from runtime.GOMAXPROCS(0) at each run, not once at
+// package init, while an explicit pool size stays fixed.
+func TestDefaultPoolFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	def := Default().(*steppedEngine)
+	fixed := NewSteppedEngine(3).(*steppedEngine)
+	for _, procs := range []int{1, 5, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := def.poolSize(); got != procs {
+			t.Errorf("GOMAXPROCS=%d: Default pool size %d", procs, got)
+		}
+		if got := fixed.poolSize(); got != 3 {
+			t.Errorf("GOMAXPROCS=%d: fixed pool size %d, want 3", procs, got)
+		}
 	}
 }

@@ -23,7 +23,10 @@
 // state inline, drives awake nodes from a wake-time bucket queue, and
 // fans each round's OnWake calls across a worker pool in deterministic
 // node-index shards. It runs no goroutine per node and no channel
-// handshake per round, which makes million-node runs feasible.
+// handshake per round, which makes million-node runs feasible. The
+// Default sizes its pool from runtime.GOMAXPROCS(0) at the start of
+// each run; nothing above this package sets a worker count, because
+// the count never changes results.
 //
 // # Determinism contract
 //

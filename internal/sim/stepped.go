@@ -33,16 +33,22 @@ import (
 // of index spans (guarded by the testing.AllocsPerRun tests in
 // alloc_test.go).
 type steppedEngine struct {
-	workers int
+	workers int // fixed pool size; 0 follows GOMAXPROCS (poolSize)
 }
 
 // NewSteppedEngine returns the inline-state engine with the given
-// worker-pool size (0 means one worker per CPU).
+// worker-pool size. Zero, the Default, sizes the pool from
+// runtime.GOMAXPROCS(0) at the start of each run.
 func NewSteppedEngine(workers int) Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return &steppedEngine{workers: max(workers, 0)}
+}
+
+// poolSize is the worker count for the next run.
+func (e *steppedEngine) poolSize() int {
+	if e.workers > 0 {
+		return e.workers
 	}
-	return &steppedEngine{workers: workers}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Name implements Engine.
@@ -118,7 +124,8 @@ type stepState struct {
 }
 
 func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
-	rs, err := newStepState(g, sp, cfg, e.workers)
+	workers := e.poolSize()
+	rs, err := newStepState(g, sp, cfg, workers)
 	if err != nil {
 		return rs.m, err
 	}
@@ -130,7 +137,7 @@ func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram,
 		if err := ctx.Err(); err != nil {
 			return rs.m, fmt.Errorf("sim: aborted after round %d: %w", rs.m.Rounds, err)
 		}
-		if err := rs.round(e.workers); err != nil {
+		if err := rs.round(workers); err != nil {
 			return rs.m, err
 		}
 	}

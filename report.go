@@ -36,19 +36,16 @@ func statsOf(g *Graph) GraphStats {
 // million-node scale; use the in-memory Metrics.AwakePerNode).
 //
 // Reports are deterministic except WallMS: equal (graph, task, seed)
-// runs produce identical reports on every engine at every worker count
-// and batch size.
+// runs produce identical reports at every GOMAXPROCS setting and batch
+// size.
 type Report struct {
 	// Task names the registered task that produced this report.
 	Task string `json:"task"`
 	// Name is the spec label when the run came from a Spec ("" for
 	// direct RunTask calls).
 	Name string `json:"name,omitempty"`
-	// Engine and Workers record the runtime configuration. Workers is
-	// the requested Options.Workers (0 means automatic), not the value a
-	// batch budget resolved it to.
-	Engine  string `json:"engine"`
-	Workers int    `json:"workers,omitempty"`
+	// Engine records the runtime engine.
+	Engine string `json:"engine"`
 	// Seed is the run seed every stream derived from.
 	Seed int64 `json:"seed"`
 	// Graph summarizes the input.

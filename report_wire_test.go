@@ -14,12 +14,11 @@ import (
 // values — the fixture the golden file freezes.
 func fullReport() *awakemis.Report {
 	return &awakemis.Report{
-		Task:    "awake-mis",
-		Name:    "golden",
-		Engine:  "stepped",
-		Workers: 8,
-		Seed:    42,
-		Graph:   awakemis.GraphStats{N: 64, M: 160, MaxDegree: 9},
+		Task:   "awake-mis",
+		Name:   "golden",
+		Engine: "stepped",
+		Seed:   42,
+		Graph:  awakemis.GraphStats{N: 64, M: 160, MaxDegree: 9},
 		Metrics: awakemis.Metrics{
 			Rounds:         1234,
 			ExecutedRounds: 210,
@@ -78,7 +77,7 @@ func TestReportOmitemptyAudit(t *testing.T) {
 			t.Errorf("minimal report is missing required field %q", always)
 		}
 	}
-	for _, elided := range []string{"name", "workers"} {
+	for _, elided := range []string{"name"} {
 		if _, ok := keys[elided]; ok {
 			t.Errorf("minimal report should elide %q", elided)
 		}

@@ -25,21 +25,17 @@ type Progress struct {
 }
 
 // Runner executes batches of Specs concurrently. The zero value is
-// usable: one spec in flight per CPU, a shared stepped-engine worker
-// budget of one per CPU, and root seed 0.
+// usable: one spec in flight per CPU and root seed 0. Each run sizes
+// its engine's worker pool from GOMAXPROCS; Go's scheduler shares the
+// CPUs among the runs in flight.
 //
 // Results are deterministic: a batch produces bit-identical Reports
 // (up to WallMS) to running each resolved spec sequentially through
-// Run, at every Parallel and Workers setting.
+// Run, at every Parallel and GOMAXPROCS setting.
 type Runner struct {
 	// Parallel caps how many specs run concurrently (0 means one per
 	// CPU).
 	Parallel int
-	// Workers is the total stepped-engine worker budget, divided evenly
-	// among the specs in flight (0 means one per CPU). A spec whose
-	// Options.Workers is set explicitly keeps its own pool instead.
-	// Worker counts never change results, only wall-clock time.
-	Workers int
 	// Seed resolves specs whose Options.Seed is zero: spec i runs with
 	// DeriveSeed(Seed, "spec", i), so one root seed reproduces a whole
 	// batch and specs never share RNG streams by accident.
@@ -72,7 +68,7 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 	for i, spec := range specs {
 		resolved[i] = r.Resolve(spec, i)
 	}
-	reports, errs := runSpecs(ctx, resolved, r.Parallel, r.Workers, r.OnProgress)
+	reports, errs := runSpecs(ctx, resolved, r.Parallel, r.OnProgress)
 	if err := ctx.Err(); err != nil {
 		return reports, err
 	}
@@ -83,19 +79,13 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 }
 
 // runSpecs runs every spec, at most parallel at once (0 means one per
-// CPU), each on an equal share of the stepped-engine worker budget (0
-// means one per CPU); a spec whose Options.Workers is set keeps its own
-// pool. Each outcome goes to onDone, when non-nil, one call at a time.
+// CPU). Each outcome goes to onDone, when non-nil, one call at a time.
 // It returns the per-spec Reports and errors, in spec order.
-func runSpecs(ctx context.Context, specs []Spec, parallel, budget int, onDone func(Progress)) ([]*Report, []error) {
+func runSpecs(ctx context.Context, specs []Spec, parallel int, onDone func(Progress)) ([]*Report, []error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
 	parallel = max(min(parallel, len(specs)), 1)
-	if budget <= 0 {
-		budget = runtime.NumCPU()
-	}
-	perSpec := max(budget/parallel, 1)
 
 	reports := make([]*Report, len(specs))
 	errs := make([]error, len(specs))
@@ -113,11 +103,7 @@ func runSpecs(ctx context.Context, specs []Spec, parallel, budget int, onDone fu
 			if err == nil {
 				select {
 				case sem <- struct{}{}:
-					workers := spec.Options.Workers
-					if workers == 0 {
-						workers = perSpec
-					}
-					rep, err = runSpec(ctx, spec, workers)
+					rep, err = runSpec(ctx, spec)
 					<-sem
 				case <-ctx.Done():
 					err = ctx.Err()

@@ -68,17 +68,20 @@ func TestRunBatchBitIdenticalToSequential(t *testing.T) {
 }
 
 func TestRunBatchSharedWorkerBudget(t *testing.T) {
-	// A tiny explicit budget must still produce the same reports.
+	// Four specs sharing one CPU must produce the same reports as one
+	// spec at a time on sixteen.
 	specs := batchSpecs()[:4]
-	a := &awakemis.Runner{Parallel: 4, Workers: 1, Seed: 1}
-	b := &awakemis.Runner{Parallel: 1, Workers: 16, Seed: 1}
-	ra, err := a.RunBatch(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
+	a := &awakemis.Runner{Parallel: 4, Seed: 1}
+	b := &awakemis.Runner{Parallel: 1, Seed: 1}
+	var ra, rb []*awakemis.Report
+	var errA, errB error
+	atGOMAXPROCS(1, func() { ra, errA = a.RunBatch(context.Background(), specs) })
+	atGOMAXPROCS(16, func() { rb, errB = b.RunBatch(context.Background(), specs) })
+	if errA != nil {
+		t.Fatal(errA)
 	}
-	rb, err := b.RunBatch(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
+	if errB != nil {
+		t.Fatal(errB)
 	}
 	for i := range specs {
 		if !reflect.DeepEqual(canon(ra[i]), canon(rb[i])) {

@@ -56,9 +56,8 @@ type Spec struct {
 	Options Options `json:"options"`
 }
 
-// runSpec runs one spec with an explicit worker-pool size (the
-// caller's share of a budget; never recorded in the Report).
-func runSpec(ctx context.Context, spec Spec, workers int) (*Report, error) {
+// runSpec validates one spec, builds its graph and runs its task.
+func runSpec(ctx context.Context, spec Spec) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,7 +65,7 @@ func runSpec(ctx context.Context, spec Spec, workers int) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("awakemis: spec %s: %w", spec.label(), err)
 	}
-	rep, err := runTask(ctx, g, spec.Task, spec.Options, workers)
+	rep, err := RunTaskContext(ctx, g, spec.Task, spec.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -50,10 +50,10 @@ type StudySpec struct {
 	// Seed is the root seed every cell seed derives from.
 	Seed int64 `json:"seed,omitempty"`
 	// Options is the base for every expanded Spec. Its Seed and Engine
-	// must be zero (the study axes supply them); Workers and Trace are
-	// zeroed during resolution — neither changes results, and keeping
-	// them out of expanded specs is what makes local and daemon-served
-	// artifacts byte-identical.
+	// must be zero (the study axes supply them); Trace is zeroed during
+	// resolution — it never changes results, and keeping it out of
+	// expanded specs is what makes local and daemon-served artifacts
+	// byte-identical.
 	Options Options `json:"options,omitempty"`
 }
 
@@ -73,7 +73,7 @@ func (ss StudySpec) label() string {
 
 // Resolved returns the spec with every default filled in: families,
 // sizes, engines, and trials populated, engine names resolved, and
-// result-irrelevant base options (Workers, Trace) zeroed. Cells,
+// the result-irrelevant base option Trace zeroed. Cells,
 // Specs, and Accumulator all operate on the resolved form, and the
 // StudyResult artifact embeds it.
 func (ss StudySpec) Resolved() StudySpec {
@@ -107,7 +107,6 @@ func (ss StudySpec) Resolved() StudySpec {
 	if out.Trials == 0 {
 		out.Trials = 3
 	}
-	out.Options.Workers = 0
 	out.Options.Trace = false
 	return out
 }
@@ -410,8 +409,8 @@ type StudyFit struct {
 // StudyResult is the self-contained study artifact: the resolved
 // StudySpec that produced it, every cell's aggregated metrics, and the
 // growth fits over the n-sweep. It is deterministic — equal StudySpecs
-// produce byte-identical artifacts at every Parallel/Workers setting
-// and on every engine, locally or through the daemon — because every
+// produce byte-identical artifacts at every Parallel and GOMAXPROCS
+// setting, locally or through the daemon — because every
 // folded sample is deterministic (wall time is excluded) and every
 // rendering iterates in a fixed order.
 type StudyResult struct {
@@ -618,17 +617,13 @@ func (a *StudyAccumulator) Result() (*StudyResult, error) {
 
 // StudyRunner executes studies locally. Every spec of the expansion
 // is an ordinary Run, scheduled like a Runner batch: at most Parallel
-// in flight, sharing one worker budget. Reports fold into the
-// accumulator as they complete, and the artifact is assembled when the
-// grid drains; it is byte-identical at every Parallel and Workers
-// setting. The zero value is usable.
+// in flight. Reports fold into the accumulator as they complete, and
+// the artifact is assembled when the grid drains; it is byte-identical
+// at every Parallel and GOMAXPROCS setting. The zero value is usable.
 type StudyRunner struct {
 	// Parallel caps how many specs run concurrently (0 means one per
 	// CPU).
 	Parallel int
-	// Workers is the total stepped-engine worker budget divided among
-	// the specs in flight (0 means one per CPU). Never changes results.
-	Workers int
 	// OnProgress, when non-nil, receives one callback per finished
 	// spec, serialized.
 	OnProgress func(Progress)
@@ -646,7 +641,7 @@ func (sr *StudyRunner) Run(ctx context.Context, ss StudySpec) (*StudyResult, err
 	}
 	// runSpecs serializes onDone, which guards addErr.
 	var addErr error
-	_, errs := runSpecs(ctx, acc.Specs(), sr.Parallel, sr.Workers, func(p Progress) {
+	_, errs := runSpecs(ctx, acc.Specs(), sr.Parallel, func(p Progress) {
 		if p.Err == nil {
 			if err := acc.Add(p.Index, p.Report); err != nil && addErr == nil {
 				addErr = err

@@ -3,6 +3,7 @@ package awakemis_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestStudySpecExpansion(t *testing.T) {
 	if want := "regular(d=6)"; cells[len(cells)-1].Family != want {
 		t.Errorf("family key = %q, want %q", cells[len(cells)-1].Family, want)
 	}
-	// Every spec is valid, seed-resolved, and workers/trace-free.
+	// Every spec is valid, seed-resolved, and trace-free.
 	seedsByGraph := map[string]int64{}
 	for i, spec := range specs {
 		if err := spec.Validate(); err != nil {
@@ -78,8 +79,8 @@ func TestStudySpecExpansion(t *testing.T) {
 		if spec.Options.Seed == 0 {
 			t.Fatalf("spec %d seed unresolved", i)
 		}
-		if spec.Options.Workers != 0 || spec.Options.Trace {
-			t.Fatalf("spec %d leaked workers/trace: %+v", i, spec.Options)
+		if spec.Options.Trace {
+			t.Fatalf("spec %d leaked trace: %+v", i, spec.Options)
 		}
 		// Seeds depend only on (family, size, trial): the same graph
 		// under every task and engine.
@@ -151,17 +152,22 @@ func TestStudySpecValidate(t *testing.T) {
 
 // TestStudyArtifactDeterminism is the study determinism contract:
 // the same StudySpec produces a byte-identical StudyResult artifact
-// at every Parallel and Workers setting.
+// at every Parallel and GOMAXPROCS setting.
 func TestStudyArtifactDeterminism(t *testing.T) {
 	ss := tinyStudy()
 	var golden []byte
-	for _, cfg := range []awakemis.StudyRunner{
-		{Parallel: 1, Workers: 1},
-		{Parallel: 2, Workers: 1},
-		{Parallel: 8, Workers: 4},
-		{}, // defaults
+	for _, cfg := range []struct {
+		runner awakemis.StudyRunner
+		procs  int
+	}{
+		{awakemis.StudyRunner{Parallel: 1}, 1},
+		{awakemis.StudyRunner{Parallel: 2}, 1},
+		{awakemis.StudyRunner{Parallel: 8}, 4},
+		{awakemis.StudyRunner{}, runtime.GOMAXPROCS(0)}, // defaults
 	} {
-		res, err := cfg.Run(context.Background(), ss)
+		var res *awakemis.StudyResult
+		var err error
+		atGOMAXPROCS(cfg.procs, func() { res, err = cfg.runner.Run(context.Background(), ss) })
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -174,7 +180,7 @@ func TestStudyArtifactDeterminism(t *testing.T) {
 			continue
 		}
 		if string(data) != string(golden) {
-			t.Fatalf("artifact differs at Parallel=%d Workers=%d", cfg.Parallel, cfg.Workers)
+			t.Fatalf("artifact differs at Parallel=%d GOMAXPROCS=%d", cfg.runner.Parallel, cfg.procs)
 		}
 	}
 }

@@ -99,18 +99,10 @@ func RunTask(g *Graph, task string, opt Options) (*Report, error) {
 
 // RunTaskContext is RunTask under a context: cancellation or a missed
 // deadline aborts the simulation at the next round boundary and
-// returns an error wrapping ctx.Err().
+// returns an error wrapping ctx.Err(). It is the registry dispatch
+// shared by every entry point.
 func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*Report, error) {
-	return runTask(ctx, g, task, opt, opt.Workers)
-}
-
-// runTask is the registry dispatch shared by every entry point.
-// workers overrides the stepped-engine pool size without being recorded
-// in the Report (the Runner divides a shared budget among concurrent
-// specs; worker count never changes results, so reports stay
-// bit-identical to standalone runs).
-func runTask(ctx context.Context, g *Graph, task string, opt Options, workers int) (*Report, error) {
-	cfg := opt.simConfig(workers)
+	cfg := opt.simConfig()
 	t, ok := taskRegistry[task]
 	if !ok {
 		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",
@@ -139,7 +131,6 @@ func runTask(ctx context.Context, g *Graph, task string, opt Options, workers in
 	rep := &Report{
 		Task:     task,
 		Engine:   cfg.Engine.Name(),
-		Workers:  opt.Workers,
 		Seed:     opt.Seed,
 		Graph:    statsOf(g),
 		Metrics:  fromSim(m),

@@ -29,23 +29,24 @@ func telemetrySpec() awakemis.Spec {
 
 // TestRoundSummaryAcrossEnginesAndWorkers pins the determinism of the
 // report's round-summary block: byte-identical report JSON (modulo
-// wall time) on the stepped engine at workers 1 and 4, with internally
-// consistent totals.
+// wall time) on the stepped engine at GOMAXPROCS 1 and 4, so at worker
+// pools of one and four, with internally consistent totals.
 func TestRoundSummaryAcrossEnginesAndWorkers(t *testing.T) {
 	var refJSON []byte
 	var refName string
 	for _, tc := range []struct {
-		name    string
-		engine  awakemis.Engine
-		workers int
+		name   string
+		engine awakemis.Engine
+		procs  int
 	}{
 		{"stepped-1", awakemis.EngineStepped, 1},
 		{"stepped-4", awakemis.EngineStepped, 4},
 	} {
 		spec := telemetrySpec()
 		spec.Options.Engine = tc.engine
-		spec.Options.Workers = tc.workers
-		rep, err := awakemis.Run(context.Background(), spec)
+		var rep *awakemis.Report
+		var err error
+		atGOMAXPROCS(tc.procs, func() { rep, err = awakemis.Run(context.Background(), spec) })
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -78,12 +79,11 @@ func TestRoundSummaryAcrossEnginesAndWorkers(t *testing.T) {
 		if last := rs.Buckets[len(rs.Buckets)-1]; last.ToRound+1 != rep.Metrics.Rounds {
 			t.Errorf("%s: last bucket ends at round %d, metrics rounds %d", tc.name, last.ToRound, rep.Metrics.Rounds)
 		}
-		// Engine and Workers are recorded in the report (and wall time is
+		// Engine is recorded in the report (and wall time is
 		// nondeterministic); neutralize them before the byte comparison.
 		c := *rep
 		c.WallMS = 0
 		c.Engine = ""
-		c.Workers = 0
 		data, err := json.Marshal(&c)
 		if err != nil {
 			t.Fatal(err)
