@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"awakemis/internal/core"
 	"awakemis/internal/rng"
@@ -114,7 +113,9 @@ type Options struct {
 	// MaxRounds aborts runaway schedules (default 2⁴⁰ rounds).
 	MaxRounds int64 `json:"max_rounds,omitempty"`
 	// Params tunes Awake-MIS constants (ignored by other tasks);
-	// zero fields take paper-faithful defaults.
+	// zero fields take paper-faithful defaults. Validate rejects
+	// negative fields, an unknown variant, and constants whose
+	// timetable would outlast the default 2⁴⁰-round cap.
 	Params core.Params `json:"params,omitempty"`
 	// Trace records per-node awake timelines and message-loss counters,
 	// exposed through Report.Timeline and Report.TraceSummary. The
@@ -181,35 +182,43 @@ type AwakeQuantiles struct {
 	P99 int64 `json:"p99"`
 }
 
-// awakeQuantiles folds per-node awake counters into their wire
-// summary. Deterministic: nearest-rank on the sorted counters.
-func awakeQuantiles(per []int64) AwakeQuantiles {
+// awakeQuantiles folds per-node awake counters, each in [0, maxAwake],
+// into their wire summary: nearest-rank quantiles of the sorted
+// counters, read off a histogram of their values instead of a sorted
+// copy. The histogram has maxAwake+1 buckets, and maxAwake is at most
+// the run's executed rounds.
+func awakeQuantiles(per []int64, maxAwake int64) AwakeQuantiles {
 	if len(per) == 0 {
 		return AwakeQuantiles{}
 	}
-	sorted := append([]int64(nil), per...)
-	slices.Sort(sorted)
-	q := func(p float64) int64 {
-		idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
+	hist := make([]int, maxAwake+1)
+	for _, a := range per {
+		hist[a]++
+	}
+	ps := [...]float64{0, 0.25, 0.50, 0.75, 0.90, 0.99}
+	var q [len(ps)]int64
+	v, atMost := int64(0), hist[0] // atMost counts the counters ≤ v
+	for i, p := range ps {
+		idx := max(int(math.Ceil(p*float64(len(per))))-1, 0)
+		for atMost <= idx {
+			v++
+			atMost += hist[v]
 		}
-		return sorted[idx]
+		q[i] = v
 	}
-	return AwakeQuantiles{
-		Min: sorted[0], P25: q(0.25), P50: q(0.50),
-		P75: q(0.75), P90: q(0.90), P99: q(0.99),
-	}
+	return AwakeQuantiles{Min: q[0], P25: q[1], P50: q[2], P75: q[3], P90: q[4], P99: q[5]}
 }
 
+// fromSim converts a finished run's engine metrics. The Report takes
+// over m.AwakePerNode, which the engine no longer touches.
 func fromSim(m *sim.Metrics) Metrics {
 	return Metrics{
 		Rounds:         m.Rounds,
 		ExecutedRounds: m.ExecutedRounds,
 		MaxAwake:       m.MaxAwake,
 		AvgAwake:       m.AvgAwake(),
-		AwakeQuantiles: awakeQuantiles(m.AwakePerNode),
-		AwakePerNode:   append([]int64(nil), m.AwakePerNode...),
+		AwakeQuantiles: awakeQuantiles(m.AwakePerNode, m.MaxAwake),
+		AwakePerNode:   m.AwakePerNode,
 		MessagesSent:   m.MessagesSent,
 		BitsSent:       m.BitsSent,
 		MaxMessageBits: m.MaxMessageBits,

@@ -1,6 +1,9 @@
 package awakemis
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -156,5 +159,31 @@ func TestQuickFacadeAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAwakeQuantilesNearestRank checks the histogram quantiles against
+// the nearest-rank rule on a sorted copy, sorted[⌈q·n⌉-1], over small
+// and tied counter sets.
+func TestAwakeQuantilesNearestRank(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 4, 7, 10, 99, 100, 101, 1000} {
+		for _, spread := range []int64{1, 3, 50} {
+			per := make([]int64, n)
+			maxAwake := int64(0)
+			for v := range per {
+				per[v] = r.Int63n(spread)
+				maxAwake = max(maxAwake, per[v])
+			}
+			sorted := slices.Sorted(slices.Values(per))
+			rank := func(p float64) int64 {
+				return sorted[max(int(math.Ceil(p*float64(n)))-1, 0)]
+			}
+			want := AwakeQuantiles{Min: sorted[0], P25: rank(0.25), P50: rank(0.50),
+				P75: rank(0.75), P90: rank(0.90), P99: rank(0.99)}
+			if got := awakeQuantiles(per, maxAwake); got != want {
+				t.Errorf("n=%d spread=%d: got %+v, want %+v", n, spread, got, want)
+			}
+		}
 	}
 }

@@ -36,7 +36,7 @@ func Families() []string {
 // rejects any input whose graph would overflow the int32 node ids or
 // the CSR edge cap (see planGraph) instead of building it.
 func Generate(family string, o GenOptions) (*Graph, error) {
-	build, err := planGraph(family, o)
+	build, _, err := planGraph(family, o)
 	if err != nil {
 		return nil, fmt.Errorf("awakemis: %w", err)
 	}
@@ -48,15 +48,15 @@ func Generate(family string, o GenOptions) (*Graph, error) {
 // family builds and an upper bound on its edges. It fails when those
 // overflow the int32 node ids or the CSR edge cap, which the
 // generators would otherwise hit as a panic; else it returns the
-// builder.
-func planGraph(family string, o GenOptions) (func() *Graph, error) {
+// builder and the node count.
+func planGraph(family string, o GenOptions) (func() *Graph, int, error) {
 	name := strings.ToLower(family)
 	n := o.N
 	if n <= 0 {
 		n = 1024
 	}
 	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("n=%d exceeds the int32 node ids (max %d)", n, math.MaxInt32)
+		return nil, 0, fmt.Errorf("n=%d exceeds the int32 node ids (max %d)", n, math.MaxInt32)
 	}
 	p := o.P
 	if p == 0 {
@@ -107,7 +107,7 @@ func planGraph(family string, o GenOptions) (func() *Graph, error) {
 		build = func() *Graph { return RandomTree(n, o.Seed) }
 	case "regular":
 		if d >= n {
-			return nil, fmt.Errorf("regular family needs degree < n, got degree=%d >= n=%d", d, n)
+			return nil, 0, fmt.Errorf("regular family needs degree < n, got degree=%d >= n=%d", d, n)
 		}
 		edges = nf * float64(d) / 2
 		build = func() *Graph { return RandomRegular(n, d, o.Seed) }
@@ -131,17 +131,17 @@ func planGraph(family string, o GenOptions) (func() *Graph, error) {
 		nodes, edges = sf*sf, 2*sf*sf
 		build = func() *Graph { return Torus(side, side) }
 	default:
-		return nil, fmt.Errorf("unknown graph family %q (have %s)", family, strings.Join(Families(), "|"))
+		return nil, 0, fmt.Errorf("unknown graph family %q (have %s)", family, strings.Join(Families(), "|"))
 	}
 	if nodes > math.MaxInt32 {
-		return nil, fmt.Errorf("family %q at n=%d builds %.0f nodes, beyond the int32 node ids (max %d)",
+		return nil, 0, fmt.Errorf("family %q at n=%d builds %.0f nodes, beyond the int32 node ids (max %d)",
 			name, n, nodes, math.MaxInt32)
 	}
 	if !(edges <= igraph.MaxEdges) {
-		return nil, fmt.Errorf("family %q at n=%d can build %.0f edges, beyond the CSR cap of %d",
+		return nil, 0, fmt.Errorf("family %q at n=%d can build %.0f edges, beyond the CSR cap of %d",
 			name, n, edges, igraph.MaxEdges)
 	}
-	return build, nil
+	return build, int(nodes), nil
 }
 
 // likelyEdges bounds the edge count of a random graph that joins each

@@ -103,7 +103,7 @@ func TestPlanGraphLimits(t *testing.T) {
 		{"geometric", GenOptions{N: 46400, Radius: 2}, false},
 		{"cycle", GenOptions{N: 1<<31 - 1}, false},
 	} {
-		_, err := planGraph(tc.family, tc.o)
+		_, _, err := planGraph(tc.family, tc.o)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s %+v: err = %v, want ok=%v", tc.family, tc.o, err, tc.ok)
 		}

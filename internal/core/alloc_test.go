@@ -19,9 +19,16 @@ import (
 // that creeps back in while leaving headroom for engine changes.
 const maxMallocsPerNode = 40
 
+// maxBytesPerNode bounds the bytes one Awake-MIS run allocates per
+// node, 9% above the 625 B measured on G(4096, 4/n). It was 1,178 B
+// while each own-phase window allocated its own 896-B frame, each
+// node its communication set, and each node RNG a math/rand wrapper.
+const maxBytesPerNode = 680
+
 // TestAwakeMISAllocsPerNode is a count-based guard with no timing: it
 // runs Awake-MIS on G(4096, 4/n) on one stepped worker and fails when
-// the run's mallocs per node exceed maxMallocsPerNode.
+// the run's mallocs per node exceed maxMallocsPerNode or its allocated
+// bytes per node exceed maxBytesPerNode.
 func TestAwakeMISAllocsPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs Awake-MIS at n = 4096")
@@ -42,8 +49,12 @@ func TestAwakeMISAllocsPerNode(t *testing.T) {
 		t.Fatalf("result covers %d nodes, want %d", len(res.InMIS), n)
 	}
 	perNode := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("awake-mis G(%d, 4/n): %.1f mallocs/node", n, perNode)
+	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("awake-mis G(%d, 4/n): %.1f mallocs/node, %.0f B/node", n, perNode, bytesPerNode)
 	if perNode > maxMallocsPerNode {
 		t.Errorf("awake-mis made %.1f mallocs per node, want ≤ %d", perNode, maxMallocsPerNode)
+	}
+	if bytesPerNode > maxBytesPerNode {
+		t.Errorf("awake-mis allocated %.0f B per node, want ≤ %d", bytesPerNode, maxBytesPerNode)
 	}
 }

@@ -76,6 +76,58 @@ func (p Params) WithDefaults(n int) Params {
 	return p
 }
 
+// Check reports a field out of range. Zero fields mean their defaults;
+// negative ones are errors, and so is a variant other than
+// ldtmis.VariantAwake and ldtmis.VariantRound.
+func (p Params) Check() error {
+	switch {
+	case !(p.C1 >= 0):
+		return fmt.Errorf("c1 must be non-negative, got %v", p.C1)
+	case p.DeltaPrime < 0:
+		return fmt.Errorf("delta_prime must be non-negative, got %d", p.DeltaPrime)
+	case p.NP < 0:
+		return fmt.Errorf("np must be non-negative, got %d", p.NP)
+	case p.IDSpace < 0:
+		return fmt.Errorf("id_space must be non-negative, got %d", p.IDSpace)
+	case p.Variant != ldtmis.VariantAwake && p.Variant != ldtmis.VariantRound:
+		return fmt.Errorf("variant must be %d (awake) or %d (round), got %d",
+			ldtmis.VariantAwake, ldtmis.VariantRound, p.Variant)
+	}
+	return nil
+}
+
+// ScheduleFits reports whether a run of params, which must pass Check,
+// on the network bound n with the given bandwidth (zero: the default
+// for n) has a timetable of at most sim.DefaultMaxRounds rounds. The
+// arithmetic cannot overflow, whatever the params.
+func ScheduleFits(n int, params Params, bandwidth int) bool {
+	const limit = sim.DefaultMaxRounds
+	n, bandwidth = resolve(n, bandwidth)
+	p := params.WithDefaults(n)
+	// Every phase outlasts its NP-round VT-MIS window, and there are at
+	// least 2·DeltaPrime phases: bounding both first keeps the span
+	// arithmetic far from int64's range.
+	if int64(p.NP) >= limit || int64(p.DeltaPrime) > limit/2 {
+		return false
+	}
+	if _, ok := ldtmis.SpanWithin(p.NP, bandwidth, p.Variant, limit-1); !ok {
+		return false
+	}
+	s := NewSchedule(n, p, bandwidth)
+	return int64(s.TotalPhases) <= limit/s.PhaseSpan
+}
+
+// resolve returns the network bound and bandwidth a run derives its
+// timetable from: n is at least 2, and a zero bandwidth is the default
+// for n.
+func resolve(n, bandwidth int) (int, int) {
+	n = max(n, 2)
+	if bandwidth == 0 {
+		bandwidth = sim.DefaultBandwidth(n)
+	}
+	return n, bandwidth
+}
+
 // Schedule is the deterministic phase timetable every node derives
 // locally from (N, Params, bandwidth).
 type Schedule struct {
@@ -172,12 +224,7 @@ func RunContext(ctx context.Context, g *graph.Graph, params Params, cfg sim.Conf
 	if n == 0 {
 		n = g.N()
 	}
-	if n < 2 {
-		n = 2
-	}
-	if cfg.Bandwidth == 0 {
-		cfg.Bandwidth = sim.DefaultBandwidth(n)
-	}
+	n, cfg.Bandwidth = resolve(n, cfg.Bandwidth)
 	params = params.WithDefaults(n)
 	sched := NewSchedule(n, params, cfg.Bandwidth)
 	res := &Result{InMIS: make([]bool, g.N()), Batch: make([]int, g.N())}

@@ -209,3 +209,53 @@ func TestAwakeMISRespectsCongest(t *testing.T) {
 			m.MaxMessageBits, sim.DefaultBandwidth(50))
 	}
 }
+
+// TestScheduleFits checks ScheduleFits against the exact horizon on
+// both sides of the 2⁴⁰-round cap, wherever NewSchedule's arithmetic is
+// in range, and checks that it rejects constants whose horizon or span
+// would overflow int64, without panicking.
+func TestScheduleFits(t *testing.T) {
+	const limit = sim.DefaultMaxRounds
+	for _, n := range []int{1, 64, 100000} {
+		for _, bw := range []int{0, 2, 1 << 20} {
+			for _, v := range []ldtmis.Variant{ldtmis.VariantAwake, ldtmis.VariantRound} {
+				for _, np := range []int{1, 7, 300, 1 << 12, 1 << 16, 1 << 20} {
+					rn, rbw := resolve(n, bw)
+					p := Params{NP: np, Variant: v, DeltaPrime: 1}
+					s := NewSchedule(rn, p, rbw)
+					// The horizon is 2·Levels·DeltaPrime·PhaseSpan: the
+					// largest DeltaPrime that fits follows exactly.
+					most := int(limit / (2 * int64(s.Levels) * s.PhaseSpan))
+					for _, d := range []int{most, most + 1} {
+						if d < 1 {
+							continue
+						}
+						p.DeltaPrime = d
+						want := NewSchedule(rn, p, rbw).TotalRounds() <= limit
+						if want != (d == most) {
+							t.Fatalf("n=%d bw=%d %v np=%d: horizon at delta_prime %d is off the cap's edge", n, bw, v, np, d)
+						}
+						if got := ScheduleFits(n, p, bw); got != want {
+							t.Errorf("n=%d bw=%d %v np=%d delta_prime=%d: ScheduleFits = %v, want %v", n, bw, v, np, d, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range []Params{
+		{NP: 1e9},
+		{NP: 1 << 33},
+		{NP: limit - 1},
+		{NP: math.MaxInt},
+		{DeltaPrime: limit/2 + 1},
+		{DeltaPrime: math.MaxInt},
+		{NP: math.MaxInt, DeltaPrime: math.MaxInt, Variant: ldtmis.VariantRound},
+	} {
+		for _, bw := range []int{0, 1, 2, math.MaxInt} {
+			if ScheduleFits(64, p, bw) {
+				t.Errorf("ScheduleFits(64, %+v, %d) = true", p, bw)
+			}
+		}
+	}
+}

@@ -7,69 +7,117 @@ package core
 // stepped engine's inline hot path with no per-node goroutine.
 
 import (
+	"sync"
+
 	"awakemis/internal/ldtmis"
 	"awakemis/internal/misproto"
 	"awakemis/internal/sim"
 	"awakemis/internal/vtree"
 )
 
-type stepNode struct {
-	sim.Machine
-	env     *sim.NodeEnv
+// program is one run's state shared by its nodes: the output, the
+// timetable, and the free list of LDT-MIS window frames.
+type program struct {
 	res     *Result
 	sched   *Schedule
 	idSpace int64
-	id      int64
-	state   misproto.State
-	// rounds is the node's communication set (phases it attends);
-	// rounds[i] is the one being attended, and i < 0 while the node
-	// idles through round 0 before its first.
-	rounds  []int
-	i       int
+	frames  frames
+}
+
+// frames is a run's free list of LDT-MIS window frames. A node takes a
+// frame when its own-phase window starts and returns it when the
+// window ends, so a run allocates about as many frames as it has
+// windows in flight at once, not one per window. The mutex is needed
+// because OnWake is sharded across the worker pool in busy rounds.
+type frames struct {
+	mu   sync.Mutex
+	free []*ldtmis.Session
+}
+
+// get takes a free frame, or allocates one.
+func (f *frames) get() *ldtmis.Session {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return new(ldtmis.Session)
+	}
+	s := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return s
+}
+
+// put clears a finished window's frame, so the free list pins none of
+// its payloads, and returns it to the list.
+func (f *frames) put(s *ldtmis.Session) {
+	*s = ldtmis.Session{}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.free = append(f.free, s)
+}
+
+type stepNode struct {
+	sim.Machine
+	env *sim.NodeEnv
+	p   *program
+	id  int64
+	// phase is the phase whose communication round the node attends,
+	// an element of vtree.AwakeRounds(myPhase, TotalPhases); it is 0
+	// while the node idles through round 0 before its first, and once
+	// the set is exhausted.
+	phase   int
 	myPhase int
+	state   misproto.State
+	// window is the frame of the node's own-phase LDT-MIS window while
+	// it runs.
+	window *ldtmis.Session
 	// sendFn and recvFn are c.send and c.recv, bound once.
 	sendFn func(*sim.Outbox)
 	recvFn func([]sim.Inbound)
 }
 
-// StepProgram returns the per-node Awake-MIS program.
+// StepProgram returns the per-node Awake-MIS program. Its nodes share
+// one free list of window frames, so a StepProgram serves one run at a
+// time or several at once.
 func StepProgram(res *Result, sched *Schedule, params Params, n int) sim.StepProgram {
 	params = params.WithDefaults(n)
+	p := &program{res: res, sched: sched, idSpace: params.IDSpace}
 	return func(env *sim.NodeEnv) sim.StepNode {
-		return &stepNode{env: env, res: res, sched: sched, idSpace: params.IDSpace}
+		return &stepNode{env: env, p: p}
 	}
 }
 
 func (c *stepNode) Start(out *sim.Outbox) {
-	rng := c.env.Rand
-	c.id = rng.Int63n(c.idSpace) + 1
-	level, j := c.sched.SampleBatch(rng.Float64(), rng.Float64())
-	c.myPhase = c.sched.Phase(level, j)
-	c.res.Batch[c.env.ID] = c.myPhase
-	c.rounds = vtree.AwakeRounds(c.myPhase, c.sched.TotalPhases)
+	rng, sched := c.env.Rand, c.p.sched
+	c.id = rng.Int63n(c.p.idSpace) + 1
+	level, j := sched.SampleBatch(rng.Float64(), rng.Float64())
+	c.myPhase = sched.Phase(level, j)
+	c.p.res.Batch[c.env.ID] = c.myPhase
+	first := vtree.NextAwakeRound(c.myPhase, sched.TotalPhases, 0)
 	c.sendFn, c.recvFn = c.send, c.recv
 
 	c.Begin(out, func() {
-		if c.sched.PhaseStart(c.rounds[0]) == 0 {
+		if sched.PhaseStart(first) == 0 {
 			// Phase 1 is this node's first communication round and starts
 			// at round 0, the model's initial all-awake round.
+			c.phase = first
 			c.attend()
 			return
 		}
-		c.i = -1
 		c.Yield(0, nil, c.recvFn)
 	})
 }
 
-// attend stages communication round rounds[i] of the node's schedule, or
-// finishes the node when the schedule is exhausted or the node has
+// attend stages the communication round of phase c.phase, or finishes
+// the node when its communication set is exhausted or the node has
 // learned it is not in the MIS (nothing more to learn or announce).
 func (c *stepNode) attend() {
-	if c.i >= len(c.rounds) || c.state == misproto.NotInMIS {
-		c.res.InMIS[c.env.ID] = c.state == misproto.InMIS
+	if c.phase == 0 || c.state == misproto.NotInMIS {
+		c.p.res.InMIS[c.env.ID] = c.state == misproto.InMIS
 		return // no yield: the node halts
 	}
-	c.Yield(c.sched.PhaseStart(c.rounds[c.i]), c.sendFn, c.recvFn)
+	c.Yield(c.p.sched.PhaseStart(c.phase), c.sendFn, c.recvFn)
 }
 
 func (c *stepNode) send(out *sim.Outbox) {
@@ -77,12 +125,14 @@ func (c *stepNode) send(out *sim.Outbox) {
 }
 
 func (c *stepNode) recv(in []sim.Inbound) {
-	if c.i < 0 {
-		c.i = 0
+	sched := c.p.sched
+	r := c.phase
+	if r == 0 {
+		// Round 0, idled through: go on to the first communication round.
+		c.phase = vtree.NextAwakeRound(c.myPhase, sched.TotalPhases, 0)
 		c.attend()
 		return
 	}
-	r := c.rounds[c.i]
 	if c.state == misproto.Undecided {
 		for _, m := range in {
 			if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
@@ -91,13 +141,22 @@ func (c *stepNode) recv(in []sim.Inbound) {
 			}
 		}
 	}
-	c.i++
+	c.phase = vtree.NextAwakeRound(c.myPhase, sched.TotalPhases, r)
 	if r == c.myPhase && c.state == misproto.Undecided {
 		// The node's own phase: run its LDT-MIS window, then go on.
-		window := new(ldtmis.Session)
-		window.Start(&c.Machine, c.env.Rand, c.env.Bandwidth,
-			c.sched.PhaseStart(r)+1, c.id, c.sched.NP, c.sched.Variant, &c.state, c.attend)
+		c.window = c.p.frames.get()
+		c.window.Start(&c.Machine, c.env.Rand, c.env.Bandwidth,
+			sched.PhaseStart(r)+1, c.id, sched.NP, sched.Variant, &c.state, c.endWindow)
 		return
 	}
+	c.attend()
+}
+
+// endWindow is the own-phase window's continuation: it returns the
+// window's frame, then goes on. The window calls it in tail position,
+// so nothing reads the frame once it is back on the free list.
+func (c *stepNode) endWindow() {
+	c.p.frames.put(c.window)
+	c.window = nil
 	c.attend()
 }

@@ -21,11 +21,7 @@ package ldt
 // in-flight procedure advances to its next primitive, and a finished
 // procedure runs the owner's continuation.
 
-import (
-	"math/rand"
-
-	"awakemis/internal/sim"
-)
+import "awakemis/internal/sim"
 
 // primOp names the primitive whose wake the session is waiting on.
 type primOp uint8
@@ -60,7 +56,7 @@ const (
 type SProc struct {
 	treeState
 	m   *sim.Machine
-	rnd *rand.Rand
+	rnd *sim.Rand
 	cur int64 // next unallocated sim round
 
 	// k is the owner's continuation, run when a procedure that yielded
@@ -122,7 +118,7 @@ type SProc struct {
 // (i.e. inside a Machine continuation). rnd is the node's private
 // randomness stream (sim.NodeEnv.Rand). k runs each time a procedure
 // that yielded completes; bind it once per session.
-func (p *SProc) Init(m *sim.Machine, rnd *rand.Rand, base int64, id int64, np int, k func()) {
+func (p *SProc) Init(m *sim.Machine, rnd *sim.Rand, base int64, id int64, np int, k func()) {
 	*p = SProc{treeState: newTreeState(id, np), m: m, rnd: rnd, cur: base, k: k}
 	p.sendFn = p.send
 	p.recvFn = p.recv

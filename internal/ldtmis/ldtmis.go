@@ -18,7 +18,6 @@ package ldtmis
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"awakemis/internal/bitio"
 	"awakemis/internal/graph"
@@ -60,7 +59,7 @@ func permWidth(np int) int { return bitio.UintBits(uint64(np)) }
 // buildPermPayload is the root's side of the permutation shipment: a
 // uniformly random permutation of [1, total], each entry in width
 // bits, null-filled to payloadBits per §5.3.
-func buildPermPayload(rnd *rand.Rand, total, width, payloadBits int) []byte {
+func buildPermPayload(rnd *sim.Rand, total, width, payloadBits int) []byte {
 	perm := rnd.Perm(total)
 	var w bitio.Writer
 	w.Grow(max(total*width, payloadBits))
@@ -116,6 +115,20 @@ func Span(np, bandwidth int, v Variant) int64 {
 		ldt.SpanRank(np) +
 		ldt.SpanBroadcastChunks(np, numChunks) +
 		int64(np) // VT-MIS window
+}
+
+// SpanWithin returns Span(np, bandwidth, v) and whether it is at most
+// limit. For np and limit below 2⁴⁰ it never overflows, at any
+// bandwidth: the one term that can pass int64's range there, the
+// permutation broadcast's chunk count times its window, is bounded
+// before it is formed.
+func SpanWithin(np, bandwidth int, v Variant, limit int64) (int64, bool) {
+	_, _, numChunks := permChunks(np, bandwidth)
+	if int64(numChunks) > limit/ldt.SpanBroadcastChunks(np, 1) {
+		return 0, false
+	}
+	span := Span(np, bandwidth, v)
+	return span, span <= limit
 }
 
 // Result collects standalone outputs.

@@ -6,8 +6,6 @@ package ldtmis
 // block Awake-MIS embeds into its phase windows.
 
 import (
-	"math/rand"
-
 	"awakemis/internal/ldt"
 	"awakemis/internal/misproto"
 	"awakemis/internal/sim"
@@ -35,7 +33,7 @@ type Session struct {
 	tree      ldt.SProc
 	vt        vtmis.Sub
 	m         *sim.Machine
-	rnd       *rand.Rand
+	rnd       *sim.Rand
 	bandwidth int
 	np        int
 	v         Variant
@@ -52,7 +50,7 @@ type Session struct {
 // before base; k runs inside the final awake round's receive, with the
 // node's MIS decision in *state and its new small ID in NewID. Start
 // always yields.
-func (s *Session) Start(m *sim.Machine, rnd *rand.Rand, bandwidth int, base int64, id int64, np int, v Variant, state *misproto.State, k func()) {
+func (s *Session) Start(m *sim.Machine, rnd *sim.Rand, bandwidth int, base int64, id int64, np int, v Variant, state *misproto.State, k func()) {
 	*s = Session{m: m, rnd: rnd, bandwidth: bandwidth, np: np, v: v, state: state, k: k}
 	s.resumeFn = s.resume
 	s.tree.Init(m, rnd, base, id, np, s.resumeFn)

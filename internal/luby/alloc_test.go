@@ -19,9 +19,15 @@ import (
 // or routing (a node's RNG or outbox, say) pushes it past the bound.
 const maxMallocsPerNode = 3
 
+// maxBytesPerNode bounds the bytes one Luby run allocates per node, 9%
+// above the 367 B measured on G(4096, 4/n). It was 415 B while each
+// node's RNG was a math/rand wrapper around its splitmix64 state.
+const maxBytesPerNode = 400
+
 // TestLubyAllocsPerNode is a count-based guard with no timing: it runs
 // Luby on G(4096, 4/n) on one stepped worker and fails when the run's
-// mallocs per node exceed maxMallocsPerNode.
+// mallocs per node exceed maxMallocsPerNode or its allocated bytes per
+// node exceed maxBytesPerNode.
 func TestLubyAllocsPerNode(t *testing.T) {
 	const n = 4096
 	g := graph.GNP(n, 4.0/n, rand.New(rand.NewSource(1)))
@@ -39,8 +45,12 @@ func TestLubyAllocsPerNode(t *testing.T) {
 		t.Fatalf("result covers %d nodes, want %d", len(res.InMIS), n)
 	}
 	perNode := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("luby G(%d, 4/n): %.2f mallocs/node", n, perNode)
+	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("luby G(%d, 4/n): %.2f mallocs/node, %.0f B/node", n, perNode, bytesPerNode)
 	if perNode > maxMallocsPerNode {
 		t.Errorf("luby made %.2f mallocs per node, want ≤ %d", perNode, maxMallocsPerNode)
+	}
+	if bytesPerNode > maxBytesPerNode {
+		t.Errorf("luby allocated %.0f B per node, want ≤ %d", bytesPerNode, maxBytesPerNode)
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"awakemis"
 	"awakemis/client"
+	"awakemis/internal/core"
 	"awakemis/internal/service"
 )
 
@@ -421,6 +422,17 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := c.Health(ctx); err != nil {
 		t.Errorf("daemon unhealthy after the oversized spec: %v", err)
+	}
+	// Awake-MIS constants out of range are a 400 too, not a failed job.
+	badParams := awakemis.Spec{Task: "awake-mis", Graph: awakemis.GraphSpec{N: 64},
+		Options: awakemis.Options{Params: core.Params{NP: -5}}}
+	_, err = c.Submit(ctx, badParams)
+	apiErr = new(client.APIError)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Errorf("awake-mis np=-5: %v, want HTTP 400", err)
+	}
+	if !strings.Contains(apiErr.Message, "np must be non-negative") {
+		t.Errorf("error message %q does not name np", apiErr.Message)
 	}
 	// Nothing was spent on the bad specs.
 	if st := srv.StatsSnapshot(); st.JobsSubmitted != 0 || st.EngineRuns != 0 {

@@ -3,12 +3,10 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"awakemis/internal/graph"
-	"awakemis/internal/rng"
 )
 
 // referenceEngine is the plainest reading of the SLEEPING-CONGEST
@@ -44,7 +42,8 @@ func (referenceEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, 
 	wakes := map[int64][]int{}
 	for v := 0; v < n; v++ {
 		outs[v].configure(v, g.Degree(v), &cfg)
-		env := &NodeEnv{ID: v, Degree: g.Degree(v), N: cfg.N, Bandwidth: cfg.Bandwidth, Rand: newNodeRand(cfg.Seed, v)}
+		rnd := nodeRand(cfg.Seed, v)
+		env := &NodeEnv{ID: v, Degree: g.Degree(v), N: cfg.N, Bandwidth: cfg.Bandwidth, Rand: &rnd}
 		if err := refCall(func() {
 			nodes[v] = sp(env)
 			nodes[v].Start(&outs[v])
@@ -177,10 +176,4 @@ func refCall(f func()) (err error) {
 	}()
 	f()
 	return nil
-}
-
-// newNodeRand returns node id's private randomness for a run seed,
-// derived as the stepped engine derives it.
-func newNodeRand(seed int64, id int) *rand.Rand {
-	return rand.New(&nodeSource{state: uint64(rng.Stream(seed, int64(id)))})
 }

@@ -99,7 +99,7 @@ type Config struct {
 	// Strict makes any Send whose message exceeds Bandwidth an error.
 	Strict bool
 	// MaxRounds aborts runs that exceed this round count (safety net
-	// against schedule bugs). Zero means 1<<40.
+	// against schedule bugs). Zero means DefaultMaxRounds.
 	MaxRounds int64
 	// Tracer, if non-nil, receives execution events (awake rounds and
 	// message routing) as they happen. Tracer methods are called from
@@ -115,6 +115,9 @@ type Config struct {
 	Engine Engine
 }
 
+// DefaultMaxRounds is the round cap of a Config whose MaxRounds is 0.
+const DefaultMaxRounds = 1 << 40
+
 // withDefaults validates cfg against the node count and fills defaults.
 func (cfg Config) withDefaults(n int) (Config, error) {
 	if cfg.N == 0 {
@@ -127,7 +130,7 @@ func (cfg Config) withDefaults(n int) (Config, error) {
 		cfg.Bandwidth = DefaultBandwidth(cfg.N)
 	}
 	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 1 << 40
+		cfg.MaxRounds = DefaultMaxRounds
 	}
 	return cfg, nil
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // StepProgram is a per-node algorithm as a state machine: a factory
 // called once per node at run start. Engines drive the returned
@@ -24,8 +21,10 @@ type NodeEnv struct {
 	// Bandwidth is the per-message bit budget B.
 	Bandwidth int
 	// Rand is the node's private randomness stream, derived from
-	// Config.Seed and ID.
-	Rand *rand.Rand
+	// Config.Seed and ID. It points into one array of the run's
+	// streams: copy the pointer, never the Rand, or the copy forks the
+	// stream.
+	Rand *Rand
 }
 
 // StepNode is one node's state machine.

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
 	"awakemis/internal/graph"
-	"awakemis/internal/rng"
 )
 
 // steppedEngine keeps all node state inline and drives awake nodes from
@@ -165,13 +163,11 @@ func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*ste
 	}
 
 	// Construct every node machine and stage its round-0 sends. The
-	// environments, RNG sources, RNG states and each outbox's first
-	// entry are slab-allocated: four arrays for the whole run instead
-	// of four heap objects per node (rand.New inlines, so the
-	// dereferenced copy into the slab never escapes).
+	// environments, RNG streams and each outbox's first entry are
+	// slab-allocated: three arrays for the whole run instead of three
+	// heap objects per node.
 	envs := make([]NodeEnv, n)
-	srcs := make([]nodeSource, n)
-	rnds := make([]rand.Rand, n)
+	rnds := make([]Rand, n)
 	slots := make([]outMsg, n)
 	arc := 0
 	for v := 0; v < n; v++ {
@@ -181,8 +177,7 @@ func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*ste
 		out.arc = int32(arc)
 		out.msgs = slots[v : v : v+1]
 		arc += deg
-		srcs[v].state = uint64(rng.Stream(cfg.Seed, int64(v)))
-		rnds[v] = *rand.New(&srcs[v])
+		rnds[v] = nodeRand(cfg.Seed, v)
 		envs[v] = NodeEnv{
 			ID:        v,
 			Degree:    deg,

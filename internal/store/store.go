@@ -358,13 +358,18 @@ func encodeRecord(payload []byte) ([]byte, error) {
 // turns it into a discard-and-miss.
 var errCorrupt = errors.New("store: corrupt record")
 
-// readRecord reads and fully verifies one record file: magic, exact
-// payload length, and payload SHA-256.
+// readRecord reads one record file and decodes it with decodeRecord.
 func readRecord(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return decodeRecord(data)
+}
+
+// decodeRecord fully verifies a record's bytes: magic, exact payload
+// length, and payload SHA-256. It returns the payload, or errCorrupt.
+func decodeRecord(data []byte) ([]byte, error) {
 	if len(data) < headerLen || string(data[:len(magic)]) != magic {
 		return nil, errCorrupt
 	}

@@ -29,24 +29,24 @@ import (
 // neighbors are reachable (every participant must use a port list that
 // includes all participating neighbors).
 type Sub struct {
-	m      *sim.Machine
-	base   int64
-	id     int
-	state  *misproto.State
-	ports  []int
-	rounds []int // vtree.AwakeRounds(id, idBound)
-	idx    int   // the attended round is rounds[idx]
-	parked bool  // waiting at base without attending (see Start)
-	k      func()
-	sendFn func(*sim.Outbox)
-	recvFn func([]sim.Inbound)
+	m       *sim.Machine
+	base    int64
+	id      int
+	idBound int
+	state   *misproto.State
+	ports   []int
+	round   int  // the attended round of vtree.AwakeRounds(id, idBound); 0 past the last
+	parked  bool // waiting at base without attending (see Start)
+	k       func()
+	sendFn  func(*sim.Outbox)
+	recvFn  func([]sim.Inbound)
 }
 
 // Start runs VT-MIS from base. Call it at the end of an awake round
 // strictly before base; k runs inside the final awake round's receive.
 // Start always yields.
 func (s *Sub) Start(m *sim.Machine, base int64, id, idBound int, state *misproto.State, ports []int, k func()) {
-	*s = Sub{m: m, base: base, id: id, state: state, ports: ports, rounds: vtree.AwakeRounds(id, idBound), k: k}
+	*s = Sub{m: m, base: base, id: id, idBound: idBound, state: state, ports: ports, round: vtree.NextAwakeRound(id, idBound, 0), k: k}
 	s.sendFn, s.recvFn = s.send, s.recv
 	if !s.attend() {
 		// The node never woke (possible only for an already-decided
@@ -57,13 +57,13 @@ func (s *Sub) Start(m *sim.Machine, base int64, id, idBound int, state *misproto
 	}
 }
 
-// attend stages rounds[idx], or reports false when nothing is left to
-// learn or announce.
+// attend stages the current round, or reports false when nothing is
+// left to learn or announce.
 func (s *Sub) attend() bool {
-	if s.idx >= len(s.rounds) || *s.state == misproto.NotInMIS {
+	if s.round == 0 || *s.state == misproto.NotInMIS {
 		return false
 	}
-	s.m.Yield(s.base+int64(s.rounds[s.idx])-1, s.sendFn, s.recvFn)
+	s.m.Yield(s.base+int64(s.round)-1, s.sendFn, s.recvFn)
 	return true
 }
 
@@ -78,7 +78,7 @@ func (s *Sub) recv(in []sim.Inbound) {
 		s.k()
 		return
 	}
-	r := s.rounds[s.idx]
+	r := s.round
 	if *s.state == misproto.Undecided {
 		for _, msg := range in {
 			if sm, ok := msg.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
@@ -90,7 +90,7 @@ func (s *Sub) recv(in []sim.Inbound) {
 	if r == s.id && *s.state == misproto.Undecided {
 		*s.state = misproto.InMIS
 	}
-	s.idx++
+	s.round = vtree.NextAwakeRound(s.id, s.idBound, r)
 	if !s.attend() {
 		s.k()
 	}
@@ -108,22 +108,24 @@ type Result struct {
 // broadcast is staged at the previous one (the state it announces can
 // only have changed during attended rounds).
 type stepNode struct {
-	res    *Result
-	node   int
-	id     int
-	state  misproto.State
-	rounds []int // vtree.AwakeRounds(id, idBound); sim round r-1+base, base=1
-	idx    int
+	res     *Result
+	node    int
+	id      int
+	idBound int
+	state   misproto.State
+	round   int // the next round of vtree.AwakeRounds(id, idBound); sim round r-1+base, base=1
 }
 
 // StepProgram returns the standalone per-node program.
 func StepProgram(res *Result, ids []int, idBound int) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
+		id := ids[env.ID]
 		return &stepNode{
-			res:    res,
-			node:   env.ID,
-			id:     ids[env.ID],
-			rounds: vtree.AwakeRounds(ids[env.ID], idBound),
+			res:     res,
+			node:    env.ID,
+			id:      id,
+			idBound: idBound,
+			round:   vtree.NextAwakeRound(id, idBound, 0),
 		}
 	}
 }
@@ -135,8 +137,8 @@ func (n *stepNode) Start(out *sim.Outbox) {
 
 func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (int64, bool) {
 	if round > 0 {
-		// An attended communication round r = rounds[idx].
-		r := n.rounds[n.idx]
+		// An attended communication round.
+		r := n.round
 		if n.state == misproto.Undecided {
 			for _, m := range inbox {
 				if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
@@ -148,14 +150,14 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 		if r == n.id && n.state == misproto.Undecided {
 			n.state = misproto.InMIS
 		}
-		n.idx++
-		if n.state == misproto.NotInMIS || n.idx == len(n.rounds) {
+		n.round = vtree.NextAwakeRound(n.id, n.idBound, r)
+		if n.state == misproto.NotInMIS || n.round == 0 {
 			n.res.InMIS[n.node] = n.state == misproto.InMIS
 			return 0, true
 		}
 	}
 	out.Broadcast(misproto.StateMsg{State: n.state})
-	return int64(n.rounds[n.idx]), false // base 1: round r is sim round r
+	return int64(n.round), false // base 1: round r is sim round r
 }
 
 // Run executes standalone VT-MIS on g with the given unique IDs in

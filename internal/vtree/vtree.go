@@ -78,6 +78,30 @@ func AwakeRounds(k, i int) []int {
 	return s
 }
 
+// NextAwakeRound returns the smallest element of AwakeRounds(k, i)
+// greater than after, or 0 when there is none. Walking it from
+// after = 0 visits AwakeRounds(k, i) in order, in O(log i) time per
+// step and with no allocation, so a node can hold its current round
+// instead of its whole set.
+func NextAwakeRound(k, i, after int) int {
+	if k < 1 || k > i {
+		panic(fmt.Sprintf("vtree: k=%d out of [1,%d]", k, i))
+	}
+	next := 0
+	if k > after {
+		next = k
+	}
+	// The candidates are commSet's labels, one per height; they are
+	// not monotone in the height, so every height is checked.
+	for h, d := 1, Depth(i); h <= d; h++ {
+		label := (k-1)>>uint(h)<<uint(h) + 1<<uint(h-1) + 1
+		if label > after && label <= i && (next == 0 || label < next) {
+			next = label
+		}
+	}
+	return next
+}
+
 // SharedRound returns the smallest r ∈ S_k ∩ S_k′ with k < r ≤ k′
 // guaranteed by Observation 5, for k < k′.
 func SharedRound(k, kp, i int) int {

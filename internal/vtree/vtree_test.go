@@ -2,6 +2,7 @@ package vtree
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,11 +163,37 @@ func TestAwakeRoundsIncludesOwnID(t *testing.T) {
 	}
 }
 
+// TestNextAwakeRoundWalksAwakeRounds checks that walking
+// NextAwakeRound from 0 yields exactly AwakeRounds(k, i), for every
+// 1 ≤ k ≤ i ≤ 1024.
+func TestNextAwakeRoundWalksAwakeRounds(t *testing.T) {
+	for i := 1; i <= 1024; i++ {
+		for k := 1; k <= i; k++ {
+			want := AwakeRounds(k, i)
+			var got []int
+			for r := NextAwakeRound(k, i, 0); r != 0; r = NextAwakeRound(k, i, r) {
+				if len(got) > len(want) {
+					break
+				}
+				got = append(got, r)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("walking NextAwakeRound(%d, %d, ·) gives %v, AwakeRounds %v", k, i, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { NextAwakeRound(700, 1024, 512) }); allocs != 0 {
+		t.Errorf("NextAwakeRound allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Depth(0) },
 		func() { CommSet(0, 5) },
 		func() { CommSet(6, 5) },
+		func() { NextAwakeRound(0, 5, 0) },
+		func() { NextAwakeRound(6, 5, 0) },
 		func() { SharedRound(3, 3, 5) },
 	} {
 		func() {

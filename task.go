@@ -36,6 +36,9 @@ type Task struct {
 	run func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error)
 	// verify checks the task's output against its oracle.
 	verify func(g *Graph, out Output) error
+	// checkParams checks opt.Params for a run on a graph of nodes
+	// nodes; it is nil for the tasks that ignore Params.
+	checkParams func(opt Options, nodes int) error
 }
 
 // taskRegistry holds every registered task, keyed by name. Tasks are

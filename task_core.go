@@ -2,6 +2,7 @@ package awakemis
 
 import (
 	"context"
+	"fmt"
 
 	"awakemis/internal/core"
 	"awakemis/internal/ldtmis"
@@ -20,6 +21,8 @@ func init() {
 		rank:     0,
 		run:      runAwakeMIS(ldtmis.VariantAwake),
 		verify:   verifyMIS,
+
+		checkParams: checkAwakeMIS(ldtmis.VariantAwake),
 	})
 	registerTask(Task{
 		Name:     string(AwakeMISRound),
@@ -29,19 +32,45 @@ func init() {
 		rank:     1,
 		run:      runAwakeMIS(ldtmis.VariantRound),
 		verify:   verifyMIS,
+
+		checkParams: checkAwakeMIS(ldtmis.VariantRound),
 	})
+}
+
+// awakeMISParams returns the Params a task runs: the round variant's
+// task always runs the round variant.
+func awakeMISParams(params core.Params, variant ldtmis.Variant) core.Params {
+	if variant == ldtmis.VariantRound {
+		params.Variant = ldtmis.VariantRound
+	}
+	return params
 }
 
 func runAwakeMIS(variant ldtmis.Variant) func(context.Context, *Graph, Options, sim.Config) (Output, *sim.Metrics, error) {
 	return func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
-		params := opt.Params
-		if variant == ldtmis.VariantRound {
-			params.Variant = ldtmis.VariantRound
-		}
-		res, m, err := core.RunContext(ctx, g.internal(), params, cfg)
+		res, m, err := core.RunContext(ctx, g.internal(), awakeMISParams(opt.Params, variant), cfg)
 		if err != nil {
 			return Output{}, m, err
 		}
 		return Output{InMIS: res.InMIS}, m, nil
+	}
+}
+
+// checkAwakeMIS range-checks the Params a spec gives the task, and
+// rejects those whose timetable would run past the engine's default
+// round cap, which a run would otherwise hit as an engine error.
+func checkAwakeMIS(variant ldtmis.Variant) func(Options, int) error {
+	return func(opt Options, nodes int) error {
+		if err := opt.Params.Check(); err != nil {
+			return err
+		}
+		n := opt.N
+		if n == 0 {
+			n = nodes
+		}
+		if !core.ScheduleFits(n, awakeMISParams(opt.Params, variant), opt.Bandwidth) {
+			return fmt.Errorf("the schedule at N=%d spans more than 2^40 rounds, the engine's round cap", n)
+		}
+		return nil
 	}
 }

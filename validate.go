@@ -31,42 +31,49 @@ func (s Spec) check() error {
 	if s.Task == "" {
 		return fmt.Errorf("missing task (have %s)", strings.Join(TaskNames(), "|"))
 	}
-	if _, ok := TaskByName(s.Task); !ok {
+	t, ok := taskRegistry[s.Task]
+	if !ok {
 		return fmt.Errorf("unknown task %q (have %s)", s.Task, strings.Join(TaskNames(), "|"))
 	}
-	if err := s.Graph.validate(); err != nil {
+	nodes, err := s.Graph.validate()
+	if err != nil {
 		return fmt.Errorf("graph: %w", err)
 	}
 	if err := s.Options.validate(); err != nil {
 		return fmt.Errorf("options: %w", err)
 	}
+	if t.checkParams != nil {
+		if err := t.checkParams(s.Options, nodes); err != nil {
+			return fmt.Errorf("params: %w", err)
+		}
+	}
 	return nil
 }
 
-// validate checks the graph spec against its family's constraints.
-// Zero values are legal (they mean "family default"); negative or
-// out-of-range values are not, and neither is a graph too large for
-// the int32 node ids or the CSR edge cap (planGraph, which Generate
-// applies too).
-func (gs GraphSpec) validate() error {
+// validate checks the graph spec against its family's constraints and
+// returns the node count of the graph it builds. Zero values are legal
+// (they mean "family default"); negative or out-of-range values are
+// not, and neither is a graph too large for the int32 node ids or the
+// CSR edge cap (planGraph, which Generate applies too).
+func (gs GraphSpec) validate() (int, error) {
 	family := gs.Family
 	if family == "" {
 		family = "gnp"
 	}
 	if gs.N < 0 {
-		return fmt.Errorf("family %q needs a non-negative node count, got n=%d (0 means the default, 1024)", family, gs.N)
+		return 0, fmt.Errorf("family %q needs a non-negative node count, got n=%d (0 means the default, 1024)", family, gs.N)
 	}
 	if gs.P < 0 || gs.P > 1 || math.IsNaN(gs.P) {
-		return fmt.Errorf("edge probability must be in [0, 1], got p=%v", gs.P)
+		return 0, fmt.Errorf("edge probability must be in [0, 1], got p=%v", gs.P)
 	}
 	if gs.Degree < 0 {
-		return fmt.Errorf("degree must be non-negative, got degree=%d", gs.Degree)
+		return 0, fmt.Errorf("degree must be non-negative, got degree=%d", gs.Degree)
 	}
 	if gs.Radius < 0 || math.IsNaN(gs.Radius) {
-		return fmt.Errorf("radius must be non-negative, got radius=%v", gs.Radius)
+		return 0, fmt.Errorf("radius must be non-negative, got radius=%v", gs.Radius)
 	}
-	_, err := planGraph(family, GenOptions{N: gs.N, P: gs.P, Degree: gs.Degree, Radius: gs.Radius})
-	return err
+	_, nodes, err := planGraph(family, GenOptions{N: gs.N, P: gs.P, Degree: gs.Degree, Radius: gs.Radius})
+	return nodes, err
 }
 
 // validate checks the run options: engine name, and non-negative

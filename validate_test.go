@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"awakemis"
+	"awakemis/internal/core"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -22,6 +23,11 @@ func TestSpecValidate(t *testing.T) {
 	// Zero values mean "default" everywhere.
 	if err := (awakemis.Spec{Task: "luby"}).Validate(); err != nil {
 		t.Fatalf("all-defaults spec rejected: %v", err)
+	}
+	// Only the awake-mis tasks read Params; the others ignore them.
+	ignored := awakemis.Spec{Task: "luby", Options: awakemis.Options{Params: core.Params{NP: -5, Variant: 9}}}
+	if err := ignored.Validate(); err != nil {
+		t.Fatalf("luby spec rejected for Params it ignores: %v", err)
 	}
 
 	cases := []struct {
@@ -54,6 +60,30 @@ func TestSpecValidate(t *testing.T) {
 		{"negative N bound", func(s *awakemis.Spec) { s.Options.N = -1 }, "network-size bound"},
 		{"negative bandwidth", func(s *awakemis.Spec) { s.Options.Bandwidth = -8 }, "bandwidth"},
 		{"negative max rounds", func(s *awakemis.Spec) { s.Options.MaxRounds = -1 }, "max_rounds"},
+		// Each of these used to validate and then fail as a job: a wake
+		// before round 0, an Int63n panic, a vtree panic, MaxRounds, a
+		// wake-round overflow. Variant 9 ran as variant 0 under another
+		// hash.
+		{"negative c1", func(s *awakemis.Spec) { s.Options.Params.C1 = -1 }, "c1 must be non-negative"},
+		{"negative np", func(s *awakemis.Spec) { s.Options.Params.NP = -5 }, "np must be non-negative"},
+		{"negative id space", func(s *awakemis.Spec) { s.Options.Params.IDSpace = -7 }, "id_space must be non-negative"},
+		{"negative delta prime", func(s *awakemis.Spec) { s.Options.Params.DeltaPrime = -3 }, "delta_prime must be non-negative"},
+		{"unknown variant", func(s *awakemis.Spec) { s.Options.Params.Variant = 9 }, "variant must be 0 (awake) or 1 (round), got 9"},
+		{"unknown variant, round task", func(s *awakemis.Spec) {
+			s.Task = "awake-mis-round"
+			s.Options.Params.Variant = 9
+		}, "variant must be"},
+		{"delta prime past the round cap", func(s *awakemis.Spec) { s.Options.Params.DeltaPrime = 1 << 40 }, "spans more than 2^40 rounds"},
+		{"np past the round cap", func(s *awakemis.Spec) { s.Options.Params.NP = 1e9 }, "spans more than 2^40 rounds"},
+		{"np whose chunk span overflows int64", func(s *awakemis.Spec) {
+			s.Options.Params.NP = 1 << 33
+			s.Options.Bandwidth = 2
+		}, "spans more than 2^40 rounds"},
+		{"largest delta prime", func(s *awakemis.Spec) { s.Options.Params.DeltaPrime = math.MaxInt }, "spans more than 2^40 rounds"},
+		{"round variant past the round cap", func(s *awakemis.Spec) {
+			s.Task = "awake-mis-round"
+			s.Options.Params.DeltaPrime = 1 << 28
+		}, "spans more than 2^40 rounds"},
 	}
 	for _, tc := range cases {
 		spec := valid
