@@ -110,7 +110,7 @@ func ScheduleFits(n int, params Params, bandwidth int) bool {
 	if int64(p.NP) >= limit || int64(p.DeltaPrime) > limit/2 {
 		return false
 	}
-	if _, ok := ldtmis.SpanWithin(p.NP, bandwidth, p.Variant, limit-1); !ok {
+	if !ldtmis.SpanFits(p.NP, bandwidth, p.Variant, limit-1) {
 		return false
 	}
 	s := NewSchedule(n, p, bandwidth)

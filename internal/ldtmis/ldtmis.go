@@ -117,18 +117,17 @@ func Span(np, bandwidth int, v Variant) int64 {
 		int64(np) // VT-MIS window
 }
 
-// SpanWithin returns Span(np, bandwidth, v) and whether it is at most
-// limit. For np and limit below 2⁴⁰ it never overflows, at any
-// bandwidth: the one term that can pass int64's range there, the
-// permutation broadcast's chunk count times its window, is bounded
-// before it is formed.
-func SpanWithin(np, bandwidth int, v Variant, limit int64) (int64, bool) {
+// SpanFits reports whether Span(np, bandwidth, v) is at most limit.
+// For np and limit below 2⁴⁰ it never overflows, at any bandwidth: the
+// one term that can pass int64's range there, the permutation
+// broadcast's chunk count times its window, is bounded before it is
+// formed.
+func SpanFits(np, bandwidth int, v Variant, limit int64) bool {
 	_, _, numChunks := permChunks(np, bandwidth)
 	if int64(numChunks) > limit/ldt.SpanBroadcastChunks(np, 1) {
-		return 0, false
+		return false
 	}
-	span := Span(np, bandwidth, v)
-	return span, span <= limit
+	return Span(np, bandwidth, v) <= limit
 }
 
 // Result collects standalone outputs.

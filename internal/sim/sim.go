@@ -34,7 +34,8 @@
 // produces bit-identical results at every worker count: the same
 // per-node outputs, the same Metrics (including AwakePerNode), and the
 // same message streams. This holds because (a) each node owns a
-// private RNG stream derived from Config.Seed and its index, (b) a
+// private RNG stream, a Rand of 8 bytes of splitmix64 state derived
+// from Config.Seed and its index, reached through NodeEnv.Rand, (b) a
 // node's step depends only on its own state and inbox, and (c) routing
 // is serial and ordered: senders are processed in ascending node
 // order, a broadcast counts as one send per port in port order, and

@@ -80,26 +80,36 @@ func AwakeRounds(k, i int) []int {
 
 // NextAwakeRound returns the smallest element of AwakeRounds(k, i)
 // greater than after, or 0 when there is none. Walking it from
-// after = 0 visits AwakeRounds(k, i) in order, in O(log i) time per
-// step and with no allocation, so a node can hold its current round
+// after = 0 visits AwakeRounds(k, i) in order, in O(1) time per step
+// and with no allocation, so a node can hold its current round
 // instead of its whole set.
+//
+// With x = k-1, the height-h label of S_k is m + 2^(h-1) + 1, where m
+// is x with its low h bits cleared. Where bit h-1 of x is 1 the label
+// is at most k, and these labels fall as h grows; where it is 0 the
+// label exceeds k, and these grow with h. So the answer below k is the
+// label at the height where x and after-1 first differ from the top,
+// and the answer above k is the label at the lowest height at or above
+// that one where x has a 0 bit.
 func NextAwakeRound(k, i, after int) int {
 	if k < 1 || k > i {
 		panic(fmt.Sprintf("vtree: k=%d out of [1,%d]", k, i))
 	}
-	next := 0
-	if k > after {
-		next = k
-	}
-	// The candidates are commSet's labels, one per height; they are
-	// not monotone in the height, so every height is checked.
-	for h, d := 1, Depth(i); h <= d; h++ {
-		label := (k-1)>>uint(h)<<uint(h) + 1<<uint(h-1) + 1
-		if label > after && label <= i && (next == 0 || label < next) {
-			next = label
+	x := uint(k - 1)
+	label := func(h int) int { return int(x>>uint(h)<<uint(h)|1<<uint(h-1)) + 1 }
+	if after < k {
+		y := uint(max(after-1, 0))
+		if y == x { // k = 1: its leaf is the set's first round
+			return k
 		}
+		return label(bits.Len(x ^ y))
 	}
-	return next
+	top := bits.Len(x ^ uint(after-1))
+	h := bits.TrailingZeros(^x>>uint(top)<<uint(top)) + 1
+	if h > Depth(i) || label(h) > i {
+		return 0 // the labels above k are clipped to i from some height on
+	}
+	return label(h)
 }
 
 // SharedRound returns the smallest r ∈ S_k ∩ S_k′ with k < r ≤ k′

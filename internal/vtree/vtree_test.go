@@ -165,7 +165,8 @@ func TestAwakeRoundsIncludesOwnID(t *testing.T) {
 
 // TestNextAwakeRoundWalksAwakeRounds checks that walking
 // NextAwakeRound from 0 yields exactly AwakeRounds(k, i), for every
-// 1 ≤ k ≤ i ≤ 1024.
+// 1 ≤ k ≤ i ≤ 1024, and that it returns the smallest element above
+// any after for i ≤ 130.
 func TestNextAwakeRoundWalksAwakeRounds(t *testing.T) {
 	for i := 1; i <= 1024; i++ {
 		for k := 1; k <= i; k++ {
@@ -179,6 +180,25 @@ func TestNextAwakeRoundWalksAwakeRounds(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("walking NextAwakeRound(%d, %d, ·) gives %v, AwakeRounds %v", k, i, got, want)
+			}
+		}
+	}
+	// Every after, not only the set's own elements: the smallest
+	// element above it, or 0.
+	for i := 1; i <= 130; i++ {
+		for k := 1; k <= i; k++ {
+			set := AwakeRounds(k, i)
+			for after := 0; after <= i+1; after++ {
+				want := 0
+				for _, r := range set {
+					if r > after {
+						want = r
+						break
+					}
+				}
+				if got := NextAwakeRound(k, i, after); got != want {
+					t.Fatalf("NextAwakeRound(%d, %d, %d) = %d, want %d (AwakeRounds %v)", k, i, after, got, want, set)
+				}
 			}
 		}
 	}
