@@ -16,7 +16,7 @@ import (
 )
 
 // program is one run's state shared by its nodes: the output, the
-// timetable, and the free list of LDT-MIS window frames.
+// timetable, and the pool of LDT-MIS window frames.
 type program struct {
 	res     *Result
 	sched   *Schedule
@@ -24,37 +24,47 @@ type program struct {
 	frames  frames
 }
 
-// frames is a run's free list of LDT-MIS window frames. A node takes a
+// frames is a run's pool of LDT-MIS window frames. A node takes a
 // frame when its own-phase window starts and returns it when the
-// window ends, so a run allocates about as many frames as it has
-// windows in flight at once, not one per window. The mutex is needed
-// because OnWake is sharded across the worker pool in busy rounds.
+// window ends, so a run allocates as many frames as it has windows in
+// flight at once, not one per window.
+//
+// Frames are handed out in one fixed order, which restarts once every
+// frame taken has come back. A phase's windows all start in its
+// communication round and all end before the next phase's start, so
+// each phase takes the frames from the first on, in node order, and a
+// round's wakes walk them in the order they were allocated, not in the
+// scattered order in which the previous phase's windows ended. The
+// mutex is needed because OnWake is sharded across the worker pool in
+// busy rounds.
 type frames struct {
-	mu   sync.Mutex
-	free []*ldtmis.Session
+	mu    sync.Mutex
+	all   []*ldtmis.Session // every frame, in hand-out order
+	taken int               // all[:taken] were handed out since the last restart
+	back  int               // how many of those have come back
 }
 
-// get takes a free frame, or allocates one.
+// get takes the next frame in order, allocating it on first use.
 func (f *frames) get() *ldtmis.Session {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := len(f.free)
-	if n == 0 {
-		return new(ldtmis.Session)
+	if f.taken == len(f.all) {
+		f.all = append(f.all, new(ldtmis.Session))
 	}
-	s := f.free[n-1]
-	f.free[n-1] = nil
-	f.free = f.free[:n-1]
+	s := f.all[f.taken]
+	f.taken++
 	return s
 }
 
-// put clears a finished window's frame, so the free list pins none of
-// its payloads, and returns it to the list.
+// put clears a finished window's frame, so the pool pins none of its
+// payloads, and counts it back.
 func (f *frames) put(s *ldtmis.Session) {
 	*s = ldtmis.Session{}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.free = append(f.free, s)
+	if f.back++; f.back == f.taken {
+		f.taken, f.back = 0, 0
+	}
 }
 
 type stepNode struct {
@@ -78,8 +88,8 @@ type stepNode struct {
 }
 
 // StepProgram returns the per-node Awake-MIS program. Its nodes share
-// one free list of window frames, so a StepProgram serves one run at a
-// time or several at once.
+// one pool of window frames, so a StepProgram serves one run at a time
+// or several at once.
 func StepProgram(res *Result, sched *Schedule, params Params, n int) sim.StepProgram {
 	params = params.WithDefaults(n)
 	p := &program{res: res, sched: sched, idSpace: params.IDSpace}
@@ -154,7 +164,7 @@ func (c *stepNode) recv(in []sim.Inbound) {
 
 // endWindow is the own-phase window's continuation: it returns the
 // window's frame, then goes on. The window calls it in tail position,
-// so nothing reads the frame once it is back on the free list.
+// so nothing reads the frame once it is back in the pool.
 func (c *stepNode) endWindow() {
 	c.p.frames.put(c.window)
 	c.window = nil
