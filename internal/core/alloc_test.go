@@ -20,9 +20,10 @@ import (
 const maxMallocsPerNode = 40
 
 // maxBytesPerNode bounds the bytes one Awake-MIS run allocates per
-// node, 9% above the 625 B measured on G(4096, 4/n). It was 1,178 B
-// while each own-phase window allocated its own 896-B frame, each
-// node its communication set, and each node RNG a math/rand wrapper.
+// node, 9% above the 625 B measured on G(4096, 4/n). An 896-B window
+// frame per window instead of the run's pool, a communication-set
+// slice per node or a math/rand wrapper per node RNG pushes it past
+// the bound.
 const maxBytesPerNode = 680
 
 // TestAwakeMISAllocsPerNode is a count-based guard with no timing: it

@@ -8,8 +8,8 @@ import (
 	"awakemis/internal/rng"
 )
 
-// splitmixSource is the node stream as a math/rand Source64: the
-// source the engine wrapped in a rand.Rand before Rand replaced it.
+// splitmixSource is the node stream as a math/rand Source64, the
+// reference Rand is pinned against.
 type splitmixSource struct {
 	state uint64
 	draws int // Uint64 calls, to tell which paths a method took
