@@ -37,6 +37,21 @@ func TestRunAllAlgorithmsProduceValidMIS(t *testing.T) {
 	}
 }
 
+// TestAwakeMISAtSaturatedIDSpace runs Awake-MIS under the network
+// bound N = 2²¹, the first N whose default ID space N³ passes int64's
+// range and saturates instead of wrapping, with the CONGEST bound
+// enforced, and verifies the MIS.
+func TestAwakeMISAtSaturatedIDSpace(t *testing.T) {
+	g := GNP(512, 4.0/512, 11)
+	res, err := RunMIS(g, AwakeMIS, Options{Seed: 3, N: 1 << 21, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(g, res.InMIS); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunUnknownAlgorithm(t *testing.T) {
 	if _, err := RunMIS(Cycle(4), Algorithm("bogus"), Options{}); err == nil {
 		t.Fatal("unknown algorithm accepted")

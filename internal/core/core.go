@@ -47,9 +47,14 @@ type Params struct {
 	// ldtmis.VariantAwake gives Theorem 13, ldtmis.VariantRound gives
 	// Corollary 14.
 	Variant ldtmis.Variant `json:"variant,omitempty"`
-	// IDSpace is the random-ID space (paper: poly(N)). Zero means N³.
+	// IDSpace is the random-ID space (paper: poly(N)). Zero means N³,
+	// at least 2¹⁶, saturating at math.MaxInt64 from N = 2²¹ on.
 	IDSpace int64 `json:"id_space,omitempty"`
 }
+
+// maxCubedN is the least N whose cube overflows int64: 2²¹, since
+// (2²¹)³ = 2⁶³.
+const maxCubedN = 1 << 21
 
 // WithDefaults fills zero fields for a network bound N.
 func (p Params) WithDefaults(n int) Params {
@@ -67,10 +72,12 @@ func (p Params) WithDefaults(n int) Params {
 		p.NP = int(math.Ceil(12 * ln))
 	}
 	if p.IDSpace == 0 {
-		nn := int64(n)
-		p.IDSpace = nn * nn * nn
-		if p.IDSpace < 1<<16 {
-			p.IDSpace = 1 << 16
+		// N³ passes int64's range from N = 2²¹ on, so the space
+		// saturates there; Int63n(IDSpace)+1 still cannot wrap.
+		p.IDSpace = math.MaxInt64
+		if n < maxCubedN {
+			nn := int64(n)
+			p.IDSpace = max(nn*nn*nn, 1<<16)
 		}
 	}
 	return p

@@ -178,6 +178,30 @@ func TestWithDefaults(t *testing.T) {
 	if q.C1 != 2 || q.DeltaPrime != 5 || q.NP != 9 || q.IDSpace != 100 {
 		t.Errorf("explicit params overwritten: %+v", q)
 	}
+
+	// The default ID space is N³ with a 2¹⁶ floor while N³ fits in
+	// int64, saturates from N = 2²¹ on, and never decreases in N.
+	ns := []int{0, 1, 2, 40, 41, 1024, 1 << 20, 2_097_150, 2_097_151,
+		2_097_152, 2_097_153, 1 << 22, 10_000_000, math.MaxInt32, 1 << 40, math.MaxInt64}
+	prev := int64(0)
+	for _, n := range ns {
+		got := Params{}.WithDefaults(n).IDSpace
+		want := int64(math.MaxInt64)
+		if n < 1<<21 {
+			nn := int64(max(n, 2))
+			want = max(nn*nn*nn, 1<<16)
+		}
+		if got != want {
+			t.Errorf("N = %d: IDSpace = %d, want %d", n, got, want)
+		}
+		if got < 1<<16 {
+			t.Errorf("N = %d: IDSpace = %d, below 2^16", n, got)
+		}
+		if got < prev {
+			t.Errorf("N = %d: IDSpace = %d, below %d at a smaller N", n, got, prev)
+		}
+		prev = got
+	}
 }
 
 func TestAwakeMISDeterministicReplay(t *testing.T) {

@@ -131,7 +131,11 @@ func (g *Graph) ReversePort(v, port int) int { return g.Port(g.Neighbor(v, port)
 // v is visited, every smaller neighbor x of a vertex w has already
 // advanced w's cursor, so the cursor is v's rank in w's sorted row.
 // It costs O(m) time, 4 bytes per arc, and 4 bytes per vertex of
-// scratch that is released on return.
+// scratch that is released on return. The simulator's stepped engine
+// builds it on the first round it routes by counting sort, one with a
+// unicast send or a node that staged more than one entry; a run of
+// broadcast-only rounds, which it delivers receiver-side, never
+// builds it.
 func (g *Graph) ReversePorts() []int32 {
 	rev := make([]int32, len(g.nbr))
 	cur := make([]int32, g.N())

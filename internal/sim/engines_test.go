@@ -286,105 +286,142 @@ func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool)
 }
 
 // TestFuzzEquivalence drives randomized programs over randomized graphs
-// through every engine configuration and demands identical per-node
-// receive transcripts. The first program sends on every port one
-// unicast at a time; the step-form one stages broadcast entries and
-// unicast sends, so its runs also compare Metrics and the Tracer's
-// message stream.
+// through every engine configuration and demands identical Metrics,
+// per-node receive transcripts and Tracer streams. The first program
+// sends on every port one unicast at a time. The step-form program runs
+// in two modes: mixed, which stages broadcast entries and unicast sends,
+// so the stepped engine routes by counting sort; and broadcast-only, in
+// which every node stages at most one Broadcast per round, so it routes
+// receiver-side. Both modes also run on G(256, p) with isolated nodes,
+// where rounds are large enough to shard OnWake across the pool.
 func TestFuzzEquivalence(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		seed := int64(100 + trial)
-		g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
-		var ref []int64
-		var refName string
-		for name, eng := range testEngines() {
-			sums := make([]int64, g.N())
-			prog := perNode(func(env *NodeEnv) funcNode {
-				r, left := env.Rand, 8
-				stage := func(out *Outbox) {
-					if r.Int63n(3) > 0 {
-						msg := intMsg(r.Int63n(1000))
-						for p := 0; p < env.Degree; p++ {
-							out.Send(p, msg)
-						}
-					}
+	t.Run("every-port", func(t *testing.T) {
+		for trial := 0; trial < 8; trial++ {
+			seed := int64(100 + trial)
+			g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
+			checkEngines(t, g, seed, everyPortProgram)
+		}
+	})
+	for _, mode := range []struct {
+		name          string
+		broadcastOnly bool
+	}{{"step-form", false}, {"broadcast-only", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			for trial := 0; trial < 8; trial++ {
+				seed := int64(200 + trial)
+				g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
+				if m := checkStepFuzz(t, g, seed, mode.broadcastOnly); m.MessagesDelivered == 0 {
+					t.Fatalf("trial %d: no message delivered", trial)
 				}
-				return funcNode{
-					start: stage,
-					wake: func(round int64, in []Inbound, out *Outbox) (int64, bool) {
-						if left == 0 {
-							return 0, true
-						}
-						for _, m := range in {
-							sums[env.ID] += int64(m.Msg.(intMsg)) * int64(m.Port+1)
-						}
-						if r.Int63n(4) == 0 {
-							return 0, true
-						}
-						next := round + 1 + r.Int63n(3)
-						if left--; left > 0 {
-							stage(out)
-						}
-						return next, false
-					},
+			}
+			for trial := 0; trial < 2; trial++ {
+				seed := int64(300 + trial)
+				g := graph.GNP(256, 0.006, newNodeRand(seed, 777))
+				if !hasIsolated(g) {
+					t.Fatalf("trial %d: G(256, 0.006) has no isolated node", trial)
 				}
-			})
-			if _, err := eng.Run(context.Background(), g, prog, Config{Seed: seed}); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
+				if m := checkStepFuzz(t, g, seed, mode.broadcastOnly); m.MessagesDelivered == 0 {
+					t.Fatalf("trial %d at n = 256: no message delivered", trial)
+				}
 			}
-			if ref == nil {
-				ref, refName = sums, name
-				continue
-			}
-			if !reflect.DeepEqual(ref, sums) {
-				t.Fatalf("trial %d: transcript diverges between %s and %s", trial, refName, name)
-			}
+		})
+	}
+}
+
+// hasIsolated reports whether g has a node of degree 0.
+func hasIsolated(g *graph.Graph) bool {
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) == 0 {
+			return true
 		}
 	}
+	return false
+}
 
-	t.Run("step-form", func(t *testing.T) {
-		for trial := 0; trial < 8; trial++ {
-			seed := int64(200 + trial)
-			g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
-			if m := checkStepFuzz(t, g, seed); m.MessagesDelivered == 0 {
-				t.Fatalf("trial %d: no message delivered", trial)
+// everyPortProgram stages, at each wake, one message on every port (one
+// unicast Send per port) with probability 2/3, for up to eight wakes,
+// and halts at random. It folds every received (round, port, value)
+// into its transcript hash.
+func everyPortProgram(logs []uint64) StepProgram {
+	return perNode(func(env *NodeEnv) funcNode {
+		r, left := env.Rand, 8
+		stage := func(out *Outbox) {
+			if r.Int63n(3) > 0 {
+				msg := intMsg(r.Int63n(1000))
+				for p := 0; p < env.Degree; p++ {
+					out.Send(p, msg)
+				}
 			}
+		}
+		return funcNode{
+			start: stage,
+			wake: func(round int64, in []Inbound, out *Outbox) (int64, bool) {
+				if left == 0 {
+					return 0, true
+				}
+				logInbox(&logs[env.ID], round, in)
+				if r.Int63n(4) == 0 {
+					return 0, true
+				}
+				next := round + 1 + r.Int63n(3)
+				if left--; left > 0 {
+					stage(out)
+				}
+				return next, false
+			},
 		}
 	})
 }
 
 // FuzzSteppedMatchesReference runs TestFuzzEquivalence's step-form
-// program on G(n+1, p) drawn from graphSeed under run seed seed, and
-// demands identical Metrics, receive transcripts and Tracer streams on
-// every engine of the grid. p is folded into [0, 0.25). The seed corpus
-// is the test's sixteen trial seeds.
+// program on G(n+1, p) drawn from graphSeed under run seed seed, in
+// broadcast-only mode when broadcastOnly is set, and demands identical
+// Metrics, receive transcripts and Tracer streams on every engine of
+// the grid. p is folded into [0, 0.25). The seed corpus is the test's
+// trial seeds in both modes, plus G(256, p) inputs with isolated nodes
+// whose rounds shard OnWake at four and sixteen workers.
 func FuzzSteppedMatchesReference(f *testing.F) {
-	for trial := int64(0); trial < 8; trial++ {
-		f.Add(100+trial, 100+trial, uint8(39), 0.12)
-		f.Add(200+trial, 200+trial, uint8(39), 0.12)
+	for _, broadcastOnly := range []bool{false, true} {
+		for trial := int64(0); trial < 8; trial++ {
+			f.Add(100+trial, 100+trial, uint8(39), 0.12, broadcastOnly)
+			f.Add(200+trial, 200+trial, uint8(39), 0.12, broadcastOnly)
+		}
+		for trial := int64(0); trial < 2; trial++ {
+			f.Add(300+trial, 300+trial, uint8(255), 0.006, broadcastOnly)
+		}
 	}
-	f.Fuzz(func(t *testing.T, graphSeed, seed int64, n uint8, p float64) {
+	f.Fuzz(func(t *testing.T, graphSeed, seed int64, n uint8, p float64, broadcastOnly bool) {
 		if math.IsNaN(p) {
 			p = 0
 		}
 		g := graph.GNP(int(n)+1, math.Mod(math.Abs(p), 0.25), newNodeRand(graphSeed, 777))
-		checkStepFuzz(t, g, seed)
+		checkStepFuzz(t, g, seed, broadcastOnly)
 	})
 }
 
-// checkStepFuzz runs the step-form fuzz program on g under seed on every
-// engine of the grid and fails t unless Metrics, receive transcripts
-// and Tracer streams all agree. It returns the common Metrics.
-func checkStepFuzz(t *testing.T, g *graph.Graph, seed int64) *Metrics {
+// checkStepFuzz runs the step-form fuzz program, in broadcast-only mode
+// when broadcastOnly is set, on g under seed on every engine of the
+// grid (see checkEngines). It returns the common Metrics.
+func checkStepFuzz(t *testing.T, g *graph.Graph, seed int64, broadcastOnly bool) *Metrics {
+	t.Helper()
+	return checkEngines(t, g, seed, func(logs []uint64) StepProgram {
+		return func(env *NodeEnv) StepNode {
+			return &fuzzStepNode{env: env, log: &logs[env.ID], left: 8, broadcastOnly: broadcastOnly}
+		}
+	})
+}
+
+// checkEngines runs the program that mk builds over a run's per-node
+// transcript slots on g under seed, on every engine of the grid, and
+// fails t unless Metrics, receive transcripts and Tracer streams all
+// agree. It returns the common Metrics.
+func checkEngines(t *testing.T, g *graph.Graph, seed int64, mk func(logs []uint64) StepProgram) *Metrics {
 	t.Helper()
 	var ref fuzzRun
 	var refName string
 	for name, eng := range testEngines() {
 		run := fuzzRun{logs: make([]uint64, g.N()), tracer: &hashTracer{}}
-		sp := StepProgram(func(env *NodeEnv) StepNode {
-			return &fuzzStepNode{env: env, log: &run.logs[env.ID], left: 8}
-		})
-		m, err := eng.Run(context.Background(), g, sp, Config{Seed: seed, Tracer: run.tracer})
+		m, err := eng.Run(context.Background(), g, mk(run.logs), Config{Seed: seed, Tracer: run.tracer})
 		if err != nil {
 			t.Fatalf("seed %d %s: %v", seed, name, err)
 		}
@@ -406,7 +443,7 @@ func checkStepFuzz(t *testing.T, g *graph.Graph, seed int64) *Metrics {
 	return ref.m
 }
 
-// fuzzRun is one engine's outcome of a step-form fuzz trial.
+// fuzzRun is one engine's outcome of a fuzz trial.
 type fuzzRun struct {
 	m      *Metrics
 	logs   []uint64 // per-node receive transcript hashes
@@ -417,6 +454,14 @@ type fuzzRun struct {
 // order-sensitive, so transcripts match only when every event arrives
 // in the same order.
 func mixLog(h uint64, x int64) uint64 { return (h^uint64(x))*0x100000001b3 + 0x9e3779b97f4a7c15 }
+
+// logInbox folds every (round, port, value) of an inbox of intMsg
+// into a transcript hash.
+func logInbox(log *uint64, round int64, in []Inbound) {
+	for _, m := range in {
+		*log = mixLog(mixLog(mixLog(*log, round), int64(m.Port)), int64(m.Msg.(intMsg)))
+	}
+}
 
 // hashTracer folds the engine's event stream, in order, into hashes.
 type hashTracer struct {
@@ -439,16 +484,25 @@ func (h *hashTracer) Message(round int64, from, to, bits int, delivered bool) {
 // fuzzStepNode is a native step-form node for TestFuzzEquivalence. At
 // each wake it stages a random mix of broadcasts and unicast sends on
 // random ports (sometimes two on one port), then sleeps a random
-// number of rounds or halts. It folds every received (round, port,
-// value) into its transcript hash.
+// number of rounds or halts. In broadcast-only mode it instead stages
+// one Broadcast with probability 2/3 and nothing otherwise, so every
+// round it takes part in is a broadcast-only round. It folds every
+// received (round, port, value) into its transcript hash.
 type fuzzStepNode struct {
-	env  *NodeEnv
-	log  *uint64
-	left int
+	env           *NodeEnv
+	log           *uint64
+	left          int
+	broadcastOnly bool
 }
 
 func (n *fuzzStepNode) stage(out *Outbox) {
 	r, deg := n.env.Rand, n.env.Degree
+	if n.broadcastOnly {
+		if r.Intn(3) > 0 {
+			out.Broadcast(intMsg(r.Int63n(1000)))
+		}
+		return
+	}
 	if r.Intn(3) > 0 {
 		out.Broadcast(intMsg(r.Int63n(1000)))
 	}
@@ -467,9 +521,7 @@ func (n *fuzzStepNode) stage(out *Outbox) {
 func (n *fuzzStepNode) Start(out *Outbox) { n.stage(out) }
 
 func (n *fuzzStepNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
-	for _, m := range inbox {
-		*n.log = mixLog(mixLog(mixLog(*n.log, round), int64(m.Port)), int64(m.Msg.(intMsg)))
-	}
+	logInbox(n.log, round, inbox)
 	n.left--
 	if n.left == 0 || n.env.Rand.Intn(5) == 0 {
 		return 0, true

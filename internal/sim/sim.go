@@ -37,15 +37,23 @@
 // private RNG stream, a Rand of 8 bytes of splitmix64 state derived
 // from Config.Seed and its index, reached through NodeEnv.Rand, (b) a
 // node's step depends only on its own state and inbox, and (c) routing
-// is serial and ordered: senders are processed in ascending node
-// order, a broadcast counts as one send per port in port order, and
-// each inbox is sorted by arrival port. The engine delivers through a
-// counting sort into one flat inbox buffer, expands each staged
-// broadcast over the sender's CSR row, and reads arrival ports from a
-// reverse-port table built once per run. The tests check it against a
-// reference simulator (reference_test.go) that implements the same
-// semantics in the plainest way, for every algorithm in the
-// repository.
+// is serial and ordered: senders are metered and traced in ascending
+// node order, a broadcast counts as one send per port in port order,
+// and each inbox is sorted by arrival port. The engine routes each
+// round on one of two paths into one flat inbox buffer, and picks the
+// path from what the awake nodes staged, never from the program. A
+// round in which every awake node staged at most one entry, a
+// Broadcast, is delivered receiver-side: each awake node walks its own
+// sorted CSR row once and appends its broadcasting neighbours'
+// messages in port order. A round in which any awake node staged a
+// unicast Send, or more than one entry, goes through a counting sort
+// that expands each broadcast over the sender's CSR row and reads
+// arrival ports from a reverse-port table built on the first such
+// round. Both paths yield the same inboxes, Metrics and Tracer
+// events. The tests check the engine against a reference simulator
+// (reference_test.go) that implements the same semantics in the
+// plainest way, for every algorithm in the repository, and fuzz it in
+// both kinds of round.
 //
 // On a failing run the engine aborts at the first failing round and
 // surfaces the lowest-indexed failing node's error.

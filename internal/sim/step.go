@@ -107,3 +107,9 @@ func (o *Outbox) checkBits(port int, m Message) {
 }
 
 func (o *Outbox) reset() { o.msgs = o.msgs[:0] }
+
+// mixed reports whether the staged sends are anything but at most one
+// Broadcast: a unicast Send, or more than one entry.
+func (o *Outbox) mixed() bool {
+	return len(o.msgs) > 1 || len(o.msgs) == 1 && o.msgs[0].port != broadcastPort
+}

@@ -19,17 +19,18 @@ import (
 // every worker count.
 //
 // State is struct-of-arrays: the per-node machine, staged outbox,
-// routing slot, and next-wake round each live in their own flat array,
+// inbox slot, and next-wake round each live in their own flat array,
 // so the hot loops (routing, stepping, rescheduling) touch only the
-// arrays they need. Routing costs O(1) per delivered message: arrival
-// ports come from a reverse-port table built once per run, and a
-// broadcast travels as one staged entry that the router expands over
-// the sender's own CSR row. Scheduling costs O(1) per woken node (see
-// wakeQueue). At steady state the engine performs zero heap
-// allocations per round: every inbox is a region of one flat buffer,
-// outboxes reset in place, and the worker pool is fed over a channel
-// of index spans (guarded by the testing.AllocsPerRun tests in
-// alloc_test.go).
+// arrays they need. Routing costs O(1) per delivered message, on one of
+// two paths (see route): a round of broadcasts only is delivered
+// receiver-side, each awake node reading its broadcasting neighbours
+// off its own CSR row, and any other round by a counting sort that
+// reads arrival ports from a reverse-port table built on its first
+// use. Scheduling costs O(1) per woken node (see wakeQueue). At steady
+// state the engine performs zero heap allocations per round: every
+// inbox is a region of one flat buffer, outboxes reset in place, and
+// the worker pool is fed over a channel of index spans (guarded by the
+// testing.AllocsPerRun tests in alloc_test.go).
 type steppedEngine struct {
 	workers int // fixed pool size; 0 follows GOMAXPROCS (poolSize)
 }
@@ -73,17 +74,33 @@ func panicError(r any) error {
 	return fmt.Errorf("program panic: %v", r)
 }
 
-// rxSlot is one node's routing state. route counts the node's
-// deliveries, gives it a region of the round's flat inbox buffer with
-// a prefix sum over the awake list, and fills the region, advancing
-// off to the region's end: the inbox is inBuf[off-count:off]. The
-// fields share one 16 B slot, not one array each, because route
-// reaches a receiver in random order and then touches all of them.
+// rxSlot locates an awake node's inbox, inBuf[off-count:off], a region
+// of the round's flat inbox buffer. The counting sort counts the
+// node's deliveries, turns off into the region's start with a prefix
+// sum over the awake list, and advances it while filling the region;
+// receiver-side delivery writes the slot once, after filling the
+// region. The fields share one 8 B slot, not one array each, because
+// the counting sort reaches a receiver in random order and then
+// touches both.
 type rxSlot struct {
-	stamp int64 // clock+1 iff the node is awake this round
 	count int32 // deliveries this round
 	off   int32 // region start, then fill cursor, then region end
 }
+
+// bitmap holds one bit per node.
+type bitmap []uint64
+
+func newBitmap(n int) bitmap { return make(bitmap, (n+63)/64) }
+
+func (b bitmap) set(v int) { b[v>>6] |= 1 << (uint(v) & 63) }
+
+// bit returns node v's bit as 0 or 1.
+func (b bitmap) bit(v int32) int { return int(b[v>>6] >> (uint32(v) & 63) & 1) }
+
+func (b bitmap) has(v int32) bool { return b.bit(v) != 0 }
+
+// clearWord zeroes the word that holds node v's bit.
+func (b bitmap) clearWord(v int) { b[v>>6] = 0 }
 
 // stepState is one run's struct-of-arrays node state plus the
 // round-scoped scratch the worker pool reads.
@@ -96,8 +113,26 @@ type stepState struct {
 	node []StepNode // per-node machine; nil once halted
 	out  []Outbox   // sends staged for each node's next awake round
 	next []int64    // wake round returned by the last OnWake (haltedWake once done)
-	rx   []rxSlot   // per-node routing state for the current round
-	rev  []int32    // the graph's reverse-port table (graph.ReversePorts)
+	rx   []rxSlot   // per-node inbox slot for the current round
+
+	// mixed[v] reports that the sends v staged for its next awake round
+	// are not at most one Broadcast. The node's start and steps set it
+	// while its outbox is at hand, so route picks a round's path
+	// without reading the outboxes.
+	mixed []bool
+
+	// The round's awake nodes and, in a broadcast-only round, the nodes
+	// that broadcast, with each broadcaster's message in view. route
+	// clears both bitmaps before it returns; view keeps stale entries,
+	// which are read only under a set broadcaster bit.
+	awakeSet bitmap
+	senders  bitmap
+	view     []Message
+
+	// The graph's reverse-port table (graph.ReversePorts), built on the
+	// first round the counting sort routes: a run of broadcast-only
+	// rounds never needs it.
+	rev []int32
 
 	// Flat inbox buffer; rxSlot locates each awake node's region.
 	// Inboxes are borrowed for the OnWake call only, so each round
@@ -150,16 +185,19 @@ func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram,
 func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*stepState, error) {
 	n := g.N()
 	rs := &stepState{
-		g:     g,
-		cfg:   cfg,
-		m:     &Metrics{AwakePerNode: make([]int64, n)},
-		q:     newWakeQueue(n),
-		node:  make([]StepNode, n),
-		out:   make([]Outbox, n),
-		next:  make([]int64, n),
-		rx:    make([]rxSlot, n),
-		rev:   g.ReversePorts(),
-		probe: roundProbe{obs: cfg.Observer},
+		g:        g,
+		cfg:      cfg,
+		m:        &Metrics{AwakePerNode: make([]int64, n)},
+		q:        newWakeQueue(n),
+		node:     make([]StepNode, n),
+		out:      make([]Outbox, n),
+		next:     make([]int64, n),
+		rx:       make([]rxSlot, n),
+		mixed:    make([]bool, n),
+		awakeSet: newBitmap(n),
+		senders:  newBitmap(n),
+		view:     make([]Message, n),
+		probe:    roundProbe{obs: cfg.Observer},
 	}
 
 	// Construct every node machine and stage its round-0 sends. The
@@ -258,28 +296,130 @@ func (rs *stepState) round(workers int) error {
 }
 
 // route delivers the round's staged sends between mutually awake nodes
-// and meters the traffic. Senders are processed in ascending node order
-// (awake is sorted), so each receiver's arrival ports ascend within the
-// round and inboxes come out port-sorted.
-//
-// Delivery is a counting sort into the flat inbox buffer: pass one
-// meters and traces every send in sender order, counts each
+// and meters the traffic. It picks one of two paths from what the awake
+// nodes staged, never from the program: a round in which every awake
+// node staged at most one entry, a Broadcast, is delivered
+// receiver-side (deliverBroadcasts), and a round in which any awake
+// node staged a unicast Send or more than one entry by a counting sort
+// (countingSort). Both paths meter and trace each send in the same
+// order, senders ascending and a broadcast's ports in port order, and
+// both leave every awake node's inbox in one region of the flat inbox
+// buffer, sorted by arrival port, so the path a round takes never
+// shows in a run's results. Each grows the buffer at most once per
+// round, exactly to the delivered total.
+func (rs *stepState) route(awake []int) error {
+	broadcastOnly := true
+	for _, v := range awake {
+		rs.awakeSet.set(v)
+		if rs.mixed[v] {
+			broadcastOnly = false
+		}
+	}
+	var err error
+	if broadcastOnly {
+		err = rs.deliverBroadcasts(awake)
+	} else {
+		err = rs.countingSort(awake)
+	}
+	// Every broadcaster is awake, so zeroing the awake nodes' words
+	// clears both bitmaps.
+	for _, v := range awake {
+		rs.awakeSet.clearWord(v)
+		rs.senders.clearWord(v)
+	}
+	return err
+}
+
+// deliverBroadcasts routes a broadcast-only round receiver-side. The
+// sender pass meters and traces each broadcast as one send per port,
+// reading each receiver's awake bit, counts the awake neighbours it
+// reaches, and publishes the message in the sender's view slot and
+// broadcaster bit. The receiver pass then walks each awake node's own
+// sorted CSR row once and appends the broadcasting neighbours'
+// messages in port order, so each region comes out contiguous and
+// port-sorted with no count pass, no prefix sum and no reverse-port
+// lookup. A round that delivers nothing skips the row scans.
+func (rs *stepState) deliverBroadcasts(awake []int) error {
+	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
+	awakeSet, senders, view := rs.awakeSet, rs.senders, rs.view
+	total := 0
+	for _, v := range awake {
+		msgs := rs.out[v].msgs
+		if len(msgs) == 0 {
+			continue
+		}
+		msg := msgs[0].msg
+		bits := msg.Bits()
+		if bits > m.MaxMessageBits {
+			m.MaxMessageBits = bits
+		}
+		row := g.Neighbors(v)
+		m.MessagesSent += int64(len(row))
+		m.BitsSent += int64(bits) * int64(len(row))
+		if tracer != nil {
+			for _, w := range row {
+				delivered := awakeSet.has(w)
+				tracer.Message(clock, v, int(w), bits, delivered)
+				if delivered { // a sleeping receiver loses the message
+					total++
+				}
+			}
+		} else {
+			for _, w := range row {
+				total += awakeSet.bit(w)
+			}
+		}
+		view[v] = msg
+		senders.set(v)
+	}
+	m.MessagesDelivered += int64(total)
+	buf, err := rs.inbox(total)
+	if err != nil {
+		return err
+	}
+	rx := rs.rx
+	if total == 0 {
+		for _, w := range awake {
+			rx[w] = rxSlot{}
+		}
+		return nil
+	}
+	off := 0
+	for _, w := range awake {
+		start := off
+		for p, u := range g.Neighbors(w) {
+			if senders.has(u) {
+				buf[off] = Inbound{Port: p, Msg: view[u]}
+				off++
+			}
+		}
+		rx[w] = rxSlot{count: int32(off - start), off: int32(off)}
+	}
+	return nil
+}
+
+// countingSort routes a round that holds a unicast send, or more than
+// one entry from one node, through the flat inbox buffer. Pass one
+// meters and traces every send in sender order, counts each awake
 // receiver's deliveries, and records a unicast send's receiver in the
 // staged entry (-1 when it sleeps); a prefix sum over the awake list
 // carves the buffer into per-receiver regions; pass two fills the
 // regions in the same sender order, skipping lost sends. A broadcast
-// entry is expanded over the sender's CSR row in port order, in both
-// passes: pass one meters each port as its own send, and pass two
-// reads each receiver's stamp from the slot it fills anyway. Arrival
-// ports are read from the reverse-port table at the arc's index, so
-// each delivered message costs O(1). The buffer grows at most once per
-// round, exactly to the delivered total.
-func (rs *stepState) route(awake []int) error {
+// entry is expanded over the sender's CSR row in port order in both
+// passes, each port metered as its own send. Because senders ascend,
+// each receiver's arrival ports ascend within the round. Arrival ports
+// are read from the reverse-port table at the arc's index, so each
+// delivered message costs O(1); the table is built on the first round
+// that needs it.
+func (rs *stepState) countingSort(awake []int) error {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
-	rx, rev := rs.rx, rs.rev
-	stamp := clock + 1
+	awakeSet, rx := rs.awakeSet, rs.rx
+	if rs.rev == nil {
+		rs.rev = g.ReversePorts()
+	}
+	rev := rs.rev
 	for _, v := range awake {
-		rx[v] = rxSlot{stamp: stamp}
+		rx[v] = rxSlot{}
 	}
 	for _, v := range awake {
 		msgs := rs.out[v].msgs
@@ -294,13 +434,12 @@ func (rs *stepState) route(awake []int) error {
 				m.MessagesSent += int64(len(row))
 				m.BitsSent += int64(bits) * int64(len(row))
 				for _, w := range row {
-					r := &rx[w]
-					delivered := r.stamp == stamp
+					delivered := awakeSet.has(w)
 					if tracer != nil {
 						tracer.Message(clock, v, int(w), bits, delivered)
 					}
 					if delivered { // a sleeping receiver loses the message
-						r.count++
+						rx[w].count++
 						m.MessagesDelivered++
 					}
 				}
@@ -308,14 +447,14 @@ func (rs *stepState) route(awake []int) error {
 			}
 			m.MessagesSent++
 			m.BitsSent += int64(bits)
-			w := g.Neighbor(v, int(om.port))
-			delivered := rx[w].stamp == stamp
+			w := int32(g.Neighbor(v, int(om.port)))
+			delivered := awakeSet.has(w)
 			if tracer != nil {
-				tracer.Message(clock, v, w, bits, delivered)
+				tracer.Message(clock, v, int(w), bits, delivered)
 			}
 			om.to = -1
 			if delivered {
-				om.to = int32(w)
+				om.to = w
 				rx[w].count++
 				m.MessagesDelivered++
 			}
@@ -326,15 +465,10 @@ func (rs *stepState) route(awake []int) error {
 		rx[v].off = int32(total)
 		total += int(rx[v].count)
 	}
-	if total > math.MaxInt32 {
-		return fmt.Errorf("sim: round %d delivers %d messages, beyond the inbox offset range", clock, total)
+	buf, err := rs.inbox(total)
+	if err != nil {
+		return err
 	}
-	buf := rs.inBuf
-	if cap(buf) < total {
-		buf = make([]Inbound, total)
-	}
-	buf = buf[:total]
-	rs.inBuf = buf
 	for _, v := range awake {
 		out := &rs.out[v]
 		arc := int(out.arc)
@@ -343,10 +477,10 @@ func (rs *stepState) route(awake []int) error {
 				row := g.Neighbors(v)
 				ports := rev[arc : arc+len(row)]
 				for p, w := range row {
-					r := &rx[w]
-					if r.stamp != stamp {
+					if !awakeSet.has(w) {
 						continue
 					}
+					r := &rx[w]
 					buf[r.off] = Inbound{Port: int(ports[p]), Msg: om.msg}
 					r.off++
 				}
@@ -361,6 +495,19 @@ func (rs *stepState) route(awake []int) error {
 		}
 	}
 	return nil
+}
+
+// inbox returns the round's flat inbox buffer, total entries long,
+// growing it only when its capacity falls short.
+func (rs *stepState) inbox(total int) ([]Inbound, error) {
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: round %d delivers %d messages, beyond the inbox offset range", rs.clock, total)
+	}
+	if cap(rs.inBuf) < total {
+		rs.inBuf = make([]Inbound, total)
+	}
+	rs.inBuf = rs.inBuf[:total]
+	return rs.inBuf, nil
 }
 
 // stepAll runs OnWake for every awake node, splitting the (sorted)
@@ -432,6 +579,7 @@ func (rs *stepState) stepNode(v int) {
 		return
 	}
 	rs.next[v] = next
+	rs.mixed[v] = out.mixed()
 }
 
 func (rs *stepState) startNode(v int, sp StepProgram, env *NodeEnv) (err error) {
@@ -442,5 +590,6 @@ func (rs *stepState) startNode(v int, sp StepProgram, env *NodeEnv) (err error) 
 	}()
 	rs.node[v] = sp(env)
 	rs.node[v].Start(&rs.out[v])
+	rs.mixed[v] = rs.out[v].mixed()
 	return nil
 }
