@@ -87,20 +87,30 @@ type rxSlot struct {
 	off   int32 // region start, then fill cursor, then region end
 }
 
-// bitmap holds one bit per node.
-type bitmap []uint64
+// nodeBits holds two bits per node: whether it is awake this round and
+// whether it broadcasts in it. Each word of awake bits sits next to
+// the word of broadcaster bits for the same 64 nodes, so a node's two
+// bits share a cache line.
+type nodeBits []uint64
 
-func newBitmap(n int) bitmap { return make(bitmap, (n+63)/64) }
+func newNodeBits(n int) nodeBits { return make(nodeBits, 2*((n+63)/64)) }
 
-func (b bitmap) set(v int) { b[v>>6] |= 1 << (uint(v) & 63) }
+func (b nodeBits) setAwake(v int) { b[v>>6<<1] |= 1 << (uint(v) & 63) }
 
-// bit returns node v's bit as 0 or 1.
-func (b bitmap) bit(v int32) int { return int(b[v>>6] >> (uint32(v) & 63) & 1) }
+func (b nodeBits) setSender(v int) { b[v>>6<<1|1] |= 1 << (uint(v) & 63) }
 
-func (b bitmap) has(v int32) bool { return b.bit(v) != 0 }
+// awake returns node v's awake bit as 0 or 1.
+func (b nodeBits) awake(v int32) int { return int(b[v>>6<<1] >> (uint32(v) & 63) & 1) }
 
-// clearWord zeroes the word that holds node v's bit.
-func (b bitmap) clearWord(v int) { b[v>>6] = 0 }
+func (b nodeBits) isAwake(v int32) bool { return b.awake(v) != 0 }
+
+func (b nodeBits) isSender(v int32) bool { return b[v>>6<<1|1]>>(uint32(v)&63)&1 != 0 }
+
+// clear zeroes both words that hold node v's bits.
+func (b nodeBits) clear(v int) {
+	i := v >> 6 << 1
+	b[i], b[i+1] = 0, 0
+}
 
 // stepState is one run's struct-of-arrays node state plus the
 // round-scoped scratch the worker pool reads.
@@ -123,11 +133,10 @@ type stepState struct {
 
 	// The round's awake nodes and, in a broadcast-only round, the nodes
 	// that broadcast, with each broadcaster's message in view. route
-	// clears both bitmaps before it returns; view keeps stale entries,
+	// clears the marks before it returns; view keeps stale entries,
 	// which are read only under a set broadcaster bit.
-	awakeSet bitmap
-	senders  bitmap
-	view     []Message
+	marks nodeBits
+	view  []Message
 
 	// The graph's reverse-port table (graph.ReversePorts), built on the
 	// first round the counting sort routes: a run of broadcast-only
@@ -185,19 +194,18 @@ func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram,
 func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*stepState, error) {
 	n := g.N()
 	rs := &stepState{
-		g:        g,
-		cfg:      cfg,
-		m:        &Metrics{AwakePerNode: make([]int64, n)},
-		q:        newWakeQueue(n),
-		node:     make([]StepNode, n),
-		out:      make([]Outbox, n),
-		next:     make([]int64, n),
-		rx:       make([]rxSlot, n),
-		mixed:    make([]bool, n),
-		awakeSet: newBitmap(n),
-		senders:  newBitmap(n),
-		view:     make([]Message, n),
-		probe:    roundProbe{obs: cfg.Observer},
+		g:     g,
+		cfg:   cfg,
+		m:     &Metrics{AwakePerNode: make([]int64, n)},
+		q:     newWakeQueue(n),
+		node:  make([]StepNode, n),
+		out:   make([]Outbox, n),
+		next:  make([]int64, n),
+		rx:    make([]rxSlot, n),
+		mixed: make([]bool, n),
+		marks: newNodeBits(n),
+		view:  make([]Message, n),
+		probe: roundProbe{obs: cfg.Observer},
 	}
 
 	// Construct every node machine and stage its round-0 sends. The
@@ -310,7 +318,7 @@ func (rs *stepState) round(workers int) error {
 func (rs *stepState) route(awake []int) error {
 	broadcastOnly := true
 	for _, v := range awake {
-		rs.awakeSet.set(v)
+		rs.marks.setAwake(v)
 		if rs.mixed[v] {
 			broadcastOnly = false
 		}
@@ -321,11 +329,10 @@ func (rs *stepState) route(awake []int) error {
 	} else {
 		err = rs.countingSort(awake)
 	}
-	// Every broadcaster is awake, so zeroing the awake nodes' words
-	// clears both bitmaps.
+	// Every broadcaster is awake, so clearing the awake nodes' words
+	// clears every mark.
 	for _, v := range awake {
-		rs.awakeSet.clearWord(v)
-		rs.senders.clearWord(v)
+		rs.marks.clear(v)
 	}
 	return err
 }
@@ -341,7 +348,7 @@ func (rs *stepState) route(awake []int) error {
 // lookup. A round that delivers nothing skips the row scans.
 func (rs *stepState) deliverBroadcasts(awake []int) error {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
-	awakeSet, senders, view := rs.awakeSet, rs.senders, rs.view
+	marks, view := rs.marks, rs.view
 	total := 0
 	for _, v := range awake {
 		msgs := rs.out[v].msgs
@@ -358,7 +365,7 @@ func (rs *stepState) deliverBroadcasts(awake []int) error {
 		m.BitsSent += int64(bits) * int64(len(row))
 		if tracer != nil {
 			for _, w := range row {
-				delivered := awakeSet.has(w)
+				delivered := marks.isAwake(w)
 				tracer.Message(clock, v, int(w), bits, delivered)
 				if delivered { // a sleeping receiver loses the message
 					total++
@@ -366,11 +373,11 @@ func (rs *stepState) deliverBroadcasts(awake []int) error {
 			}
 		} else {
 			for _, w := range row {
-				total += awakeSet.bit(w)
+				total += marks.awake(w)
 			}
 		}
 		view[v] = msg
-		senders.set(v)
+		marks.setSender(v)
 	}
 	m.MessagesDelivered += int64(total)
 	buf, err := rs.inbox(total)
@@ -388,7 +395,7 @@ func (rs *stepState) deliverBroadcasts(awake []int) error {
 	for _, w := range awake {
 		start := off
 		for p, u := range g.Neighbors(w) {
-			if senders.has(u) {
+			if marks.isSender(u) {
 				buf[off] = Inbound{Port: p, Msg: view[u]}
 				off++
 			}
@@ -413,7 +420,7 @@ func (rs *stepState) deliverBroadcasts(awake []int) error {
 // that needs it.
 func (rs *stepState) countingSort(awake []int) error {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
-	awakeSet, rx := rs.awakeSet, rs.rx
+	marks, rx := rs.marks, rs.rx
 	if rs.rev == nil {
 		rs.rev = g.ReversePorts()
 	}
@@ -434,7 +441,7 @@ func (rs *stepState) countingSort(awake []int) error {
 				m.MessagesSent += int64(len(row))
 				m.BitsSent += int64(bits) * int64(len(row))
 				for _, w := range row {
-					delivered := awakeSet.has(w)
+					delivered := marks.isAwake(w)
 					if tracer != nil {
 						tracer.Message(clock, v, int(w), bits, delivered)
 					}
@@ -448,7 +455,7 @@ func (rs *stepState) countingSort(awake []int) error {
 			m.MessagesSent++
 			m.BitsSent += int64(bits)
 			w := int32(g.Neighbor(v, int(om.port)))
-			delivered := awakeSet.has(w)
+			delivered := marks.isAwake(w)
 			if tracer != nil {
 				tracer.Message(clock, v, int(w), bits, delivered)
 			}
@@ -477,7 +484,7 @@ func (rs *stepState) countingSort(awake []int) error {
 				row := g.Neighbors(v)
 				ports := rev[arc : arc+len(row)]
 				for p, w := range row {
-					if !awakeSet.has(w) {
+					if !marks.isAwake(w) {
 						continue
 					}
 					r := &rx[w]
