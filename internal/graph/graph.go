@@ -134,8 +134,8 @@ func (g *Graph) ReversePort(v, port int) int { return g.Port(g.Neighbor(v, port)
 // scratch that is released on return. The simulator's stepped engine
 // builds it on the first round it routes by counting sort, one with a
 // unicast send or a node that staged more than one entry; a run of
-// broadcast-only rounds, which it delivers receiver-side, never
-// builds it.
+// broadcast-only rounds, whose receivers gather their inboxes off
+// their own rows, never builds it.
 func (g *Graph) ReversePorts() []int32 {
 	rev := make([]int32, len(g.nbr))
 	cur := make([]int32, g.N())

@@ -19,10 +19,12 @@ import (
 // or routing (a node's RNG or outbox, say) pushes it past the bound.
 const maxMallocsPerNode = 3
 
-// maxBytesPerNode bounds the bytes one Luby run allocates per node, 9%
-// above the 367 B measured on G(4096, 4/n). A 48-B math/rand wrapper
-// around each node's splitmix64 state pushes it past the bound.
-const maxBytesPerNode = 400
+// maxBytesPerNode bounds the bytes one Luby run allocates per node, 10%
+// above the 250 B measured on G(4096, 4/n). A 48-B math/rand wrapper
+// around each node's splitmix64 state, or the flat inbox buffer and
+// per-node inbox slots coming back into broadcast-only runs (about
+// 100 B per node here), pushes it past the bound.
+const maxBytesPerNode = 275
 
 // TestLubyAllocsPerNode is a count-based guard with no timing: it runs
 // Luby on G(4096, 4/n) on one stepped worker and fails when the run's

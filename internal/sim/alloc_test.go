@@ -16,7 +16,7 @@ func (emptyMsg) Bits() int { return 0 }
 
 // allocProbeNode wakes every round forever and broadcasts on all ports,
 // keeping every inbox and outbox at steady occupancy. Its rounds are
-// broadcast-only, so the stepped engine routes them receiver-side.
+// broadcast-only, so each node gathers its own inbox.
 type allocProbeNode struct{}
 
 func (allocProbeNode) Start(out *Outbox) { out.Broadcast(emptyMsg{}) }
@@ -51,14 +51,14 @@ func sendEveryPort(out *Outbox, degree int) {
 
 // TestSteppedRoundZeroAllocs pins the tentpole invariant of the stepped
 // engine: once buffers have grown to their steady-state capacity, a
-// full round — routing, inbox sorting, every OnWake fan-out, and
+// full round — routing, every inbox gather and OnWake fan-out, and
 // rescheduling — performs zero heap allocations for native step
-// programs. It holds on both routing paths: receiver-side delivery of
-// broadcast-only rounds, and the counting sort through the run's
-// reverse-port table, which unicast rounds take. A regression here (a
-// closure creeping into the hot path, sort.Slice, per-round
-// goroutines, inbox reallocation) fails the test rather than silently
-// costing 10x at n=10⁷.
+// programs. It holds on both routing paths: broadcast-only rounds,
+// whose nodes gather their inboxes into their goroutines' buffers, and
+// the counting sort through the run's reverse-port table, which
+// unicast rounds take. A regression here (a closure creeping into the
+// hot path, sort.Slice, per-round goroutines, inbox reallocation)
+// fails the test rather than silently costing 10x at n=10⁷.
 func TestSteppedRoundZeroAllocs(t *testing.T) {
 	// Cycle(512) keeps every node awake with two messages per inbox per
 	// round; 512 ≥ minParallel so the workers=4 case exercises the pool.
@@ -77,9 +77,10 @@ func TestSteppedRoundZeroAllocs(t *testing.T) {
 					}
 					defer rs.close()
 
-					// Warm up: grow the inbox buffer, the wake queue's
-					// bucket pool and round heap, and the outbox slices,
-					// and build the reverse-port table if the path uses it.
+					// Warm up: grow the gather buffers or the inbox
+					// buffer, the wake queue's bucket pool and round
+					// heap, and the outbox slices, and build the
+					// reverse-port table if the path uses it.
 					for i := 0; i < 8; i++ {
 						if err := rs.round(workers); err != nil {
 							t.Fatal(err)
@@ -101,8 +102,10 @@ func TestSteppedRoundZeroAllocs(t *testing.T) {
 }
 
 // TestReversePortsBuiltOnDemand checks which path routes a round: a
-// run of broadcast-only rounds never builds the reverse-port table,
-// and the first round with a unicast send builds it.
+// run of broadcast-only rounds, whose nodes gather their own inboxes,
+// allocates none of the counting sort's state (the reverse-port table,
+// the inbox slots and the flat inbox buffer), and the first round with
+// a unicast send allocates all three.
 func TestReversePortsBuiltOnDemand(t *testing.T) {
 	for name, tc := range map[string]struct {
 		prog  StepProgram
@@ -123,8 +126,14 @@ func TestReversePortsBuiltOnDemand(t *testing.T) {
 			}
 		}
 		rs.close()
-		if built := rs.rev != nil; built != tc.built {
-			t.Errorf("%s: reverse-port table built = %v, want %v", name, built, tc.built)
+		for state, built := range map[string]bool{
+			"reverse-port table": rs.rev != nil,
+			"inbox slots":        rs.rx != nil,
+			"inbox buffer":       rs.inBuf != nil,
+		} {
+			if built != tc.built {
+				t.Errorf("%s: %s built = %v, want %v", name, state, built, tc.built)
+			}
 		}
 	}
 }
@@ -137,7 +146,7 @@ func (sentinel) Bits() int { return 0 }
 // appendingNode broadcasts every round for four rounds, counts the
 // sentinels it finds in its inbox, and then appends one of its own.
 // With unicast set it sends on every port instead of broadcasting, so
-// its rounds route by counting sort rather than receiver-side.
+// its rounds route by counting sort rather than by gathering.
 type appendingNode struct {
 	seen    *int64
 	degree  int
@@ -166,9 +175,10 @@ func (n appendingNode) OnWake(round int64, in []Inbound, out *Outbox) (int64, bo
 }
 
 // TestInboxAppendStaysInRegion guards the inbox borrowing contract on
-// both routing paths: an inbox is a region of the round's flat buffer,
-// capped at its own length, so a program that appends to its inbox
-// reallocates instead of overwriting the next receiver's region.
+// both routing paths: an inbox is the front of its goroutine's gather
+// buffer or a region of the round's flat buffer, capped at its own
+// length either way, so a program that appends to its inbox
+// reallocates instead of overwriting the next receiver's inbox.
 func TestInboxAppendStaysInRegion(t *testing.T) {
 	g := graph.Cycle(8)
 	for _, unicast := range []bool{false, true} {

@@ -291,9 +291,10 @@ func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool)
 // sends on every port one unicast at a time. The step-form program runs
 // in two modes: mixed, which stages broadcast entries and unicast sends,
 // so the stepped engine routes by counting sort; and broadcast-only, in
-// which every node stages at most one Broadcast per round, so it routes
-// receiver-side. Both modes also run on G(256, p) with isolated nodes,
-// where rounds are large enough to shard OnWake across the pool.
+// which every node stages at most one Broadcast per round, so each node
+// gathers its own inbox. Both modes also run on G(256, p) with isolated
+// nodes, where rounds are large enough to shard OnWake across the pool,
+// and every program runs on the fixed shapes of checkShapes.
 func TestFuzzEquivalence(t *testing.T) {
 	t.Run("every-port", func(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
@@ -301,6 +302,9 @@ func TestFuzzEquivalence(t *testing.T) {
 			g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
 			checkEngines(t, g, seed, everyPortProgram)
 		}
+		checkShapes(t, func(g *graph.Graph, seed int64) *Metrics {
+			return checkEngines(t, g, seed, everyPortProgram)
+		})
 	})
 	for _, mode := range []struct {
 		name          string
@@ -324,7 +328,25 @@ func TestFuzzEquivalence(t *testing.T) {
 					t.Fatalf("trial %d at n = 256: no message delivered", trial)
 				}
 			}
+			checkShapes(t, func(g *graph.Graph, seed int64) *Metrics {
+				return checkStepFuzz(t, g, seed, mode.broadcastOnly)
+			})
 		})
+	}
+}
+
+// checkShapes runs check on the two fixed graphs that every program of
+// TestFuzzEquivalence covers besides its random ones: the star on 256
+// nodes, whose hub of degree 255 takes the largest inbox in a round
+// that shards at four and sixteen workers, and the edgeless graph on
+// 256 nodes, whose maximum degree is 0.
+func checkShapes(t *testing.T, check func(g *graph.Graph, seed int64) *Metrics) {
+	t.Helper()
+	if m := check(graph.Star(256), 400); m.MessagesDelivered == 0 {
+		t.Fatal("star on 256 nodes: no message delivered")
+	}
+	if m := check(graph.New(256), 401); m.MessagesSent != 0 {
+		t.Fatalf("edgeless graph: %d messages sent", m.MessagesSent)
 	}
 }
 
@@ -374,27 +396,38 @@ func everyPortProgram(logs []uint64) StepProgram {
 }
 
 // FuzzSteppedMatchesReference runs TestFuzzEquivalence's step-form
-// program on G(n+1, p) drawn from graphSeed under run seed seed, in
-// broadcast-only mode when broadcastOnly is set, and demands identical
-// Metrics, receive transcripts and Tracer streams on every engine of
-// the grid. p is folded into [0, 0.25). The seed corpus is the test's
-// trial seeds in both modes, plus G(256, p) inputs with isolated nodes
-// whose rounds shard OnWake at four and sixteen workers.
+// program on G(n+1, p) drawn from graphSeed, or on the star on n+1
+// nodes when star is set, under run seed seed, in broadcast-only mode
+// when broadcastOnly is set, and demands identical Metrics, receive
+// transcripts and Tracer streams on every engine of the grid. p is
+// folded into [0, 0.25). The seed corpus is the test's trial seeds in
+// both modes, plus G(256, p) inputs with isolated nodes whose rounds
+// shard OnWake at four and sixteen workers, and the test's star and
+// edgeless inputs.
 func FuzzSteppedMatchesReference(f *testing.F) {
 	for _, broadcastOnly := range []bool{false, true} {
 		for trial := int64(0); trial < 8; trial++ {
-			f.Add(100+trial, 100+trial, uint8(39), 0.12, broadcastOnly)
-			f.Add(200+trial, 200+trial, uint8(39), 0.12, broadcastOnly)
+			f.Add(100+trial, 100+trial, uint8(39), 0.12, false, broadcastOnly)
+			f.Add(200+trial, 200+trial, uint8(39), 0.12, false, broadcastOnly)
 		}
 		for trial := int64(0); trial < 2; trial++ {
-			f.Add(300+trial, 300+trial, uint8(255), 0.006, broadcastOnly)
+			f.Add(300+trial, 300+trial, uint8(255), 0.006, false, broadcastOnly)
 		}
 	}
-	f.Fuzz(func(t *testing.T, graphSeed, seed int64, n uint8, p float64, broadcastOnly bool) {
-		if math.IsNaN(p) {
-			p = 0
+	for _, broadcastOnly := range []bool{false, true} {
+		f.Add(int64(400), int64(400), uint8(255), 0.0, true, broadcastOnly)
+		f.Add(int64(401), int64(401), uint8(255), 0.0, false, broadcastOnly)
+	}
+	f.Fuzz(func(t *testing.T, graphSeed, seed int64, n uint8, p float64, star, broadcastOnly bool) {
+		var g *graph.Graph
+		if star {
+			g = graph.Star(int(n) + 1)
+		} else {
+			if math.IsNaN(p) {
+				p = 0
+			}
+			g = graph.GNP(int(n)+1, math.Mod(math.Abs(p), 0.25), newNodeRand(graphSeed, 777))
 		}
-		g := graph.GNP(int(n)+1, math.Mod(math.Abs(p), 0.25), newNodeRand(graphSeed, 777))
 		checkStepFuzz(t, g, seed, broadcastOnly)
 	})
 }

@@ -21,7 +21,8 @@
 //
 // The stepped engine (NewSteppedEngine, the Default) keeps all node
 // state inline, drives awake nodes from a wake-time bucket queue, and
-// fans each round's OnWake calls across a worker pool in deterministic
+// fans each round's OnWake calls, with the inbox gathers of a
+// broadcast-only round, across a worker pool in deterministic
 // node-index shards. It runs no goroutine per node and no channel
 // handshake per round, which makes million-node runs feasible. The
 // Default sizes its pool from runtime.GOMAXPROCS(0) at the start of
@@ -37,20 +38,23 @@
 // private RNG stream, a Rand of 8 bytes of splitmix64 state derived
 // from Config.Seed and its index, reached through NodeEnv.Rand, (b) a
 // node's step depends only on its own state and inbox, and (c) routing
-// is serial and ordered: senders are metered and traced in ascending
-// node order, a broadcast counts as one send per port in port order,
-// and each inbox is sorted by arrival port. The engine routes each
-// round on one of two paths into one flat inbox buffer, and picks the
-// path from what the awake nodes staged, never from the program. A
-// round in which every awake node staged at most one entry, a
-// Broadcast, is delivered receiver-side: each awake node walks its own
-// sorted CSR row once and appends its broadcasting neighbours'
-// messages in port order. A round in which any awake node staged a
-// unicast Send, or more than one entry, goes through a counting sort
-// that expands each broadcast over the sender's CSR row and reads
-// arrival ports from a reverse-port table built on the first such
-// round. Both paths yield the same inboxes, Metrics and Tracer
-// events. The tests check the engine against a reference simulator
+// is ordered: the engine goroutine meters and traces every round's
+// sends in ascending sender order, a broadcast counting as one send per
+// port in port order, and each inbox is sorted by arrival port. The
+// engine picks one of two delivery paths from what the awake nodes
+// staged, never from the program. In a round in which every awake node staged at most one
+// entry, a Broadcast, the engine goroutine only publishes each
+// broadcast; every stepping node then gathers its own inbox, just
+// before its OnWake and on the worker pool when the round shards, by
+// walking its sorted CSR row once and taking its broadcasting
+// neighbours' messages in port order. A round in which any awake node
+// staged a unicast Send, or more than one entry, is delivered serially
+// into one flat inbox buffer by a counting sort that expands each
+// broadcast over the sender's CSR row and reads arrival ports from a
+// reverse-port table built on the first such round. Both paths yield
+// the same inboxes, Metrics and Tracer events, and both produce port
+// order by construction, so no inbox is sorted after the fact. The
+// tests check the engine against a reference simulator
 // (reference_test.go) that implements the same semantics in the
 // plainest way, for every algorithm in the repository, and fuzz it in
 // both kinds of round.
@@ -322,20 +326,6 @@ func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg C
 		ctx = context.Background()
 	}
 	return engineOf(cfg).Run(ctx, g, prog, cfg)
-}
-
-// sortInbox orders a round's inbox by arrival port (part of the
-// determinism contract). The router fills inboxes in ascending sender
-// order, which already yields ascending receiver ports (port numbering
-// is sorted by neighbor index), so this insertion sort is a stable
-// O(len) verification pass in practice — and allocates nothing, unlike
-// sort.Slice, keeping it off the steady-state heap.
-func sortInbox(in []Inbound) {
-	for i := 1; i < len(in); i++ {
-		for j := i; j > 0 && in[j].Port < in[j-1].Port; j-- {
-			in[j], in[j-1] = in[j-1], in[j]
-		}
-	}
 }
 
 // wakeQueue schedules (round, node) wake-ups in O(n) space. Each

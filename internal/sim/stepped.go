@@ -18,19 +18,21 @@ import (
 // state, inbox, and private RNG stream, results are bit-identical at
 // every worker count.
 //
-// State is struct-of-arrays: the per-node machine, staged outbox,
-// inbox slot, and next-wake round each live in their own flat array,
-// so the hot loops (routing, stepping, rescheduling) touch only the
-// arrays they need. Routing costs O(1) per delivered message, on one of
-// two paths (see route): a round of broadcasts only is delivered
-// receiver-side, each awake node reading its broadcasting neighbours
-// off its own CSR row, and any other round by a counting sort that
-// reads arrival ports from a reverse-port table built on its first
-// use. Scheduling costs O(1) per woken node (see wakeQueue). At steady
-// state the engine performs zero heap allocations per round: every
-// inbox is a region of one flat buffer, outboxes reset in place, and
-// the worker pool is fed over a channel of index spans (guarded by the
-// testing.AllocsPerRun tests in alloc_test.go).
+// State is struct-of-arrays: the per-node machine, staged outbox and
+// next-wake round each live in their own flat array, so the hot loops
+// (routing, stepping, rescheduling) touch only the arrays they need.
+// Routing costs O(1) per delivered message, on one of two paths (see
+// route): in a round of broadcasts only, the engine goroutine publishes
+// each broadcast and each stepping node then gathers its own inbox off
+// its CSR row, on the worker pool; any other round is delivered by a
+// counting sort that reads arrival ports from a reverse-port table
+// built on its first use. Scheduling costs O(1) per woken node (see
+// wakeQueue). At steady state the engine performs zero heap
+// allocations per round: a gathered inbox fills its goroutine's
+// scratch buffer, a sorted one is a region of one flat buffer,
+// outboxes reset in place, and the worker pool is fed over a channel
+// of index spans (guarded by the testing.AllocsPerRun tests in
+// alloc_test.go).
 type steppedEngine struct {
 	workers int // fixed pool size; 0 follows GOMAXPROCS (poolSize)
 }
@@ -74,14 +76,13 @@ func panicError(r any) error {
 	return fmt.Errorf("program panic: %v", r)
 }
 
-// rxSlot locates an awake node's inbox, inBuf[off-count:off], a region
-// of the round's flat inbox buffer. The counting sort counts the
-// node's deliveries, turns off into the region's start with a prefix
-// sum over the awake list, and advances it while filling the region;
-// receiver-side delivery writes the slot once, after filling the
-// region. The fields share one 8 B slot, not one array each, because
-// the counting sort reaches a receiver in random order and then
-// touches both.
+// rxSlot locates an awake node's inbox in a counting-sort round,
+// inBuf[off-count:off], a region of the round's flat inbox buffer. The
+// counting sort counts the node's deliveries, turns off into the
+// region's start with a prefix sum over the awake list, and advances
+// it while filling the region. The fields share one 8 B slot, not one
+// array each, because the counting sort reaches a receiver in random
+// order and then touches both.
 type rxSlot struct {
 	count int32 // deliveries this round
 	off   int32 // region start, then fill cursor, then region end
@@ -112,8 +113,17 @@ func (b nodeBits) clear(v int) {
 	b[i], b[i+1] = 0, 0
 }
 
+// inboxSource says where a round's stepping nodes find their inboxes.
+type inboxSource uint8
+
+const (
+	inboxEmpty  inboxSource = iota // nothing was delivered
+	inboxGather                    // each node gathers off its CSR row (broadcast-only round)
+	inboxRegion                    // the counting sort filled inBuf, located by rx
+)
+
 // stepState is one run's struct-of-arrays node state plus the
-// round-scoped scratch the worker pool reads.
+// round-scoped state the worker pool reads.
 type stepState struct {
 	g   *graph.Graph
 	cfg Config
@@ -123,7 +133,6 @@ type stepState struct {
 	node []StepNode // per-node machine; nil once halted
 	out  []Outbox   // sends staged for each node's next awake round
 	next []int64    // wake round returned by the last OnWake (haltedWake once done)
-	rx   []rxSlot   // per-node inbox slot for the current round
 
 	// mixed[v] reports that the sends v staged for its next awake round
 	// are not at most one Broadcast. The node's start and steps set it
@@ -132,27 +141,34 @@ type stepState struct {
 	mixed []bool
 
 	// The round's awake nodes and, in a broadcast-only round, the nodes
-	// that broadcast, with each broadcaster's message in view. route
-	// clears the marks before it returns; view keeps stale entries,
-	// which are read only under a set broadcaster bit.
+	// that broadcast, with each broadcaster's message in view. The
+	// stepping nodes read them to gather their inboxes, so round clears
+	// the marks after stepAll; view keeps stale entries, which are read
+	// only under a set broadcaster bit.
 	marks nodeBits
 	view  []Message
 
-	// The graph's reverse-port table (graph.ReversePorts), built on the
-	// first round the counting sort routes: a run of broadcast-only
-	// rounds never needs it.
-	rev []int32
-
-	// Flat inbox buffer; rxSlot locates each awake node's region.
+	// The counting sort's state, all allocated on the first round it
+	// routes, so a run of broadcast-only rounds allocates none of it:
+	// the graph's reverse-port table (graph.ReversePorts), each awake
+	// node's inbox slot, and the flat inbox buffer the slots locate.
 	// Inboxes are borrowed for the OnWake call only, so each round
 	// refills the buffer.
+	rev   []int32
+	rx    []rxSlot
 	inBuf []Inbound
+
+	// The engine goroutine's gather buffer, for rounds it steps inline;
+	// each worker holds its own. A gather buffer grows to the largest
+	// degree its goroutine has gathered for.
+	scratch []Inbound
 
 	probe roundProbe // per-round deltas for cfg.Observer (no-op when nil)
 
 	// Round scope, published to workers before shards are dispatched.
-	awake []int
-	clock int64
+	awake  []int
+	clock  int64
+	source inboxSource
 
 	// Worker pool: spans of the awake slice flow over jobs; a nil
 	// channel means single-worker (shards run inline).
@@ -201,7 +217,6 @@ func newStepState(g *graph.Graph, sp StepProgram, cfg Config, workers int) (*ste
 		node:  make([]StepNode, n),
 		out:   make([]Outbox, n),
 		next:  make([]int64, n),
-		rx:    make([]rxSlot, n),
 		mixed: make([]bool, n),
 		marks: newNodeBits(n),
 		view:  make([]Message, n),
@@ -272,16 +287,20 @@ func (rs *stepState) round(workers int) error {
 	}
 
 	// Transmit the sends staged for this round (decided at each node's
-	// previous awake round) between mutually awake nodes. The inboxes
-	// filled here are regions of the flat buffer; OnWake drains them.
+	// previous awake round) between mutually awake nodes, and fan the
+	// step calls across the worker pool in contiguous node-index
+	// shards. Each OnWake drains an inbox that its node gathers or that
+	// the counting sort filled (see route).
 	rs.clock = clock
 	if err := rs.route(awake); err != nil {
 		return err
 	}
-
-	// Fan the step calls across the worker pool in contiguous
-	// node-index shards.
 	rs.stepAll(awake, workers)
+	// Every broadcaster is awake, so clearing the awake nodes' words
+	// clears every mark.
+	for _, v := range awake {
+		rs.marks.clear(v)
+	}
 
 	// Surface the lowest-indexed failure deterministically.
 	if err := rs.failErr; err != nil {
@@ -303,18 +322,18 @@ func (rs *stepState) round(workers int) error {
 	return nil
 }
 
-// route delivers the round's staged sends between mutually awake nodes
-// and meters the traffic. It picks one of two paths from what the awake
-// nodes staged, never from the program: a round in which every awake
-// node staged at most one entry, a Broadcast, is delivered
-// receiver-side (deliverBroadcasts), and a round in which any awake
-// node staged a unicast Send or more than one entry by a counting sort
-// (countingSort). Both paths meter and trace each send in the same
-// order, senders ascending and a broadcast's ports in port order, and
-// both leave every awake node's inbox in one region of the flat inbox
-// buffer, sorted by arrival port, so the path a round takes never
-// shows in a run's results. Each grows the buffer at most once per
-// round, exactly to the delivered total.
+// route transmits the round's staged sends between mutually awake
+// nodes and meters the traffic. It picks one of two paths from what
+// the awake nodes staged, never from the program: a round in which
+// every awake node staged at most one entry, a Broadcast, is published
+// for the receivers to gather (publishBroadcasts), and a round in which
+// any awake node staged a unicast Send or more than one entry is
+// delivered by a counting sort (countingSort). Both paths meter and
+// trace each send on the engine goroutine in the same order, senders
+// ascending and a broadcast's ports in port order, and both give every
+// awake node its inbox sorted by arrival port, so the path a round
+// takes never shows in a run's results. route sets the round's inbox
+// source, which stepNode reads.
 func (rs *stepState) route(awake []int) error {
 	broadcastOnly := true
 	for _, v := range awake {
@@ -323,30 +342,23 @@ func (rs *stepState) route(awake []int) error {
 			broadcastOnly = false
 		}
 	}
-	var err error
 	if broadcastOnly {
-		err = rs.deliverBroadcasts(awake)
-	} else {
-		err = rs.countingSort(awake)
+		rs.source = rs.publishBroadcasts(awake)
+		return nil
 	}
-	// Every broadcaster is awake, so clearing the awake nodes' words
-	// clears every mark.
-	for _, v := range awake {
-		rs.marks.clear(v)
-	}
-	return err
+	rs.source = inboxRegion
+	return rs.countingSort(awake)
 }
 
-// deliverBroadcasts routes a broadcast-only round receiver-side. The
-// sender pass meters and traces each broadcast as one send per port,
+// publishBroadcasts is the engine goroutine's half of a broadcast-only
+// round. It meters and traces each broadcast as one send per port,
 // reading each receiver's awake bit, counts the awake neighbours it
 // reaches, and publishes the message in the sender's view slot and
-// broadcaster bit. The receiver pass then walks each awake node's own
-// sorted CSR row once and appends the broadcasting neighbours'
-// messages in port order, so each region comes out contiguous and
-// port-sorted with no count pass, no prefix sum and no reverse-port
-// lookup. A round that delivers nothing skips the row scans.
-func (rs *stepState) deliverBroadcasts(awake []int) error {
+// broadcaster bit. Each stepping node then gathers its own inbox off
+// its sorted CSR row (see gather), on the worker pool when the round
+// shards. It returns the round's inbox source: inboxEmpty when the
+// round delivers nothing, so that no node scans its row.
+func (rs *stepState) publishBroadcasts(awake []int) inboxSource {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
 	marks, view := rs.marks, rs.view
 	total := 0
@@ -380,29 +392,10 @@ func (rs *stepState) deliverBroadcasts(awake []int) error {
 		marks.setSender(v)
 	}
 	m.MessagesDelivered += int64(total)
-	buf, err := rs.inbox(total)
-	if err != nil {
-		return err
-	}
-	rx := rs.rx
 	if total == 0 {
-		for _, w := range awake {
-			rx[w] = rxSlot{}
-		}
-		return nil
+		return inboxEmpty
 	}
-	off := 0
-	for _, w := range awake {
-		start := off
-		for p, u := range g.Neighbors(w) {
-			if marks.isSender(u) {
-				buf[off] = Inbound{Port: p, Msg: view[u]}
-				off++
-			}
-		}
-		rx[w] = rxSlot{count: int32(off - start), off: int32(off)}
-	}
-	return nil
+	return inboxGather
 }
 
 // countingSort routes a round that holds a unicast send, or more than
@@ -416,15 +409,15 @@ func (rs *stepState) deliverBroadcasts(awake []int) error {
 // passes, each port metered as its own send. Because senders ascend,
 // each receiver's arrival ports ascend within the round. Arrival ports
 // are read from the reverse-port table at the arc's index, so each
-// delivered message costs O(1); the table is built on the first round
-// that needs it.
+// delivered message costs O(1); the table and the inbox slots are
+// allocated on the first round that needs them.
 func (rs *stepState) countingSort(awake []int) error {
 	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
-	marks, rx := rs.marks, rs.rx
 	if rs.rev == nil {
 		rs.rev = g.ReversePorts()
+		rs.rx = make([]rxSlot, g.N())
 	}
-	rev := rs.rev
+	marks, rx, rev := rs.marks, rs.rx, rs.rev
 	for _, v := range awake {
 		rx[v] = rxSlot{}
 	}
@@ -519,12 +512,12 @@ func (rs *stepState) inbox(total int) ([]Inbound, error) {
 
 // stepAll runs OnWake for every awake node, splitting the (sorted)
 // awake list into at most workers contiguous shards. Shard boundaries
-// affect scheduling only, never results: a step touches nothing but its
-// own node's state.
+// affect scheduling only, never results: a step writes nothing but its
+// own node's state and its goroutine's gather buffer.
 func (rs *stepState) stepAll(awake []int, workers int) {
 	const minParallel = 128
 	if rs.jobs == nil || len(awake) < minParallel {
-		rs.stepRange(awake)
+		rs.stepRange(awake, &rs.scratch)
 		return
 	}
 	rs.awake = awake
@@ -540,19 +533,22 @@ func (rs *stepState) stepAll(awake []int, workers int) {
 	rs.wg.Wait()
 }
 
-// worker drains awake-list spans for the run's lifetime; the channel
-// send/receive pair orders each round's published state before the
-// shard that reads it.
+// worker drains awake-list spans for the run's lifetime, gathering
+// inboxes into a buffer of its own; the channel send/receive pair
+// orders each round's published state before the shard that reads it.
 func (rs *stepState) worker() {
+	var scratch []Inbound
 	for span := range rs.jobs {
-		rs.stepRange(rs.awake[span[0]:span[1]])
+		rs.stepRange(rs.awake[span[0]:span[1]], &scratch)
 		rs.wg.Done()
 	}
 }
 
-func (rs *stepState) stepRange(awake []int) {
+// stepRange steps the given nodes in order on one goroutine, whose
+// gather buffer is scratch.
+func (rs *stepState) stepRange(awake []int, scratch *[]Inbound) {
 	for _, v := range awake {
-		rs.stepNode(v)
+		rs.stepNode(v, scratch)
 	}
 }
 
@@ -566,17 +562,23 @@ func (rs *stepState) fail(v int, err error) {
 	rs.failMu.Unlock()
 }
 
-func (rs *stepState) stepNode(v int) {
+func (rs *stepState) stepNode(v int, scratch *[]Inbound) {
 	defer func() {
 		if r := recover(); r != nil {
 			rs.fail(v, panicError(r))
 		}
 	}()
-	// The region's capacity is clamped so a program appending to its
-	// inbox cannot clobber the next receiver's region.
-	r := rs.rx[v]
-	in := rs.inBuf[r.off-r.count : r.off : r.off]
-	sortInbox(in)
+	// Each inbox's capacity is clamped to its length, so a program
+	// appending to its inbox reallocates instead of clobbering the
+	// next node's inbox.
+	var in []Inbound
+	switch rs.source {
+	case inboxGather:
+		in = rs.gather(v, scratch)
+	case inboxRegion:
+		r := rs.rx[v]
+		in = rs.inBuf[r.off-r.count : r.off : r.off]
+	}
 	out := &rs.out[v]
 	out.reset()
 	next, done := rs.node[v].OnWake(rs.clock, in, out)
@@ -587,6 +589,28 @@ func (rs *stepState) stepNode(v int) {
 	}
 	rs.next[v] = next
 	rs.mixed[v] = out.mixed()
+}
+
+// gather returns node v's inbox in a broadcast-only round: the messages
+// its broadcasting neighbours published, read off its own sorted CSR
+// row, so the inbox comes out in port order. It fills the calling
+// goroutine's buffer, growing it to v's degree when it is shorter.
+func (rs *stepState) gather(v int, scratch *[]Inbound) []Inbound {
+	row := rs.g.Neighbors(v)
+	buf := *scratch
+	if len(buf) < len(row) {
+		buf = make([]Inbound, len(row))
+		*scratch = buf
+	}
+	marks, view := rs.marks, rs.view
+	k := 0
+	for p, u := range row {
+		if marks.isSender(u) {
+			buf[k] = Inbound{Port: p, Msg: view[u]}
+			k++
+		}
+	}
+	return buf[:k:k]
 }
 
 func (rs *stepState) startNode(v int, sp StepProgram, env *NodeEnv) (err error) {
