@@ -35,6 +35,7 @@ var goldenDigests = map[string]string{
 	"awake-mis/geometric/160/g8/13":     "6575ba18e2ccf1248b08b80c33741c495b530abd5c69f6c74c04160316b13f66",
 	"awake-mis/gnp/160/1":               "a07506a264428609dcea412838e2117d7e5b6608d03b42c743ebec9498279ea3",
 	"awake-mis/gnp/160/1/round-summary": "6d4daaf8aabef4f6994ee27c7bfc6eb112f5db54d5f8f03feac4958b402cbf3b",
+	"awake-mis/gnp/160/1/trace":         "e77f782a0d4ca7705e593f9fea6f4b2585ea9f27bfbbef16e1cf8439a1f3d7e1",
 	"awake-mis/gnp/160/2":               "eb5a70b83f94d24baf995653e34f48051b99005a6e4f8ff69ec975482134e9ce",
 	"awake-mis/gnp/160/g7/11":           "fd71dc8aa972ba4263869299869b6ada5fbf60e81309f5e954412618ab4d9621",
 	"awake-mis/gnp/160/g7/12":           "15e7ce4244f9d05a78d55773d1ba15970dcc7ac9871ac552a91c2f5678dd717d",
@@ -50,6 +51,7 @@ var goldenDigests = map[string]string{
 	"ldt-mis/geometric/160/1":           "29191ea02e84c37e69fdcf77607746a1c0f430804b5a43dbb904e5612065d7d4",
 	"ldt-mis/geometric/160/2":           "a87742e39dd15841d6cc5546920eb1fdd584ca5b18919ae353543e0389f28085",
 	"ldt-mis/gnp/1024/3":                "159e37bf7d0762213228957d1844959c3c52867cb3cc8996a2b24c8755b55727",
+	"ldt-mis/gnp/1024/3/trace":          "e78739eecb20be40a77d792a8ae7574bd8d774b7ab86729848e69ba89b8fff07",
 	"ldt-mis/gnp/160/1":                 "0f99d16c72a9976b4524078ce65a7f2e1346adf6fc925e5ce511e95a3f3321d9",
 	"ldt-mis/gnp/160/2":                 "64745ff546c0c4bc200d61d457e003e0bae36df19f8da48579d373879010b697",
 	"ldt-mis/regular/160/1":             "9dc2be99ec129d9461ae9184e0e29d606e67680dffcd457e56a680d7fbafba4b",
@@ -72,6 +74,7 @@ var goldenDigests = map[string]string{
 	"naive-greedy/geometric/160/1":      "792187f65e3375cd779a570543ea000393a7b5b81bab9d05e558b508963af2f0",
 	"naive-greedy/geometric/160/2":      "b6446df8842c4bacdd3f207f35a8f956870dcc41ae8701551a86d061c67eea4d",
 	"naive-greedy/gnp/160/1":            "a7bb19a065407c78c1f5c8ad1b56810a9c61b27e2ce868541475e4a5e22822a7",
+	"naive-greedy/gnp/160/1/trace":      "bf6f1f695de952b77df4509d002157a16254a6f0a3e1ebb8dcd19f04da132489",
 	"naive-greedy/gnp/160/2":            "6dd791e19fdf401e7e59a2a9cc9f63914133637dc5ba0024ebabf4d9b37e591e",
 	"naive-greedy/regular/160/1":        "cf480f6582a1d49830f7664803862935db03fbaeaf5d5757f8810bdf9f3f1aeb",
 	"naive-greedy/regular/160/2":        "8bf69017ab769dbb8235c2bf75f60d79e8c83fb0047c9729cd258256853e1776",
@@ -171,8 +174,17 @@ func goldenCases() []goldenCase {
 			task: task, graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, procs: []int{1, 4}, roundSummary: true,
 		})
 	}
+	// Traced runs on each delivery path: luby's rounds are all
+	// broadcast-only, awake-mis and naive-greedy mix broadcasts with
+	// unicast sends and lose messages to sleepers, and ldt-mis at
+	// n = 1024 shards its rounds across the pool.
+	for _, task := range []string{"luby", "awake-mis", "naive-greedy"} {
+		cases = append(cases, goldenCase{
+			task: task, graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, procs: []int{1, 4}, trace: true,
+		})
+	}
 	cases = append(cases, goldenCase{
-		task: "luby", graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, procs: []int{1, 4}, trace: true,
+		task: "ldt-mis", graph: awakemis.GraphSpec{Family: "gnp", N: 1024}, seed: 3, procs: []int{4, 1}, trace: true,
 	})
 	return cases
 }
