@@ -23,9 +23,9 @@
 //	// O(log log n); rep.JSON() is the wire form.
 //
 // Spec-driven execution goes through the single entry point
-// Run(ctx, spec, ...RunOption); the functional option WithObserver
-// attaches a per-round observer. A study runs each trial of a cell as
-// one such run. RunMIS returns the typed MIS view.
+// Run(ctx, spec); Options.Observer attaches a per-round observer. A
+// study runs each trial of a cell as one such run. RunMIS returns the
+// typed MIS view.
 //
 // No setting here sizes the simulator's worker pool: the engine reads
 // runtime.GOMAXPROCS(0) at the start of each run, and Reports are
@@ -42,7 +42,6 @@ import (
 	"awakemis/internal/core"
 	"awakemis/internal/rng"
 	"awakemis/internal/sim"
-	"awakemis/internal/trace"
 )
 
 // Algorithm selects a distributed MIS algorithm (a Task name; Run
@@ -119,7 +118,7 @@ type Options struct {
 	Params core.Params `json:"params,omitempty"`
 	// Trace records per-node awake timelines and message-loss counters,
 	// exposed through Report.Timeline and Report.TraceSummary. The
-	// recorded node set is sampled (first trace.DefaultMaxNodes ids) so
+	// recorded node set is sampled (first trace.MaxNodes ids) so
 	// tracing stays bounded on million-node graphs.
 	Trace bool `json:"trace,omitempty"`
 	// RoundSummary embeds the compact, deterministic per-round block in
@@ -233,24 +232,7 @@ type Result struct {
 	// Metrics holds the run's complexity measures.
 	Metrics Metrics
 
-	trace *trace.Collector
-}
-
-// Timeline renders an ASCII awake-density timeline of the k busiest
-// nodes (requires Options.Trace; otherwise returns a notice).
-func (r *Result) Timeline(k, width int) string {
-	if r.trace == nil {
-		return "tracing disabled: set Options.Trace\n"
-	}
-	return r.trace.Timeline(r.trace.BusiestNodes(k), width)
-}
-
-// TraceSummary describes the recorded trace (requires Options.Trace).
-func (r *Result) TraceSummary() string {
-	if r.trace == nil {
-		return "tracing disabled: set Options.Trace"
-	}
-	return r.trace.Summary()
+	traced
 }
 
 // RunMIS executes the selected MIS algorithm on g and returns its MIS
@@ -274,7 +256,7 @@ func RunMISContext(ctx context.Context, g *Graph, algo Algorithm, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	return &Result{InMIS: rep.Output.InMIS, Metrics: rep.Metrics, trace: rep.trace}, nil
+	return &Result{InMIS: rep.Output.InMIS, Metrics: rep.Metrics, traced: rep.traced}, nil
 }
 
 // Verify checks that inMIS is a maximal independent set of g.

@@ -88,8 +88,8 @@ var goldenDigests = map[string]string{
 
 // goldenDigest hashes a Report's JSON with its wall_ms value, the one
 // nondeterministic field, read as 0. A traced Report's digest also
-// covers its trace summary and timeline, which pin the order in which
-// the engine reports awake rounds and messages to the tracer.
+// covers its trace summary and timeline, which pin the awake nodes and
+// message counts the engine hands the trace collector each round.
 func goldenDigest(t *testing.T, rep *awakemis.Report, traced bool) string {
 	t.Helper()
 	r := *rep
@@ -112,7 +112,7 @@ type goldenCase struct {
 	seed  int64
 	procs []int // GOMAXPROCS values, which size the engine's pool
 	// roundSummary and trace switch on Options.RoundSummary and
-	// Options.Trace, which pin the observer and tracer streams.
+	// Options.Trace, which pin the observer stream two ways.
 	roundSummary, trace bool
 }
 
@@ -168,7 +168,7 @@ func goldenCases() []goldenCase {
 			cases = append(cases, goldenCase{task: "awake-mis", graph: gs, seed: seed, procs: []int{1, 4}})
 		}
 	}
-	// The observer and tracer streams.
+	// The observer stream, through the round summary.
 	for _, task := range []string{"luby", "awake-mis"} {
 		cases = append(cases, goldenCase{
 			task: task, graph: awakemis.GraphSpec{Family: "gnp", N: 160}, seed: 1, procs: []int{1, 4}, roundSummary: true,

@@ -665,10 +665,13 @@ func (s *Server) worker() {
 			// The peer's progress views relay into this flight's tracker.
 			data, peer, err = s.fwd.Forward(ctx, f.spec, f.tracker.setRemote)
 		} else {
-			// The observer rides a run option, never the canonical spec,
-			// so it cannot reach canonicalization or the wire.
+			// The observer rides this run's copy of the canonical spec, in
+			// a field that is never serialized, so it cannot reach the
+			// hash or the wire.
+			spec := f.spec
+			spec.Options.Observer = f.tracker
 			var rep *awakemis.Report
-			rep, err = awakemis.Run(ctx, f.spec, awakemis.WithObserver(f.tracker))
+			rep, err = awakemis.Run(ctx, spec)
 			if err == nil {
 				data, err = json.Marshal(rep)
 			}

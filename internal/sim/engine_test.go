@@ -1,78 +1,10 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 
 	"awakemis/internal/graph"
 )
-
-// recordingTracer checks the Tracer contract: events arrive from the
-// engine goroutine in nondecreasing round order.
-type recordingTracer struct {
-	mu         sync.Mutex
-	awake      []int64
-	messages   int
-	delivered  int
-	outOfOrder bool
-	lastRound  int64
-}
-
-func (r *recordingTracer) NodeAwake(round int64, node int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if round < r.lastRound {
-		r.outOfOrder = true
-	}
-	r.lastRound = round
-	r.awake = append(r.awake, round)
-}
-
-func (r *recordingTracer) Message(round int64, from, to, bits int, delivered bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if round < r.lastRound {
-		r.outOfOrder = true
-	}
-	r.messages++
-	if delivered {
-		r.delivered++
-	}
-}
-
-func TestTracerEventStream(t *testing.T) {
-	g := graph.Cycle(8)
-	tr := &recordingTracer{}
-	// Broadcast in round 0, sleep three rounds, broadcast in round 4.
-	prog := perNode(func(env *NodeEnv) funcNode {
-		return funcNode{
-			start: func(out *Outbox) { out.Broadcast(intMsg(1)) },
-			wake: func(round int64, _ []Inbound, out *Outbox) (int64, bool) {
-				if round > 0 {
-					return 0, true
-				}
-				out.Broadcast(intMsg(2))
-				return 4, false
-			},
-		}
-	})
-	m, err := RunStep(g, prog, Config{Seed: 1, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.outOfOrder {
-		t.Error("tracer saw rounds out of order")
-	}
-	if int64(len(tr.awake)) != m.TotalAwake {
-		t.Errorf("tracer awake events %d != TotalAwake %d", len(tr.awake), m.TotalAwake)
-	}
-	if int64(tr.messages) != m.MessagesSent {
-		t.Errorf("tracer messages %d != sent %d", tr.messages, m.MessagesSent)
-	}
-	if int64(tr.delivered) != m.MessagesDelivered {
-		t.Errorf("tracer delivered %d != %d", tr.delivered, m.MessagesDelivered)
-	}
-}
 
 func TestSleepImmediatelyAtStart(t *testing.T) {
 	// A node may end round 0 without any sends.

@@ -287,7 +287,7 @@ func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool)
 
 // TestFuzzEquivalence drives randomized programs over randomized graphs
 // through every engine configuration and demands identical Metrics,
-// per-node receive transcripts and Tracer streams. The first program
+// per-node receive transcripts and RoundStat streams. The first program
 // sends on every port one unicast at a time. The step-form program runs
 // in two modes: mixed, which stages broadcast entries and unicast sends,
 // so the stepped engine routes by counting sort; and broadcast-only, in
@@ -399,7 +399,7 @@ func everyPortProgram(logs []uint64) StepProgram {
 // program on G(n+1, p) drawn from graphSeed, or on the star on n+1
 // nodes when star is set, under run seed seed, in broadcast-only mode
 // when broadcastOnly is set, and demands identical Metrics, receive
-// transcripts and Tracer streams on every engine of the grid. p is
+// transcripts and RoundStat streams on every engine of the grid. p is
 // folded into [0, 0.25). The seed corpus is the test's trial seeds in
 // both modes, plus G(256, p) inputs with isolated nodes whose rounds
 // shard OnWake at four and sixteen workers, and the test's star and
@@ -446,15 +446,15 @@ func checkStepFuzz(t *testing.T, g *graph.Graph, seed int64, broadcastOnly bool)
 
 // checkEngines runs the program that mk builds over a run's per-node
 // transcript slots on g under seed, on every engine of the grid, and
-// fails t unless Metrics, receive transcripts and Tracer streams all
-// agree. It returns the common Metrics.
+// fails t unless Metrics, receive transcripts and RoundStat streams
+// all agree. It returns the common Metrics.
 func checkEngines(t *testing.T, g *graph.Graph, seed int64, mk func(logs []uint64) StepProgram) *Metrics {
 	t.Helper()
 	var ref fuzzRun
 	var refName string
 	for name, eng := range testEngines() {
-		run := fuzzRun{logs: make([]uint64, g.N()), tracer: &hashTracer{}}
-		m, err := eng.Run(context.Background(), g, mk(run.logs), Config{Seed: seed, Tracer: run.tracer})
+		run := fuzzRun{logs: make([]uint64, g.N())}
+		m, err := eng.Run(context.Background(), g, mk(run.logs), Config{Seed: seed, Observer: &run.rounds})
 		if err != nil {
 			t.Fatalf("seed %d %s: %v", seed, name, err)
 		}
@@ -469,8 +469,8 @@ func checkEngines(t *testing.T, g *graph.Graph, seed int64, mk func(logs []uint6
 		if !reflect.DeepEqual(ref.logs, run.logs) {
 			t.Fatalf("seed %d: receive transcripts diverge between %s and %s", seed, refName, name)
 		}
-		if *ref.tracer != *run.tracer {
-			t.Fatalf("seed %d: tracer streams diverge: %s=%+v vs %s=%+v", seed, refName, *ref.tracer, name, *run.tracer)
+		if ref.rounds != run.rounds {
+			t.Fatalf("seed %d: round streams diverge between %s and %s", seed, refName, name)
 		}
 	}
 	return ref.m
@@ -480,7 +480,7 @@ func checkEngines(t *testing.T, g *graph.Graph, seed int64, mk func(logs []uint6
 type fuzzRun struct {
 	m      *Metrics
 	logs   []uint64 // per-node receive transcript hashes
-	tracer *hashTracer
+	rounds roundHash
 }
 
 // mixLog folds one value into a transcript hash; the fold is
@@ -496,22 +496,17 @@ func logInbox(log *uint64, round int64, in []Inbound) {
 	}
 }
 
-// hashTracer folds the engine's event stream, in order, into hashes.
-type hashTracer struct {
-	awake, messages uint64
-}
+// roundHash folds the engine's RoundStat stream, in order, into one
+// hash: each round's number, its awake nodes, and its sent, delivered
+// and bit counts.
+type roundHash uint64
 
-func (h *hashTracer) NodeAwake(round int64, node int) {
-	h.awake = mixLog(mixLog(h.awake, round), int64(node))
-}
-
-func (h *hashTracer) Message(round int64, from, to, bits int, delivered bool) {
-	x := mixLog(mixLog(h.messages, round), int64(from))
-	x = mixLog(mixLog(x, int64(to)), int64(bits))
-	if delivered {
-		x = mixLog(x, 1)
+func (h *roundHash) ObserveRound(st RoundStat) {
+	x := mixLog(uint64(*h), st.Round)
+	for _, v := range st.Nodes {
+		x = mixLog(x, int64(v))
 	}
-	h.messages = x
+	*h = roundHash(mixLog(mixLog(mixLog(x, st.Sent), st.Delivered), st.Bits))
 }
 
 // fuzzStepNode is a native step-form node for TestFuzzEquivalence. At

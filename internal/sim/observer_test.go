@@ -2,17 +2,26 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"awakemis/internal/graph"
 )
 
-// obsLog records every RoundStat it observes.
+// obsLog records every RoundStat it observes. The engine owns each
+// stat's Nodes, so obsLog copies them into one growing buffer and
+// points the recorded stat at its copy.
 type obsLog struct {
 	stats []RoundStat
+	nodes []int // every observed round's Nodes, in round order
 }
 
-func (o *obsLog) ObserveRound(st RoundStat) { o.stats = append(o.stats, st) }
+func (o *obsLog) ObserveRound(st RoundStat) {
+	at := len(o.nodes)
+	o.nodes = append(o.nodes, st.Nodes...)
+	st.Nodes = o.nodes[at:len(o.nodes):len(o.nodes)]
+	o.stats = append(o.stats, st)
+}
 
 // staggerNode broadcasts every awake round and sleeps id%3 extra rounds
 // between wakes, so the schedule loses messages to sleeping receivers
@@ -39,8 +48,9 @@ var staggerProg StepProgram = func(env *NodeEnv) StepNode {
 
 // TestObserverTotalsMatchMetrics pins the observer identity: summing
 // the per-round deltas over all observed rounds reproduces the final
-// Metrics exactly, on the reference simulator and the stepped engine
-// at several worker counts, and the
+// Metrics exactly, each round's Nodes ascend, and counting each node's
+// rounds over the stream gives Metrics.AwakePerNode, on the reference
+// simulator and the stepped engine at several worker counts; the
 // deterministic RoundStat fields are bit-identical across all engine
 // configurations.
 func TestObserverTotalsMatchMetrics(t *testing.T) {
@@ -55,16 +65,23 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var sent, delivered, bits, awake int64
+		perNode := make([]int64, g.N())
 		prev := int64(-1)
 		for _, st := range obs.stats {
 			if st.Round <= prev {
 				t.Fatalf("%s: rounds not strictly increasing: %d after %d", name, st.Round, prev)
 			}
 			prev = st.Round
+			for i, v := range st.Nodes {
+				if i > 0 && v <= st.Nodes[i-1] {
+					t.Fatalf("%s: round %d nodes not ascending: %v", name, st.Round, st.Nodes)
+				}
+				perNode[v]++
+			}
 			sent += st.Sent
 			delivered += st.Delivered
 			bits += st.Bits
-			awake += int64(st.Awake)
+			awake += int64(len(st.Nodes))
 		}
 		if int64(len(obs.stats)) != m.ExecutedRounds {
 			t.Errorf("%s: observed %d rounds, metrics executed %d", name, len(obs.stats), m.ExecutedRounds)
@@ -79,6 +96,9 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 		if awake != m.TotalAwake {
 			t.Errorf("%s: observer awake total %d, metrics %d", name, awake, m.TotalAwake)
 		}
+		if !slices.Equal(perNode, m.AwakePerNode) {
+			t.Errorf("%s: per-node awake rounds from the observer differ from Metrics.AwakePerNode", name)
+		}
 		if delivered == sent {
 			t.Errorf("%s: schedule lost no messages; test is not exercising losses", name)
 		}
@@ -91,8 +111,8 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 		}
 		for i := range ref {
 			a, b := ref[i], obs.stats[i]
-			a.Elapsed, b.Elapsed = 0, 0 // wall time is the only nondeterministic field
-			if a != b {
+			if a.Round != b.Round || !slices.Equal(a.Nodes, b.Nodes) ||
+				a.Sent != b.Sent || a.Delivered != b.Delivered || a.Bits != b.Bits {
 				t.Fatalf("round stat %d diverges: %s=%+v vs %s=%+v", i, refName, a, name, b)
 			}
 		}

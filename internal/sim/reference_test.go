@@ -75,7 +75,7 @@ func (referenceEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, 
 		m.Rounds = round + 1
 		isAwake := map[int]bool{}
 		for _, v := range awake {
-			m.noteAwake(v, round, cfg.Tracer)
+			m.noteAwake(v)
 			isAwake[v] = true
 		}
 
@@ -88,9 +88,6 @@ func (referenceEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, 
 				m.MaxMessageBits = bits
 			}
 			w := g.Neighbor(v, port)
-			if cfg.Tracer != nil {
-				cfg.Tracer.Message(round, v, w, bits, isAwake[w])
-			}
 			if !isAwake[w] {
 				return // a sleeping receiver loses the message
 			}
@@ -152,7 +149,7 @@ func (referenceEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, 
 		if cfg.Observer != nil {
 			cfg.Observer.ObserveRound(RoundStat{
 				Round:     round,
-				Awake:     len(awake),
+				Nodes:     awake,
 				Sent:      m.MessagesSent - before.MessagesSent,
 				Delivered: m.MessagesDelivered - before.MessagesDelivered,
 				Bits:      m.BitsSent - before.BitsSent,

@@ -33,16 +33,16 @@
 //
 // For a fixed (graph, program, Config.Seed), the stepped engine
 // produces bit-identical results at every worker count: the same
-// per-node outputs, the same Metrics (including AwakePerNode), and the
-// same message streams. This holds because (a) each node owns a
-// private RNG stream, a Rand of 8 bytes of splitmix64 state derived
-// from Config.Seed and its index, reached through NodeEnv.Rand, (b) a
-// node's step depends only on its own state and inbox, and (c) routing
-// is ordered: the engine goroutine meters and traces every round's
-// sends in ascending sender order, a broadcast counting as one send per
-// port in port order, and each inbox is sorted by arrival port. The
-// engine picks one of two delivery paths from what the awake nodes
-// staged, never from the program. In a round in which every awake node staged at most one
+// per-node outputs, the same Metrics (including AwakePerNode), the
+// same message streams and the same RoundStat stream. This holds
+// because (a) each node owns a private RNG stream, a Rand of 8 bytes
+// of splitmix64 state derived from Config.Seed and its index, reached
+// through NodeEnv.Rand, (b) a node's step depends only on its own
+// state and inbox, and (c) routing is ordered: the engine goroutine
+// meters every round's sends, a broadcast counting as one send per
+// port, and each inbox is sorted by arrival port. The engine picks one
+// of two delivery paths from what the awake nodes staged, never from
+// the program. In a round in which every awake node staged at most one
 // entry, a Broadcast, the engine goroutine only publishes each
 // broadcast; every stepping node then gathers its own inbox, just
 // before its OnWake and on the worker pool when the round shards, by
@@ -52,12 +52,11 @@
 // into one flat inbox buffer by a counting sort that expands each
 // broadcast over the sender's CSR row and reads arrival ports from a
 // reverse-port table built on the first such round. Both paths yield
-// the same inboxes, Metrics and Tracer events, and both produce port
-// order by construction, so no inbox is sorted after the fact. The
-// tests check the engine against a reference simulator
-// (reference_test.go) that implements the same semantics in the
-// plainest way, for every algorithm in the repository, and fuzz it in
-// both kinds of round.
+// the same inboxes and Metrics, and both produce port order by
+// construction, so no inbox is sorted after the fact. The tests check
+// the engine against a reference simulator (reference_test.go) that
+// implements the same semantics in the plainest way, for every
+// algorithm in the repository, and fuzz it in both kinds of round.
 //
 // On a failing run the engine aborts at the first failing round and
 // surfaces the lowest-indexed failing node's error.
@@ -114,14 +113,11 @@ type Config struct {
 	// MaxRounds aborts runs that exceed this round count (safety net
 	// against schedule bugs). Zero means DefaultMaxRounds.
 	MaxRounds int64
-	// Tracer, if non-nil, receives execution events (awake rounds and
-	// message routing) as they happen. Tracer methods are called from
-	// the engine goroutine only.
-	Tracer Tracer
-	// Observer, if non-nil, receives one flat RoundStat per executed
-	// round. Unlike Tracer it carries no per-node or per-message detail,
-	// so attaching it costs O(1) per round regardless of n. Observer
-	// methods are called from the engine goroutine only.
+	// Observer, if non-nil, receives one RoundStat per executed round:
+	// the round's awake nodes and its traffic counters. It carries no
+	// per-message detail, and the engine hands it the awake list it
+	// already holds, so attaching it costs the engine O(1) per round.
+	// Observer methods are called from the engine goroutine only.
 	Observer RoundObserver
 	// Engine runs the program. Nil means Default(); tests set it to
 	// the reference simulator.
@@ -148,27 +144,20 @@ func (cfg Config) withDefaults(n int) (Config, error) {
 	return cfg, nil
 }
 
-// Tracer observes a simulation for debugging and visualization.
-// Implementations must be cheap; they run on the engine's hot path.
-type Tracer interface {
-	// NodeAwake fires when a node begins an awake round.
-	NodeAwake(round int64, node int)
-	// Message fires for every sent message; delivered reports whether
-	// the receiver was awake.
-	Message(round int64, from, to, bits int, delivered bool)
-}
-
-// RoundStat is the flat aggregate of one executed round: no maps, no
-// per-node state, just counters. The message counters are deltas for
+// RoundStat is one executed round: its awake nodes and its traffic
+// counters, no per-message detail. The message counters are deltas for
 // this round alone; summed over all observed rounds they equal the
-// corresponding final Metrics totals exactly (the identity is frozen by
+// corresponding final Metrics totals exactly, and counting each node's
+// rounds gives Metrics.AwakePerNode (both identities are frozen by
 // test at every worker count and on the reference simulator).
 type RoundStat struct {
 	// Round is the round number (clock); rounds where every node sleeps
 	// are skipped, so consecutive stats may jump.
 	Round int64
-	// Awake is the number of nodes awake this round.
-	Awake int
+	// Nodes lists the round's awake nodes in ascending order. The slice
+	// is owned by the engine and valid only during ObserveRound; an
+	// observer that keeps it must copy it.
+	Nodes []int
 	// Sent counts messages handed to Send this round.
 	Sent int64
 	// Delivered counts this round's messages that reached an awake
@@ -214,13 +203,13 @@ func (p *roundProbe) begin(m *Metrics) {
 }
 
 // end emits the round's RoundStat once the round has fully completed.
-func (p *roundProbe) end(m *Metrics, round int64, awake int) {
+func (p *roundProbe) end(m *Metrics, round int64, nodes []int) {
 	if p.obs == nil {
 		return
 	}
 	p.obs.ObserveRound(RoundStat{
 		Round:     round,
-		Awake:     awake,
+		Nodes:     nodes,
 		Sent:      m.MessagesSent - p.sent,
 		Delivered: m.MessagesDelivered - p.delivered,
 		Bits:      m.BitsSent - p.bits,
@@ -262,14 +251,11 @@ func (m *Metrics) AvgAwake() float64 {
 }
 
 // noteAwake meters the start of an awake round for node v.
-func (m *Metrics) noteAwake(v int, clock int64, tracer Tracer) {
+func (m *Metrics) noteAwake(v int) {
 	m.AwakePerNode[v]++
 	m.TotalAwake++
 	if m.AwakePerNode[v] > m.MaxAwake {
 		m.MaxAwake = m.AwakePerNode[v]
-	}
-	if tracer != nil {
-		tracer.NodeAwake(clock, v)
 	}
 }
 

@@ -283,7 +283,7 @@ func (rs *stepState) round(workers int) error {
 		rs.m.Rounds = clock + 1
 	}
 	for _, v := range awake {
-		rs.m.noteAwake(v, clock, rs.cfg.Tracer)
+		rs.m.noteAwake(v)
 	}
 
 	// Transmit the sends staged for this round (decided at each node's
@@ -318,7 +318,7 @@ func (rs *stepState) round(workers int) error {
 		}
 		rs.q.add(next, v)
 	}
-	rs.probe.end(rs.m, clock, len(awake))
+	rs.probe.end(rs.m, clock, awake)
 	return nil
 }
 
@@ -328,12 +328,11 @@ func (rs *stepState) round(workers int) error {
 // every awake node staged at most one entry, a Broadcast, is published
 // for the receivers to gather (publishBroadcasts), and a round in which
 // any awake node staged a unicast Send or more than one entry is
-// delivered by a counting sort (countingSort). Both paths meter and
-// trace each send on the engine goroutine in the same order, senders
-// ascending and a broadcast's ports in port order, and both give every
-// awake node its inbox sorted by arrival port, so the path a round
-// takes never shows in a run's results. route sets the round's inbox
-// source, which stepNode reads.
+// delivered by a counting sort (countingSort). Both paths meter every
+// send on the engine goroutine, a broadcast as one send per port, and
+// both give every awake node its inbox sorted by arrival port, so the
+// path a round takes never shows in a run's results. route sets the
+// round's inbox source, which stepNode reads.
 func (rs *stepState) route(awake []int) error {
 	broadcastOnly := true
 	for _, v := range awake {
@@ -351,15 +350,15 @@ func (rs *stepState) route(awake []int) error {
 }
 
 // publishBroadcasts is the engine goroutine's half of a broadcast-only
-// round. It meters and traces each broadcast as one send per port,
-// reading each receiver's awake bit, counts the awake neighbours it
-// reaches, and publishes the message in the sender's view slot and
-// broadcaster bit. Each stepping node then gathers its own inbox off
-// its sorted CSR row (see gather), on the worker pool when the round
-// shards. It returns the round's inbox source: inboxEmpty when the
-// round delivers nothing, so that no node scans its row.
+// round. It meters each broadcast as one send per port, counts the
+// awake neighbours it reaches from their awake bits, and publishes the
+// message in the sender's view slot and broadcaster bit. Each stepping
+// node then gathers its own inbox off its sorted CSR row (see gather),
+// on the worker pool when the round shards. It returns the round's
+// inbox source: inboxEmpty when the round delivers nothing, so that no
+// node scans its row.
 func (rs *stepState) publishBroadcasts(awake []int) inboxSource {
-	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
+	g, m := rs.g, rs.m
 	marks, view := rs.marks, rs.view
 	total := 0
 	for _, v := range awake {
@@ -375,18 +374,8 @@ func (rs *stepState) publishBroadcasts(awake []int) inboxSource {
 		row := g.Neighbors(v)
 		m.MessagesSent += int64(len(row))
 		m.BitsSent += int64(bits) * int64(len(row))
-		if tracer != nil {
-			for _, w := range row {
-				delivered := marks.isAwake(w)
-				tracer.Message(clock, v, int(w), bits, delivered)
-				if delivered { // a sleeping receiver loses the message
-					total++
-				}
-			}
-		} else {
-			for _, w := range row {
-				total += marks.awake(w)
-			}
+		for _, w := range row {
+			total += marks.awake(w)
 		}
 		view[v] = msg
 		marks.setSender(v)
@@ -400,11 +389,11 @@ func (rs *stepState) publishBroadcasts(awake []int) inboxSource {
 
 // countingSort routes a round that holds a unicast send, or more than
 // one entry from one node, through the flat inbox buffer. Pass one
-// meters and traces every send in sender order, counts each awake
-// receiver's deliveries, and records a unicast send's receiver in the
-// staged entry (-1 when it sleeps); a prefix sum over the awake list
-// carves the buffer into per-receiver regions; pass two fills the
-// regions in the same sender order, skipping lost sends. A broadcast
+// meters every send in sender order, counts each awake receiver's
+// deliveries, and records a unicast send's receiver in the staged
+// entry (-1 when it sleeps); a prefix sum over the awake list carves
+// the buffer into per-receiver regions; pass two fills the regions in
+// the same sender order, skipping lost sends. A broadcast
 // entry is expanded over the sender's CSR row in port order in both
 // passes, each port metered as its own send. Because senders ascend,
 // each receiver's arrival ports ascend within the round. Arrival ports
@@ -412,7 +401,7 @@ func (rs *stepState) publishBroadcasts(awake []int) inboxSource {
 // delivered message costs O(1); the table and the inbox slots are
 // allocated on the first round that needs them.
 func (rs *stepState) countingSort(awake []int) error {
-	g, m, tracer, clock := rs.g, rs.m, rs.cfg.Tracer, rs.clock
+	g, m := rs.g, rs.m
 	if rs.rev == nil {
 		rs.rev = g.ReversePorts()
 		rs.rx = make([]rxSlot, g.N())
@@ -434,11 +423,7 @@ func (rs *stepState) countingSort(awake []int) error {
 				m.MessagesSent += int64(len(row))
 				m.BitsSent += int64(bits) * int64(len(row))
 				for _, w := range row {
-					delivered := marks.isAwake(w)
-					if tracer != nil {
-						tracer.Message(clock, v, int(w), bits, delivered)
-					}
-					if delivered { // a sleeping receiver loses the message
+					if marks.isAwake(w) { // a sleeping receiver loses the message
 						rx[w].count++
 						m.MessagesDelivered++
 					}
@@ -448,12 +433,8 @@ func (rs *stepState) countingSort(awake []int) error {
 			m.MessagesSent++
 			m.BitsSent += int64(bits)
 			w := int32(g.Neighbor(v, int(om.port)))
-			delivered := marks.isAwake(w)
-			if tracer != nil {
-				tracer.Message(clock, v, int(w), bits, delivered)
-			}
 			om.to = -1
-			if delivered {
+			if marks.isAwake(w) {
 				om.to = w
 				rx[w].count++
 				m.MessagesDelivered++

@@ -1,10 +1,10 @@
 // Package trace collects and renders the per-node execution view of
-// the SLEEPING-CONGEST simulator. Collector (a sim.Tracer) records
-// which rounds each sampled node was awake — the deep view for
+// the SLEEPING-CONGEST simulator. Collector, a sim.RoundObserver,
+// records which rounds each sampled node was awake — the deep view for
 // debugging schedules (a node awake when its peer sleeps is the
 // classic sleeping-model bug) — and counts messages lost to sleepers.
-// Per-round aggregates, which cost nothing per node, come from a
-// sim.RoundObserver instead (the facade's Report.RoundSummary).
+// It reads each round's awake nodes and traffic counters off the
+// engine's one observation hook, so tracing costs nothing per message.
 package trace
 
 import (
@@ -15,70 +15,50 @@ import (
 	"awakemis/internal/sim"
 )
 
-// DefaultMaxNodes is the node-sample cap NewCollector installs: enough
+// MaxNodes caps how many distinct nodes a Collector records: enough
 // for every timeline and busiest-node view while keeping the per-node
-// maps bounded on million-node graphs.
-const DefaultMaxNodes = 4096
+// map bounded on million-node graphs.
+const MaxNodes = 4096
 
-// Collector implements sim.Tracer, recording awake rounds per node and
+// Collector is a sim.RoundObserver recording awake rounds per node and
 // message-loss counters. Per-node recording is O(awake rounds) memory
-// per node, so Collector samples: once MaxNodes distinct nodes have
-// been recorded, awake events for further nodes are counted but not
-// stored. Because every node is awake in round 0 and rounds visit
-// nodes in ascending index order, the sample is exactly the first
+// per node, so Collector samples: it records nodes 0..MaxNodes-1 only,
+// and counts the awake rounds of every other node in SkippedEvents.
+// Every node is awake in round 0, so the sample is exactly the first
 // MaxNodes node ids — deterministic across engines and worker counts.
-// The message counters (Sent, Delivered, Lost, LostByRound) are global
-// and unaffected by sampling.
+// The message counters (Sent, Delivered, Lost) are global and
+// unaffected by sampling.
 type Collector struct {
 	// AwakeRounds[v] lists the rounds node v was awake, ascending.
 	// Only sampled nodes appear; see MaxNodes.
 	AwakeRounds map[int][]int64
 	// Sent, Delivered, Lost count messages.
 	Sent, Delivered, Lost int64
-	// LostByRound counts lost messages per round (schedule bugs show up
-	// as loss spikes).
-	LostByRound map[int64]int64
-	// MaxNodes caps how many distinct nodes AwakeRounds records
-	// (first-k by id). Zero or negative means unbounded — the historic
-	// behavior, O(n·rounds) memory on large graphs.
-	MaxNodes int
-	// SkippedEvents counts awake events dropped by the sample cap; the
-	// summary reports when a trace is partial.
+	// SkippedEvents counts the awake rounds of nodes beyond the sample;
+	// the summary reports when a trace is partial.
 	SkippedEvents int64
 }
 
-var _ sim.Tracer = (*Collector)(nil)
+var _ sim.RoundObserver = (*Collector)(nil)
 
-// NewCollector returns an empty Collector sampling at DefaultMaxNodes.
-// Set MaxNodes before the run to widen, narrow, or (≤0) unbound the
-// node sample.
+// NewCollector returns an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{
-		AwakeRounds: map[int][]int64{},
-		LostByRound: map[int64]int64{},
-		MaxNodes:    DefaultMaxNodes,
-	}
+	return &Collector{AwakeRounds: map[int][]int64{}}
 }
 
-// NodeAwake implements sim.Tracer.
-func (c *Collector) NodeAwake(round int64, node int) {
-	rs, ok := c.AwakeRounds[node]
-	if !ok && c.MaxNodes > 0 && len(c.AwakeRounds) >= c.MaxNodes {
-		c.SkippedEvents++
-		return
+// ObserveRound implements sim.RoundObserver. A round's Nodes ascend,
+// so the nodes past the sample are the tail of the list.
+func (c *Collector) ObserveRound(st sim.RoundStat) {
+	for i, v := range st.Nodes {
+		if v >= MaxNodes {
+			c.SkippedEvents += int64(len(st.Nodes) - i)
+			break
+		}
+		c.AwakeRounds[v] = append(c.AwakeRounds[v], st.Round)
 	}
-	c.AwakeRounds[node] = append(rs, round)
-}
-
-// Message implements sim.Tracer.
-func (c *Collector) Message(round int64, from, to, bits int, delivered bool) {
-	c.Sent++
-	if delivered {
-		c.Delivered++
-	} else {
-		c.Lost++
-		c.LostByRound[round]++
-	}
+	c.Sent += st.Sent
+	c.Delivered += st.Delivered
+	c.Lost += st.Sent - st.Delivered
 }
 
 // LossRate returns the fraction of messages lost to sleeping receivers.
@@ -87,26 +67,6 @@ func (c *Collector) LossRate() float64 {
 		return 0
 	}
 	return float64(c.Lost) / float64(c.Sent)
-}
-
-// Intervals compresses a node's awake rounds into [lo, hi] runs of
-// consecutive rounds.
-func (c *Collector) Intervals(node int) [][2]int64 {
-	rounds := c.AwakeRounds[node]
-	if len(rounds) == 0 {
-		return nil
-	}
-	var out [][2]int64
-	lo, hi := rounds[0], rounds[0]
-	for _, r := range rounds[1:] {
-		if r == hi+1 {
-			hi = r
-			continue
-		}
-		out = append(out, [2]int64{lo, hi})
-		lo, hi = r, r
-	}
-	return append(out, [2]int64{lo, hi})
 }
 
 // Timeline renders an ASCII awake-density timeline: the horizon
@@ -205,7 +165,7 @@ func (c *Collector) Summary() string {
 	s := fmt.Sprintf("traced %d nodes; %d messages sent, %d delivered, %d lost to sleepers (%.1f%%)",
 		len(c.AwakeRounds), c.Sent, c.Delivered, c.Lost, 100*c.LossRate())
 	if c.SkippedEvents > 0 {
-		s += fmt.Sprintf("; node sample capped at %d (first %d ids)", c.MaxNodes, c.MaxNodes)
+		s += fmt.Sprintf("; node sample capped at %d (first %d ids)", MaxNodes, MaxNodes)
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package awakemis
 
 import (
 	"awakemis/internal/sim"
+	"awakemis/internal/trace"
 )
 
 // RoundStat is one executed round's flat aggregate, as delivered to a
@@ -35,20 +36,25 @@ type RoundObserver interface {
 	ObserveRound(RoundStat)
 }
 
-// simObserver adapts the facade observer surface to the engine hook:
-// it converts sim.RoundStat into the public RoundStat and fans it to
-// the optional round-summary accumulator and the caller's observer.
+// simObserver is the one engine hook behind every observation surface
+// of a run: it hands each sim.RoundStat to the optional trace
+// collector, and the converted public RoundStat to the optional
+// round-summary accumulator and the caller's observer.
 type simObserver struct {
-	user RoundObserver
-	acc  *roundSummaryAcc
+	user  RoundObserver
+	trace *trace.Collector
+	acc   *roundSummaryAcc
 }
 
 var _ sim.RoundObserver = (*simObserver)(nil)
 
 func (o *simObserver) ObserveRound(st sim.RoundStat) {
+	if o.trace != nil {
+		o.trace.ObserveRound(st)
+	}
 	rs := RoundStat{
 		Round:     st.Round,
-		Awake:     st.Awake,
+		Awake:     len(st.Nodes),
 		Sent:      st.Sent,
 		Delivered: st.Delivered,
 		Bits:      st.Bits,

@@ -64,7 +64,7 @@ type Report struct {
 	// (Options.RoundSummary); deterministic like the rest of the report.
 	RoundSummary *RoundSummary `json:"round_summary,omitempty"`
 
-	trace *trace.Collector
+	traced
 }
 
 // JSON marshals the report (indented, stable field order).
@@ -72,19 +72,26 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
+// traced holds a run's trace collector, nil unless Options.Trace was
+// set. Report and Result embed it for its two renderings; it has no
+// exported field, so it adds nothing to the wire form.
+type traced struct {
+	trace *trace.Collector
+}
+
 // Timeline renders an ASCII awake-density timeline of the k busiest
 // nodes (requires Options.Trace; otherwise returns a notice).
-func (r *Report) Timeline(k, width int) string {
-	if r.trace == nil {
+func (t traced) Timeline(k, width int) string {
+	if t.trace == nil {
 		return "tracing disabled: set Options.Trace\n"
 	}
-	return r.trace.Timeline(r.trace.BusiestNodes(k), width)
+	return t.trace.Timeline(t.trace.BusiestNodes(k), width)
 }
 
 // TraceSummary describes the recorded trace (requires Options.Trace).
-func (r *Report) TraceSummary() string {
-	if r.trace == nil {
+func (t traced) TraceSummary() string {
+	if t.trace == nil {
 		return "tracing disabled: set Options.Trace"
 	}
-	return r.trace.Summary()
+	return t.trace.Summary()
 }

@@ -103,7 +103,7 @@ func runSpecs(ctx context.Context, specs []Spec, parallel int, onDone func(Progr
 			if err == nil {
 				select {
 				case sem <- struct{}{}:
-					rep, err = runSpec(ctx, spec)
+					rep, err = Run(ctx, spec)
 					<-sem
 				case <-ctx.Done():
 					err = ctx.Err()

@@ -56,8 +56,11 @@ type Spec struct {
 	Options Options `json:"options"`
 }
 
-// runSpec validates one spec, builds its graph and runs its task.
-func runSpec(ctx context.Context, spec Spec) (*Report, error) {
+// Run validates the spec, builds its graph and executes its task,
+// returning the Report. It is the single spec-driven entry point; the
+// spec's Options.Observer, which never reaches the wire, attaches a
+// per-round observer.
+func Run(ctx context.Context, spec Spec) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

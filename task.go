@@ -111,17 +111,15 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",
 			task, strings.Join(TaskNames(), "|"))
 	}
-	var collector *trace.Collector
+	obs := &simObserver{user: opt.Observer}
 	if opt.Trace {
-		collector = trace.NewCollector()
-		cfg.Tracer = collector
+		obs.trace = trace.NewCollector()
 	}
-	var acc *roundSummaryAcc
 	if opt.RoundSummary {
-		acc = &roundSummaryAcc{}
+		obs.acc = &roundSummaryAcc{}
 	}
-	if acc != nil || opt.Observer != nil {
-		cfg.Observer = &simObserver{user: opt.Observer, acc: acc}
+	if obs.user != nil || obs.trace != nil || obs.acc != nil {
+		cfg.Observer = obs
 	}
 	start := time.Now()
 	out, m, err := t.run(ctx, g, opt, cfg)
@@ -140,10 +138,10 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 		Output:   out,
 		Verified: true,
 		WallMS:   float64(time.Since(start)) / float64(time.Millisecond),
-		trace:    collector,
+		traced:   traced{obs.trace},
 	}
-	if acc != nil {
-		rep.RoundSummary = acc.summary()
+	if obs.acc != nil {
+		rep.RoundSummary = obs.acc.summary()
 	}
 	return rep, nil
 }
