@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper-reproduction experiments (one per
-// table/figure in DESIGN.md §4). Beyond ns/op, each benchmark reports
-// the complexity measures the paper is about as custom metrics:
-// awake-max (worst-case awake complexity), awake-avg, and rounds.
+// table or figure; internal/expt's All lists them). Beyond ns/op, each
+// benchmark reports the complexity measures the paper is about as
+// custom metrics: awake-max (worst-case awake complexity), awake-avg,
+// and rounds.
 //
 // Run everything:
 //

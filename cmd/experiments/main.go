@@ -1,6 +1,5 @@
-// Command experiments regenerates the paper-reproduction tables
-// recorded in EXPERIMENTS.md: one experiment per theorem, lemma, and
-// figure (see DESIGN.md §4 for the index).
+// Command experiments regenerates the paper-reproduction tables: one
+// experiment per theorem, lemma, and figure (expt.All is the index).
 //
 // Usage:
 //

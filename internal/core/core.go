@@ -1,8 +1,10 @@
 // Package core implements Algorithm Awake-MIS (§6), the paper's main
 // contribution: a randomized distributed MIS algorithm with
 // O(log log n) worst-case awake complexity in SLEEPING-CONGEST
-// (Theorem 13), plus the round-efficient variant built on the
-// deterministic LDT construction (Corollary 14).
+// (Theorem 13), plus the Corollary 14 variant, which runs on
+// Appendix A's deterministic LDT construction and reproduces
+// Corollary 14's O(log log n · log* n) awake bound. Against the
+// randomized construction this pipeline uses, it saves no rounds.
 //
 // Every node picks a batch (i, j) ∈ [1,ℓ] × [1,2Δ′] — level i with
 // probability ∝ c·2^i·log n / n (so batch-level populations double) and

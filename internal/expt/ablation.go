@@ -15,11 +15,11 @@ import (
 	"awakemis/internal/vtree"
 )
 
-// runE10 is the ablation study DESIGN.md calls out: how the three
-// tunable constants of Awake-MIS trade awake complexity against round
-// complexity and failure margin. C1 scales batch-level populations,
-// Δ′ the per-level batch count (residual-degree budget), NP the
-// component bound handed to LDT-MIS (phase length).
+// runE10 is the ablation study: how the three tunable constants of
+// Awake-MIS trade awake complexity against round complexity and
+// failure margin. C1 scales batch-level populations, Δ′ the per-level
+// batch count (residual-degree budget), NP the component bound handed
+// to LDT-MIS (phase length).
 func runE10(o Options, w io.Writer) error {
 	o = o.withDefaults()
 	n := 512

@@ -1,8 +1,8 @@
 // Package expt is the experiment harness: it regenerates, as printed
 // tables, the quantitative content of every theorem, lemma, and figure
-// of the paper (the experiment index in DESIGN.md §4 and the recorded
-// results in EXPERIMENTS.md). Each experiment validates its outputs
-// against the verify oracles before reporting numbers.
+// of the paper (All is the experiment index). Each experiment
+// validates its outputs against the verify oracles before reporting
+// numbers.
 package expt
 
 import (

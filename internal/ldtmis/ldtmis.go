@@ -1,7 +1,11 @@
-// Package ldtmis implements Algorithm LDT-MIS (§5.3, Lemma 11) and its
-// round-efficient sibling LDT-MIS-ROUND (Corollary 12): compute an
-// LFMIS with respect to a uniformly random node ordering, in O(log n′)
-// awake rounds even when node IDs come from a huge space I ≫ n′.
+// Package ldtmis implements Algorithm LDT-MIS (§5.3, Lemma 11):
+// compute an LFMIS with respect to a uniformly random node ordering,
+// in O(log n′) awake rounds even when node IDs come from a huge space
+// I ≫ n′. Its sibling LDT-MIS-ROUND (Corollary 12, VariantRound)
+// builds the labeled distance tree with Appendix A's deterministic
+// construction instead. That construction spans 19(L+1)/(4L+12) times
+// the rounds of the randomized one, where L = ⌈log₂(n′+1)⌉, so the
+// sibling saves no rounds here.
 //
 // The pipeline on each connected participant component of at most np
 // nodes: (1) build a labeled distance tree; (2) rank the nodes and
