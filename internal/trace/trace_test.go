@@ -148,7 +148,7 @@ func TestMaxNodesSampling(t *testing.T) {
 	}
 	for v := 0; v < MaxNodes; v++ {
 		if len(c.AwakeRounds[v]) != 2 {
-			t.Fatalf("node %d awake rounds %v, want 2 entries (under-cap behavior unchanged)", v, c.AwakeRounds[v])
+			t.Fatalf("node %d awake rounds %v, want 2 entries", v, c.AwakeRounds[v])
 		}
 	}
 	if _, ok := c.AwakeRounds[MaxNodes]; ok {
