@@ -33,15 +33,15 @@ func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // disarmed, followed by one valid terminal frame, must return that
 // frame.
 func FuzzStreamSSE(f *testing.F) {
+	jobDone := func(j *Job) bool { return j.Status.Terminal() }
+	studyDone := func(s *Study) bool { return s.Status.Terminal() }
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkStream(t, body, func(j *Job) bool { return j.Status.Terminal() })
-		checkStream(t, body, func(s *Study) bool { return s.Status.Terminal() })
+		checkStream(t, body, jobDone)
+		checkStream(t, body, studyDone)
 
 		noise := strings.ReplaceAll("\n"+string(body), "\ndata: ", "\n:data: ")[1:]
-		checkNoiseThenDone[Job](t, noise, func(j *Job) bool { return j.Status.Terminal() },
-			func(j *Job) bool { return j.ID == "j-1" && j.Status == JobDone })
-		checkNoiseThenDone[Study](t, noise, func(s *Study) bool { return s.Status.Terminal() },
-			func(s *Study) bool { return s.ID == "s-1" && s.Status == JobDone })
+		checkNoiseThenDone(t, noise, `{"id":"j-1","status":"done"}`, jobDone)
+		checkNoiseThenDone(t, noise, `{"id":"s-1","status":"done","done":1,"total":1}`, studyDone)
 	})
 }
 
@@ -98,19 +98,16 @@ func checkStream[T any](t *testing.T, body []byte, terminal func(*T) bool) {
 }
 
 // checkNoiseThenDone runs streamSSE over noise, in which no line
-// starts with "data: ", then one valid terminal frame, and fails t
+// starts with "data: ", then frame, a valid terminal frame, and fails t
 // unless that frame comes back and is the only one onUpdate saw.
-func checkNoiseThenDone[T any](t *testing.T, noise string, terminal, isFrame func(*T) bool) {
+func checkNoiseThenDone[T any](t *testing.T, noise, frame string, terminal func(*T) bool) {
 	t.Helper()
-	var frame string
-	switch any(new(T)).(type) {
-	case *Job:
-		frame = `{"id":"j-1","status":"done"}`
-	case *Study:
-		frame = `{"id":"s-1","status":"done","done":1,"total":1}`
+	want := new(T)
+	if err := json.Unmarshal([]byte(frame), want); err != nil || !terminal(want) {
+		t.Fatalf("%T: bad terminal frame %s: %v", want, frame, err)
 	}
 	got, seen, err := sseStream([]byte(noise+"\ndata: "+frame+"\n"), terminal)
-	if err != nil || got == nil || !isFrame(got) || len(seen) != 1 {
-		t.Fatalf("%T: noise then a terminal frame returned (%+v, %v) after %d frames", got, got, err, len(seen))
+	if err != nil || len(seen) != 1 || got != seen[0] || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: noise then a terminal frame returned (%+v, %v) after %d frames", want, got, err, len(seen))
 	}
 }
