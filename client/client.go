@@ -1,8 +1,9 @@
 // Package client is the typed Go client for the awakemisd service
 // API: submit Specs, poll jobs, wait for Reports, cancel, and read
-// the registry, stats, and health endpoints. The wire structs mirror
-// internal/service one for one; the daemon's own end-to-end tests run
-// through this package, so drift between the two is caught in CI.
+// the registry, stats, and health endpoints. Its wire types are
+// aliases of internal/service's own structs, so the client decodes
+// exactly what the daemon encodes; the daemon's end-to-end tests run
+// through this package.
 package client
 
 import (
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"awakemis"
+	"awakemis/internal/service"
 	"awakemis/internal/traceid"
 )
 
@@ -38,143 +40,47 @@ func WithTraceID(ctx context.Context, id string) context.Context {
 // TraceID returns the trace id carried by ctx, or "".
 func TraceID(ctx context.Context) string { return traceid.From(ctx) }
 
-// JobStatus mirrors the service's job lifecycle states.
-type JobStatus string
-
-const (
-	JobQueued   JobStatus = "queued"
-	JobRunning  JobStatus = "running"
-	JobDone     JobStatus = "done"
-	JobFailed   JobStatus = "failed"
-	JobCanceled JobStatus = "canceled"
+// The wire types are the daemon's own: each is declared once, in
+// internal/service, which encodes it.
+type (
+	// JobStatus is a job's or a study's lifecycle state.
+	JobStatus = service.JobStatus
+	// Job is one submission as the server reports it. Spec is the
+	// server's canonical form and Hash its content address.
+	Job = service.Job
+	// JobProgress is the live view of a running job's simulation.
+	JobProgress = service.JobProgress
+	// TaskInfo is one /v1/tasks registry entry.
+	TaskInfo = service.TaskInfo
+	// Stats is the /v1/stats payload.
+	Stats = service.Stats
+	// Health is the /v1/healthz payload: liveness plus the daemon's
+	// build identity.
+	Health = service.Health
+	// Study is one submitted study as the server reports it.
+	Study = service.Study
+	// StudyProgress is the live study view: per-cell states plus
+	// grid-wide aggregates, frozen once the study is terminal.
+	StudyProgress = service.StudyProgress
+	// StudyCellProgress is one grid cell's progress.
+	StudyCellProgress = service.StudyCellProgress
+	// CellState is one study cell's lifecycle state.
+	CellState = service.CellState
+	// ClusterPeerStats is one worker daemon's row in the fleet view.
+	ClusterPeerStats = service.ClusterPeerStats
+	// ClusterStatsView is the /v1/cluster/stats payload: the front's
+	// own counters, every peer's, and their merged fleet total.
+	ClusterStatsView = service.ClusterStats
 )
 
-// Terminal reports whether the status is final.
-func (s JobStatus) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCanceled
-}
-
-// Job is one submission as the server reports it. Spec is the
-// server's canonical form and Hash its content address.
-type Job struct {
-	ID     string          `json:"id"`
-	Status JobStatus       `json:"status"`
-	Hash   string          `json:"hash"`
-	Spec   awakemis.Spec   `json:"spec"`
-	Cached bool            `json:"cached,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Report json.RawMessage `json:"report,omitempty"`
-	// TraceID is the trace id the submission carried (or the daemon
-	// minted for it).
-	TraceID string `json:"trace_id,omitempty"`
-	// Progress is the live view of the running simulation, present
-	// while the job runs.
-	Progress *JobProgress `json:"progress,omitempty"`
-}
-
-// JobProgress mirrors the service's live job-progress block.
-type JobProgress struct {
-	// Rounds is the round horizon reached; Executed counts rounds
-	// actually executed (all-asleep rounds are skipped).
-	Rounds   int64 `json:"rounds"`
-	Executed int64 `json:"executed"`
-	// Awake is the awake-node count of the last observed round;
-	// AwakeFrac the same over the graph size.
-	Awake     int     `json:"awake"`
-	AwakeFrac float64 `json:"awake_frac"`
-	// ElapsedMS is wall time since the simulation started; ETAMS the
-	// server's remaining-time estimate (0 until the awake count decays).
-	ElapsedMS float64 `json:"elapsed_ms"`
-	ETAMS     float64 `json:"eta_ms,omitempty"`
-}
-
-// DecodeReport unmarshals the job's Report (Status must be "done").
-func (j *Job) DecodeReport() (*awakemis.Report, error) {
-	if j.Status != JobDone {
-		return nil, fmt.Errorf("client: job %s is %s, not done", j.ID, j.Status)
-	}
-	var rep awakemis.Report
-	if err := json.Unmarshal(j.Report, &rep); err != nil {
-		return nil, fmt.Errorf("client: decoding report of job %s: %w", j.ID, err)
-	}
-	return &rep, nil
-}
-
-// TaskInfo is one /v1/tasks registry entry.
-type TaskInfo struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"`
-	Summary  string `json:"summary"`
-	IDScheme string `json:"id_scheme"`
-}
-
-// Stats is the /v1/stats payload.
-type Stats struct {
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	Coalesced      int64 `json:"coalesced"`
-	EngineRuns     int64 `json:"engine_runs"`
-	CacheEntries   int   `json:"cache_entries"`
-	CacheBytes     int64 `json:"cache_bytes"`
-	CacheBudget    int64 `json:"cache_budget_bytes"`
-	CacheEvictions int64 `json:"cache_evictions"`
-	JobsSubmitted  int64 `json:"jobs_submitted"`
-	JobsCompleted  int64 `json:"jobs_completed"`
-	JobsFailed     int64 `json:"jobs_failed"`
-	JobsCanceled   int64 `json:"jobs_canceled"`
-
-	StudiesSubmitted int64 `json:"studies_submitted"`
-	StudiesCompleted int64 `json:"studies_completed"`
-	StudiesFailed    int64 `json:"studies_failed"`
-	StudiesCanceled  int64 `json:"studies_canceled"`
-	// StudyCells tallies terminal study cells by outcome ("done",
-	// "cached", "failed", "canceled"); omitted until a study finishes.
-	StudyCells map[string]int64 `json:"study_cells,omitempty"`
-
-	QueueDepth int  `json:"queue_depth"`
-	InFlight   int  `json:"inflight"`
-	Draining   bool `json:"draining"`
-
-	// Persistent store tier (omitted unless the daemon runs with
-	// -store-dir).
-	StoreHits      int64 `json:"store_hits,omitempty"`
-	StoreMisses    int64 `json:"store_misses,omitempty"`
-	StoreEntries   int64 `json:"store_entries,omitempty"`
-	StoreBytes     int64 `json:"store_bytes,omitempty"`
-	StoreBudget    int64 `json:"store_budget_bytes,omitempty"`
-	StoreEvictions int64 `json:"store_evictions,omitempty"`
-	StoreCorrupt   int64 `json:"store_corrupt,omitempty"`
-	StoreErrors    int64 `json:"store_errors,omitempty"`
-
-	// Cluster forwarding (omitted unless the daemon fronts a cluster
-	// with -peers).
-	Forwarded     int64            `json:"forwarded,omitempty"`
-	ForwardErrors int64            `json:"forward_errors,omitempty"`
-	PeerForwards  map[string]int64 `json:"peer_forwards,omitempty"`
-	PeersHealthy  int              `json:"peers_healthy,omitempty"`
-	PeersTotal    int              `json:"peers_total,omitempty"`
-
-	// Engine-level telemetry (omitted until a local simulation
-	// executes a round).
-	RoundsSimulated int64   `json:"rounds_simulated,omitempty"`
-	SimSeconds      float64 `json:"sim_seconds,omitempty"`
-
-	// Build identity of the serving daemon (mirrors Health).
-	Version   string `json:"version,omitempty"`
-	Revision  string `json:"revision,omitempty"`
-	BuildTime string `json:"build_time,omitempty"`
-	GoVersion string `json:"go_version,omitempty"`
-}
-
-// Health is the /v1/healthz payload: liveness plus the daemon's build
-// identity.
-type Health struct {
-	Status    string `json:"status"`
-	Version   string `json:"version,omitempty"`
-	Revision  string `json:"revision,omitempty"`
-	BuildTime string `json:"build_time,omitempty"`
-	GoVersion string `json:"go_version,omitempty"`
-}
+// The lifecycle states of jobs and studies.
+const (
+	JobQueued   = service.JobQueued
+	JobRunning  = service.JobRunning
+	JobDone     = service.JobDone
+	JobFailed   = service.JobFailed
+	JobCanceled = service.JobCanceled
+)
 
 // APIError is a non-2xx response decoded from the server's JSON error
 // envelope.
@@ -492,76 +398,6 @@ func (c *Client) Run(ctx context.Context, spec awakemis.Spec) (*awakemis.Report,
 	}
 }
 
-// Study is one submitted study as the server reports it: a
-// parameter-sweep grid executing through the daemon's cache and
-// coalescing machinery. Spec is the server's resolved form.
-type Study struct {
-	ID       string             `json:"id"`
-	Status   JobStatus          `json:"status"`
-	Spec     awakemis.StudySpec `json:"spec"`
-	Done     int                `json:"done"`
-	Total    int                `json:"total"`
-	Error    string             `json:"error,omitempty"`
-	Result   json.RawMessage    `json:"result,omitempty"`
-	Progress *StudyProgress     `json:"progress,omitempty"`
-}
-
-// StudyProgress mirrors the server's live study view: per-cell states
-// plus grid-wide aggregates. On a terminal study it is the frozen
-// final tally.
-type StudyProgress struct {
-	Cells []StudyCellProgress `json:"cells"`
-
-	CellsQueued   int `json:"cells_queued"`
-	CellsRunning  int `json:"cells_running"`
-	CellsDone     int `json:"cells_done"`
-	CellsCached   int `json:"cells_cached"`
-	CellsFailed   int `json:"cells_failed,omitempty"`
-	CellsCanceled int `json:"cells_canceled,omitempty"`
-
-	RunsDone   int `json:"runs_done"`
-	RunsCached int `json:"runs_cached,omitempty"`
-
-	ExecutedRounds int64   `json:"executed_rounds"`
-	EngineSeconds  float64 `json:"engine_seconds"`
-	// LanesVectorized counted sub-runs executed as lanes of one merged
-	// trial pass. Only older daemons send it; current daemons run every
-	// trial on its own, so it decodes as 0.
-	LanesVectorized int `json:"lanes_vectorized,omitempty"`
-
-	ElapsedMS float64 `json:"elapsed_ms"`
-	ETAMS     float64 `json:"eta_ms,omitempty"`
-}
-
-// StudyCellProgress is one grid cell's progress: which cell it is and
-// how far its trials have gotten.
-type StudyCellProgress struct {
-	Index  int    `json:"index"`
-	Task   string `json:"task"`
-	Family string `json:"family"`
-	N      int    `json:"n"`
-	Engine string `json:"engine"`
-
-	State  string `json:"state"` // queued|running|done|cached|failed|canceled
-	Done   int    `json:"done"`
-	Trials int    `json:"trials"`
-	Cached int    `json:"cached,omitempty"`
-}
-
-// DecodeResult unmarshals the study's StudyResult artifact (Status
-// must be "done"). Result holds the exact artifact bytes — a client
-// that wants byte-level determinism should persist Result directly.
-func (st *Study) DecodeResult() (*awakemis.StudyResult, error) {
-	if st.Status != JobDone {
-		return nil, fmt.Errorf("client: study %s is %s, not done", st.ID, st.Status)
-	}
-	var res awakemis.StudyResult
-	if err := json.Unmarshal(st.Result, &res); err != nil {
-		return nil, fmt.Errorf("client: decoding result of study %s: %w", st.ID, err)
-	}
-	return &res, nil
-}
-
 // SubmitStudy posts one StudySpec; the study expands and aggregates
 // asynchronously (poll WaitStudy). Queue-full rejections are retried
 // with backoff (see MaxRetries). The study runs under the ctx's trace
@@ -666,36 +502,6 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// StatsRaw fetches /v1/stats as the server's exact JSON bytes. The
-// cluster front uses it to relay per-peer snapshots without dragging
-// them through this package's Stats struct (which would silently drop
-// fields a newer peer reports).
-func (c *Client) StatsRaw(ctx context.Context) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
-// ClusterPeerStats is one worker daemon's row in the fleet view.
-type ClusterPeerStats struct {
-	Addr  string `json:"addr"`
-	Up    bool   `json:"up"`
-	Error string `json:"error,omitempty"`
-	Stats *Stats `json:"stats,omitempty"`
-}
-
-// ClusterStatsView is the /v1/cluster/stats payload: the front's own
-// counters, every peer's, and their merged fleet total.
-type ClusterStatsView struct {
-	Self       Stats              `json:"self"`
-	Peers      []ClusterPeerStats `json:"peers"`
-	Total      Stats              `json:"total"`
-	PeersUp    int                `json:"peers_up"`
-	PeersTotal int                `json:"peers_total"`
 }
 
 // ClusterStats fetches the fleet-wide aggregate a cluster front

@@ -1,8 +1,10 @@
 // Package buildinfo exposes the binary's build identity — module
 // version, VCS revision and commit time, Go toolchain — read once from
-// debug.ReadBuildInfo. The daemon prints it for -version, serves it on
-// /v1/healthz and /v1/stats, and the client mirrors it in Health, so
-// every process in a cluster can be identified from the outside.
+// debug.ReadBuildInfo. The daemon prints it for -version and serves
+// it on /v1/healthz and /v1/stats, embedded in service.Health and
+// service.Stats (which the client decodes as its own Health and
+// Stats), so every process in a cluster can be identified from the
+// outside.
 package buildinfo
 
 import (

@@ -164,12 +164,12 @@ func (f *Front) probe() {
 	wg.Wait()
 }
 
-// FetchPeerStats implements service.PeerStatsFetcher, the read side
-// of GET /v1/cluster/stats: one concurrent /v1/stats fetch per peer,
-// each bounded by the probe timeout (within ctx), returning one
-// snapshot per configured peer — raw JSON on success, the error
-// otherwise. The front's own stats are not included; the service
-// layer adds its own snapshot when it assembles the fleet view.
+// FetchPeerStats implements service.Forwarder's read side of GET
+// /v1/cluster/stats: one concurrent /v1/stats fetch per peer, each
+// bounded by the probe timeout (within ctx), returning one snapshot
+// per configured peer — its Stats on success, the error otherwise.
+// The front's own stats are not included; the service layer adds its
+// own snapshot when it assembles the fleet view.
 func (f *Front) FetchPeerStats(ctx context.Context) []service.PeerSnapshot {
 	addrs := f.ring.Peers()
 	snaps := make([]service.PeerSnapshot, len(addrs))
@@ -180,8 +180,8 @@ func (f *Front) FetchPeerStats(ctx context.Context) []service.PeerSnapshot {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, f.timeout)
 			defer cancel()
-			data, err := p.client.StatsRaw(pctx)
-			snaps[i] = service.PeerSnapshot{Addr: p.addr, Data: data, Err: err}
+			st, err := p.client.Stats(pctx)
+			snaps[i] = service.PeerSnapshot{Addr: p.addr, Stats: st, Err: err}
 		}(i, f.peers[addr])
 	}
 	wg.Wait()
@@ -284,17 +284,9 @@ func (f *Front) runOn(ctx context.Context, p *peer, spec awakemis.Spec, progress
 		var onUpdate func(*client.Job)
 		if progress != nil {
 			onUpdate = func(j *client.Job) {
-				if j.Progress == nil {
-					return
+				if j.Progress != nil {
+					progress(*j.Progress)
 				}
-				progress(service.JobProgress{
-					Rounds:    j.Progress.Rounds,
-					Executed:  j.Progress.Executed,
-					Awake:     j.Progress.Awake,
-					AwakeFrac: j.Progress.AwakeFrac,
-					ElapsedMS: j.Progress.ElapsedMS,
-					ETAMS:     j.Progress.ETAMS,
-				})
 			}
 		}
 		if job, err = p.client.WaitJob(ctx, job.ID, onUpdate); err != nil {

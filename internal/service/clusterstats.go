@@ -2,30 +2,22 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"net/http"
 	"sort"
 	"time"
+
+	"awakemis/internal/buildinfo"
 )
 
-// PeerSnapshot is one peer's /v1/stats fetch result as a
-// PeerStatsFetcher reports it: raw JSON on success (the service
-// decodes it into its own Stats, so the fetcher needs no wire-struct
-// mirroring), the fetch error otherwise.
+// PeerSnapshot is one peer's /v1/stats fetch result as
+// Forwarder.FetchPeerStats reports it: the peer's Stats on success,
+// the fetch error otherwise.
 type PeerSnapshot struct {
-	Addr string
-	Data []byte
-	Err  error
-}
-
-// PeerStatsFetcher is the optional Forwarder extension behind GET
-// /v1/cluster/stats: snapshot every peer's /v1/stats concurrently,
-// each fetch bounded by its own timeout, and return one entry per
-// configured peer. Implemented by internal/cluster.Front.
-type PeerStatsFetcher interface {
-	FetchPeerStats(ctx context.Context) []PeerSnapshot
+	Addr  string
+	Stats *Stats
+	Err   error
 }
 
 // clusterStatsTimeout bounds the whole fan-out fetch; the fetcher
@@ -58,18 +50,17 @@ type ClusterStats struct {
 	PeersTotal int                `json:"peers_total"`
 }
 
-// handleClusterStats is GET /v1/cluster/stats, served by any daemon
-// whose Forwarder can snapshot its peers (a front given -peers);
-// everything else 404s — a worker daemon has no fleet to aggregate.
+// handleClusterStats is GET /v1/cluster/stats, served by a cluster
+// front (a daemon given -peers); everything else 404s — a worker
+// daemon has no fleet to aggregate.
 func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
-	fetcher, ok := s.fwd.(PeerStatsFetcher)
-	if !ok {
+	if s.fwd == nil {
 		writeError(w, fmt.Errorf("%w: not a cluster front", ErrNotFound))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), clusterStatsTimeout)
 	defer cancel()
-	snaps := fetcher.FetchPeerStats(ctx)
+	snaps := s.fwd.FetchPeerStats(ctx)
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Addr < snaps[j].Addr })
 
 	cs := ClusterStats{
@@ -83,26 +74,17 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	cs.Total.PeerForwards = maps.Clone(cs.Self.PeerForwards)
 	cs.Total.StudyCells = maps.Clone(cs.Self.StudyCells)
 	// The fleet total carries no single build identity.
-	cs.Total.Version, cs.Total.Revision = "", ""
-	cs.Total.BuildTime, cs.Total.GoVersion = "", ""
+	cs.Total.Info = buildinfo.Info{}
 	for _, snap := range snaps {
 		row := ClusterPeerStats{Addr: snap.Addr}
 		if snap.Err != nil {
 			row.Error = snap.Err.Error()
-			cs.Peers = append(cs.Peers, row)
-			continue
+		} else {
+			row.Up, row.Stats = true, snap.Stats
+			cs.PeersUp++
+			mergeStats(&cs.Total, snap.Stats)
 		}
-		var st Stats
-		if err := json.Unmarshal(snap.Data, &st); err != nil {
-			row.Error = fmt.Sprintf("decoding stats: %s", err)
-			cs.Peers = append(cs.Peers, row)
-			continue
-		}
-		row.Up = true
-		row.Stats = &st
 		cs.Peers = append(cs.Peers, row)
-		cs.PeersUp++
-		mergeStats(&cs.Total, &st)
 	}
 	writeJSON(w, http.StatusOK, cs)
 }

@@ -158,7 +158,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	status := http.StatusAccepted
-	if job.Status.terminal() {
+	if job.Status.Terminal() {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, job)
@@ -247,10 +247,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
-// healthPayload is the /v1/healthz body: liveness plus the build
-// identity of the serving binary, so every daemon in a cluster can be
+// Health is the /v1/healthz body: liveness plus the build identity
+// of the serving binary, so every daemon in a cluster can be
 // identified from the outside.
-type healthPayload struct {
+type Health struct {
 	Status string `json:"status"`
 	buildinfo.Info
 }
@@ -261,7 +261,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	payload := healthPayload{Status: "ok", Info: buildinfo.Get()}
+	payload := Health{Status: "ok", Info: buildinfo.Get()}
 	if draining {
 		payload.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, payload)

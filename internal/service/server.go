@@ -71,6 +71,10 @@ type Forwarder interface {
 	Forward(ctx context.Context, spec awakemis.Spec, progress func(JobProgress)) (report []byte, peer string, err error)
 	// PeerHealth reports every configured peer's last known health.
 	PeerHealth() map[string]bool
+	// FetchPeerStats snapshots every peer's /v1/stats concurrently,
+	// each fetch bounded by its own timeout, and returns one entry per
+	// configured peer: the read side of GET /v1/cluster/stats.
+	FetchPeerStats(ctx context.Context) []PeerSnapshot
 }
 
 // noopHandler is the zero-cost slog sink behind a nil Config.Logger.
@@ -118,8 +122,8 @@ const (
 	JobCanceled JobStatus = "canceled"
 )
 
-// terminal reports whether the status is final.
-func (s JobStatus) terminal() bool {
+// Terminal reports whether the status is final.
+func (s JobStatus) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
@@ -146,6 +150,18 @@ type Job struct {
 	// while the flight executes and dropped once terminal (the Report
 	// then carries the full story).
 	Progress *JobProgress `json:"progress,omitempty"`
+}
+
+// DecodeReport unmarshals the job's Report (Status must be "done").
+func (j *Job) DecodeReport() (*awakemis.Report, error) {
+	if j.Status != JobDone {
+		return nil, fmt.Errorf("client: job %s is %s, not done", j.ID, j.Status)
+	}
+	var rep awakemis.Report
+	if err := json.Unmarshal(j.Report, &rep); err != nil {
+		return nil, fmt.Errorf("client: decoding report of job %s: %w", j.ID, err)
+	}
+	return &rep, nil
 }
 
 // job is a Job plus the server-side bookkeeping that never leaves the
@@ -260,13 +276,10 @@ type Stats struct {
 	// absent until a study finishes).
 	StudyCells map[string]int64 `json:"study_cells,omitempty"`
 
-	// Build identity of the serving daemon (omitempty: absent when the
-	// binary carries no module/VCS metadata). Mirrors /v1/healthz and
-	// `awakemisd -version`.
-	Version   string `json:"version,omitempty"`
-	Revision  string `json:"revision,omitempty"`
-	BuildTime string `json:"build_time,omitempty"`
-	GoVersion string `json:"go_version,omitempty"`
+	// Info is the build identity of the serving daemon, as in Health
+	// and `awakemisd -version` (its fields are omitempty: absent when
+	// the binary carries no module/VCS metadata).
+	buildinfo.Info
 }
 
 // Server is the awakemisd core: a bounded queue of deduplicated
@@ -528,7 +541,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("%w: no job %s", ErrNotFound, id)
 	}
-	if j.Status.terminal() {
+	if j.Status.Terminal() {
 		return j.Job, fmt.Errorf("%w: job %s already %s", ErrConflict, id, j.Status)
 	}
 	s.cancelLocked(j)
@@ -574,9 +587,7 @@ func (s *Server) StatsSnapshot() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.SimSeconds = float64(s.simNS) / 1e9
-	bi := buildinfo.Get()
-	st.Version, st.Revision = bi.Version, bi.Revision
-	st.BuildTime, st.GoVersion = bi.BuildTime, bi.GoVersion
+	st.Info = buildinfo.Get()
 	st.CacheEntries = s.cache.mem.len()
 	st.CacheBytes = s.cache.mem.bytes
 	st.CacheBudget = s.cache.mem.budget
@@ -710,7 +721,7 @@ func (s *Server) worker() {
 			delete(s.inflight, f.hash)
 		}
 		for _, j := range f.jobs {
-			if j.Status.terminal() {
+			if j.Status.Terminal() {
 				continue // canceled waiters keep their cancellation
 			}
 			if err != nil {

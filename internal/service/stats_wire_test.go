@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"sort"
 	"testing"
+
+	"awakemis/internal/buildinfo"
 )
 
 // legacyStatsKeys is the frozen pre-store/pre-cluster key set. A
@@ -114,10 +116,12 @@ func TestStatsNewFieldsAppearWhenSet(t *testing.T) {
 
 		RoundsSimulated: 11,
 		SimSeconds:      0.5,
-		Version:         "v1.2.3",
-		Revision:        "abc123",
-		BuildTime:       "2026-01-01T00:00:00Z",
-		GoVersion:       "go1.24",
+		Info: buildinfo.Info{
+			Version:   "v1.2.3",
+			Revision:  "abc123",
+			BuildTime: "2026-01-01T00:00:00Z",
+			GoVersion: "go1.24",
+		},
 	}
 	want := map[string]bool{
 		"store_hits": true, "store_misses": true, "store_entries": true,

@@ -37,6 +37,20 @@ type Study struct {
 	Progress *StudyProgress `json:"progress,omitempty"`
 }
 
+// DecodeResult unmarshals the study's StudyResult artifact (Status
+// must be "done"). Result holds the exact artifact bytes — a client
+// that wants byte-level determinism should persist Result directly.
+func (st *Study) DecodeResult() (*awakemis.StudyResult, error) {
+	if st.Status != JobDone {
+		return nil, fmt.Errorf("client: study %s is %s, not done", st.ID, st.Status)
+	}
+	var res awakemis.StudyResult
+	if err := json.Unmarshal(st.Result, &res); err != nil {
+		return nil, fmt.Errorf("client: decoding result of study %s: %w", st.ID, err)
+	}
+	return &res, nil
+}
+
 // studyRun is a Study plus the server-side execution state.
 type studyRun struct {
 	Study
@@ -156,13 +170,13 @@ func (s *Server) CancelStudy(id string) (Study, error) {
 	if !ok {
 		return Study{}, fmt.Errorf("%w: no study %s", ErrNotFound, id)
 	}
-	if st.Status.terminal() {
+	if st.Status.Terminal() {
 		return st.Study, fmt.Errorf("%w: study %s already %s", ErrConflict, id, st.Status)
 	}
 	st.Status = JobCanceled
 	s.stats.StudiesCanceled++
 	for _, j := range st.jobs {
-		if !j.Status.terminal() {
+		if !j.Status.Terminal() {
 			s.cancelLocked(j)
 		}
 	}
@@ -196,7 +210,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		}
 		for {
 			s.mu.Lock()
-			if st.Status.terminal() {
+			if st.Status.Terminal() {
 				s.mu.Unlock()
 				return // canceled while submitting; CancelStudy cleaned up
 			}
@@ -227,7 +241,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 	// matter — the accumulator is order-independent by construction).
 	for i := range specs {
 		s.mu.Lock()
-		if st.Status.terminal() { // canceled: st.jobs already released
+		if st.Status.Terminal() { // canceled: st.jobs already released
 			s.mu.Unlock()
 			return
 		}
@@ -236,10 +250,10 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		<-j.done
 		s.mu.Lock()
 		jj := j.Job
-		if !st.Status.terminal() {
+		if !st.Status.Terminal() {
 			st.Done++
 		}
-		canceled := st.Status.terminal()
+		canceled := st.Status.Terminal()
 		s.mu.Unlock()
 		if canceled {
 			return
@@ -270,7 +284,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		return
 	}
 	s.mu.Lock()
-	if !st.Status.terminal() {
+	if !st.Status.Terminal() {
 		st.Status = JobDone
 		st.Result = data
 		s.stats.StudiesCompleted++
@@ -284,14 +298,14 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 func (s *Server) failStudy(st *studyRun, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st.Status.terminal() {
+	if st.Status.Terminal() {
 		return
 	}
 	st.Status = JobFailed
 	st.Error = err.Error()
 	s.stats.StudiesFailed++
 	for _, j := range st.jobs {
-		if !j.Status.terminal() {
+		if !j.Status.Terminal() {
 			s.cancelLocked(j)
 		}
 	}

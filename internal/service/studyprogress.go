@@ -67,6 +67,10 @@ type StudyProgress struct {
 	// worker daemons own the engine clocks).
 	ExecutedRounds int64   `json:"executed_rounds"`
 	EngineSeconds  float64 `json:"engine_seconds"`
+	// LanesVectorized counted sub-runs executed as lanes of one merged
+	// trial pass. Only older daemons send it; current daemons run every
+	// trial on its own, so it decodes as 0.
+	LanesVectorized int `json:"lanes_vectorized,omitempty"`
 	// ElapsedMS is wall time since submission; ETAMS extrapolates the
 	// remaining wall time from the completion rate so far (omitted
 	// until the first sub-run finishes, zero once terminal).
@@ -111,7 +115,7 @@ func (s *Server) studyProgressLocked(st *studyRun) *StudyProgress {
 			// tracker (shared with the engine goroutine; totals stamped at
 			// finish come from the same tracker, so the sum is monotone).
 			rounds, simNS := j.rounds, j.simNS
-			if !j.Status.terminal() && j.flight != nil && j.flight.tracker != nil {
+			if !j.Status.Terminal() && j.flight != nil && j.flight.tracker != nil {
 				rounds, simNS = j.flight.tracker.progressTotals()
 			}
 			p.ExecutedRounds += rounds

@@ -49,10 +49,12 @@ func fullStats() Stats {
 		RoundsSimulated:  33,
 		SimSeconds:       0.25,
 		StudyCells:       map[string]int64{"cached": 34, "done": 35},
-		Version:          "v1.2.3",
-		Revision:         "abc123+dirty",
-		BuildTime:        "2026-01-01T00:00:00Z",
-		GoVersion:        "go1.24.0",
+		Info: buildinfo.Info{
+			Version:   "v1.2.3",
+			Revision:  "abc123+dirty",
+			BuildTime: "2026-01-01T00:00:00Z",
+			GoVersion: "go1.24.0",
+		},
 	}
 }
 
@@ -113,7 +115,7 @@ func TestWireBytesFrozen(t *testing.T) {
 			},
 		}, "457082758b534fc01c1d61e5934232df98cfefadee461acbdcb536741eb8f1ff"},
 		{"Stats", fullStats(), "ef822e2d33a81a5575dfb1f5f927c4ef9eed90524004baf9fcd3ebd51f77e0fe"},
-		{"Health", healthPayload{Status: "ok", Info: buildinfo.Info{
+		{"Health", Health{Status: "ok", Info: buildinfo.Info{
 			Version: "v1.2.3", Revision: "abc123", BuildTime: "2026-01-01T00:00:00Z", GoVersion: "go1.24.0",
 		}}, "4cbd4b9f6383450a9929a5934bbdc69d5222dde4f8f07702bcc16a0e7c0d2055"},
 		{"TaskInfo", TaskInfo{Name: "luby", Kind: "mis", Summary: "Luby's MIS", IDScheme: "random"}, "8232a805cfa133d0ef74e78a81aa39c055bf2aa23e809a9fb92759e42d626553"},
