@@ -330,8 +330,12 @@ func (c *Client) waitSSE(ctx context.Context, id string, onUpdate func(*Job)) (*
 
 // streamSSE consumes one record's SSE stream until terminal reports a
 // frame final — the shared transport behind waitSSE and WaitStudy.
-// Any transport or framing problem maps to errNoStream so the caller
-// can fall back to polling.
+// Frames follow the event-stream format: each "data" line (the value
+// after "data:", minus one leading space) adds a line to the event, a
+// blank line dispatches it as one JSON frame, comments and other
+// fields are skipped, and an event the stream's end cuts off is
+// dropped. Lines end in LF or CRLF. Any transport or framing problem
+// maps to errNoStream so the caller can fall back to polling.
 func streamSSE[T any](ctx context.Context, c *Client, path string, terminal func(*T) bool, onUpdate func(*T)) (*T, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+path, nil)
 	if err != nil {
@@ -349,24 +353,43 @@ func streamSSE[T any](ctx context.Context, c *Client, path string, terminal func
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		return nil, errNoStream
 	}
+	const maxFrame = 64 << 20 // a done frame carries the full report
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 64<<20) // a done frame carries the full report
+	sc.Buffer(make([]byte, 64<<10), maxFrame)
+	// data accumulates the event's lines, reused across events:
+	// json.Unmarshal copies whatever it keeps.
+	var data []byte
+	pending := false // the event has a data line
 	for sc.Scan() {
-		line := sc.Text()
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			if !pending {
+				continue
+			}
+			v := new(T)
+			if err := json.Unmarshal(data, v); err != nil {
+				return nil, errNoStream
+			}
+			data, pending = data[:0], false
+			if onUpdate != nil {
+				onUpdate(v)
+			}
+			if terminal(v) {
+				return v, nil
+			}
 			continue
 		}
-		v := new(T)
-		if err := json.Unmarshal([]byte(data), v); err != nil {
+		field, value, _ := bytes.Cut(line, []byte(":"))
+		if string(field) != "data" {
+			continue // a comment (empty field name) or another field
+		}
+		if pending {
+			data = append(data, '\n')
+		}
+		if data = append(data, bytes.TrimPrefix(value, []byte(" "))...); len(data) > maxFrame {
 			return nil, errNoStream
 		}
-		if onUpdate != nil {
-			onUpdate(v)
-		}
-		if terminal(v) {
-			return v, nil
-		}
+		pending = true
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -29,9 +29,9 @@ func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // job stream and a study stream. The loop must never panic; it must
 // return a terminal frame or errNoStream; onUpdate must see every
 // frame decoded before the stream stops, in order, and the returned
-// frame must be the last of them. Input with every `data: ` line
-// disarmed, followed by one valid terminal frame, must return that
-// frame.
+// frame must be the last of them. Input with every line that starts
+// with "data" disarmed, followed by one valid terminal event, must
+// return that event's frame.
 func FuzzStreamSSE(f *testing.F) {
 	jobDone := func(j *Job) bool { return j.Status.Terminal() }
 	studyDone := func(s *Study) bool { return s.Status.Terminal() }
@@ -39,7 +39,7 @@ func FuzzStreamSSE(f *testing.F) {
 		checkStream(t, body, jobDone)
 		checkStream(t, body, studyDone)
 
-		noise := strings.ReplaceAll("\n"+string(body), "\ndata: ", "\n:data: ")[1:]
+		noise := strings.ReplaceAll("\n"+string(body), "\ndata", "\n:data")[1:]
 		checkNoiseThenDone(t, noise, `{"id":"j-1","status":"done"}`, jobDone)
 		checkNoiseThenDone(t, noise, `{"id":"s-1","status":"done","done":1,"total":1}`, studyDone)
 	})
@@ -54,22 +54,46 @@ func sseStream[T any](body []byte, terminal func(*T) bool) (*T, []*T, error) {
 	return got, seen, err
 }
 
-// checkStream checks streamSSE over body against a plain reading of
-// the frame format: lines end in "\n" with an optional "\r" before it,
-// a line that starts with "data: " carries one JSON frame, and the
-// stream stops at the first terminal frame or the first frame that
-// does not decode.
+// sseEvents reads body as the event-stream format defines it. Lines
+// end at "\n", dropping one "\r" before it, and any text after the
+// last "\n" is one more line (as bufio.ScanLines reads it, so a
+// trailing "\r" is a blank line). A line whose field name, the text
+// before its first ":", is "data" adds its value, minus one leading
+// space, to the event; a blank line ends an event that has any data
+// lines, joined with "\n"; every other line is skipped, and an event
+// the end of body cuts off is dropped.
+func sseEvents(body string) []string {
+	lines := strings.Split(body, "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
+	var events, event []string
+	for _, line := range lines {
+		line = strings.TrimSuffix(line, "\r")
+		if line == "" {
+			if event != nil {
+				events = append(events, strings.Join(event, "\n"))
+			}
+			event = nil
+			continue
+		}
+		if name, value, _ := strings.Cut(line, ":"); name == "data" {
+			event = append(event, strings.TrimPrefix(value, " "))
+		}
+	}
+	return events
+}
+
+// checkStream checks streamSSE over body against sseEvents: each event
+// carries one JSON frame, and the stream stops at the first terminal
+// frame or the first event that does not decode.
 func checkStream[T any](t *testing.T, body []byte, terminal func(*T) bool) {
 	t.Helper()
 	var want []*T
 	ended := false
-	for _, line := range strings.Split(string(body), "\n") {
-		data, ok := strings.CutPrefix(strings.TrimSuffix(line, "\r"), "data: ")
-		if !ok {
-			continue
-		}
+	for _, event := range sseEvents(string(body)) {
 		v := new(T)
-		if json.Unmarshal([]byte(data), v) != nil {
+		if json.Unmarshal([]byte(event), v) != nil {
 			break
 		}
 		want = append(want, v)
@@ -98,15 +122,16 @@ func checkStream[T any](t *testing.T, body []byte, terminal func(*T) bool) {
 }
 
 // checkNoiseThenDone runs streamSSE over noise, in which no line
-// starts with "data: ", then frame, a valid terminal frame, and fails t
-// unless that frame comes back and is the only one onUpdate saw.
+// starts with "data", then one event carrying frame, a valid terminal
+// frame, and fails t unless that frame comes back and is the only one
+// onUpdate saw.
 func checkNoiseThenDone[T any](t *testing.T, noise, frame string, terminal func(*T) bool) {
 	t.Helper()
 	want := new(T)
 	if err := json.Unmarshal([]byte(frame), want); err != nil || !terminal(want) {
 		t.Fatalf("%T: bad terminal frame %s: %v", want, frame, err)
 	}
-	got, seen, err := sseStream([]byte(noise+"\ndata: "+frame+"\n"), terminal)
+	got, seen, err := sseStream([]byte(noise+"\ndata: "+frame+"\n\n"), terminal)
 	if err != nil || len(seen) != 1 || got != seen[0] || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%T: noise then a terminal frame returned (%+v, %v) after %d frames", want, got, err, len(seen))
 	}
