@@ -97,28 +97,12 @@ func (t *progressTracker) snapshot() *JobProgress {
 	return &p
 }
 
-// totals returns the engine-level telemetry accumulated so far:
-// executed rounds and summed per-round engine time. Zero in front mode
-// (the worker daemon that ran the engine reports them instead).
+// totals returns the rounds executed and the summed per-round engine
+// time so far. Through a front the rounds are the worker daemon's
+// relayed count and the engine time stays zero: a front never feeds
+// its tracker engine rounds.
 func (t *progressTracker) totals() (rounds, simNS int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.remote {
-		return 0, 0
-	}
-	return t.cur.Executed, t.simNS
-}
-
-// progressTotals is totals for study-progress attribution: unlike the
-// server-stats totals it keeps counting through a front — the relayed
-// remote rounds are exactly what a study submitter wants aggregated —
-// while engine time stays local-only (the wall clock of a remote run
-// is not engine time).
-func (t *progressTracker) progressTotals() (rounds, simNS int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.remote {
-		return t.cur.Executed, 0
-	}
 	return t.cur.Executed, t.simNS
 }

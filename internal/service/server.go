@@ -554,7 +554,7 @@ func (s *Server) cancelLocked(j *job) {
 	f := j.flight // finishLocked clears the pointer
 	j.Status = JobCanceled
 	if f != nil && f.tracker != nil {
-		j.rounds, j.simNS = f.tracker.progressTotals()
+		j.rounds, j.simNS = f.tracker.totals()
 	}
 	s.stats.JobsCanceled++
 	s.finishLocked(j)
@@ -700,22 +700,22 @@ func (s *Server) worker() {
 
 		s.mu.Lock()
 		rounds, simNS := f.tracker.totals()
-		s.stats.RoundsSimulated += rounds
-		s.simNS += simNS
-		jobRounds, jobSimNS := f.tracker.progressTotals()
 		for _, j := range f.jobs {
 			// Stamp every waiter with the flight's executed totals (remote
 			// relays included) before the flight pointer goes away — study
 			// progress keeps aggregating them after the run is gone.
-			j.rounds, j.simNS = jobRounds, jobSimNS
+			j.rounds, j.simNS = rounds, simNS
 		}
-		if s.fwd != nil {
-			if err == nil {
-				s.stats.Forwarded++
-				s.peerForwards[peer]++
-			} else {
-				s.stats.ForwardErrors++
-			}
+		if s.fwd == nil {
+			// Engine telemetry counts local runs only: a front's rounds
+			// ran on, and are reported by, the worker daemon.
+			s.stats.RoundsSimulated += rounds
+			s.simNS += simNS
+		} else if err == nil {
+			s.stats.Forwarded++
+			s.peerForwards[peer]++
+		} else {
+			s.stats.ForwardErrors++
 		}
 		if s.inflight[f.hash] == f {
 			delete(s.inflight, f.hash)

@@ -116,7 +116,7 @@ func (s *Server) studyProgressLocked(st *studyRun) *StudyProgress {
 			// finish come from the same tracker, so the sum is monotone).
 			rounds, simNS := j.rounds, j.simNS
 			if !j.Status.Terminal() && j.flight != nil && j.flight.tracker != nil {
-				rounds, simNS = j.flight.tracker.progressTotals()
+				rounds, simNS = j.flight.tracker.totals()
 			}
 			p.ExecutedRounds += rounds
 			p.EngineSeconds += float64(simNS) / 1e9
