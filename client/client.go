@@ -45,8 +45,7 @@ func TraceID(ctx context.Context) string { return traceid.From(ctx) }
 type (
 	// JobStatus is a job's or a study's lifecycle state.
 	JobStatus = service.JobStatus
-	// Job is one submission as the server reports it. Spec is the
-	// server's canonical form and Hash its content address.
+	// Job is one submission as the server reports it.
 	Job = service.Job
 	// JobProgress is the live view of a running job's simulation.
 	JobProgress = service.JobProgress
@@ -54,13 +53,11 @@ type (
 	TaskInfo = service.TaskInfo
 	// Stats is the /v1/stats payload.
 	Stats = service.Stats
-	// Health is the /v1/healthz payload: liveness plus the daemon's
-	// build identity.
+	// Health is the /v1/healthz payload.
 	Health = service.Health
 	// Study is one submitted study as the server reports it.
 	Study = service.Study
-	// StudyProgress is the live study view: per-cell states plus
-	// grid-wide aggregates, frozen once the study is terminal.
+	// StudyProgress is a study's live per-cell view.
 	StudyProgress = service.StudyProgress
 	// StudyCellProgress is one grid cell's progress.
 	StudyCellProgress = service.StudyCellProgress
@@ -68,8 +65,7 @@ type (
 	CellState = service.CellState
 	// ClusterPeerStats is one worker daemon's row in the fleet view.
 	ClusterPeerStats = service.ClusterPeerStats
-	// ClusterStatsView is the /v1/cluster/stats payload: the front's
-	// own counters, every peer's, and their merged fleet total.
+	// ClusterStatsView is the /v1/cluster/stats payload.
 	ClusterStatsView = service.ClusterStats
 )
 
