@@ -91,7 +91,7 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		fmt.Println(buildinfo.Get().String())
+		fmt.Println(buildinfo.Get().Line())
 		return
 	}
 

@@ -57,9 +57,11 @@ var get = sync.OnceValue(func() Info {
 // Get returns the process's build identity (computed once).
 func Get() Info { return get() }
 
-// String renders the identity as a one-line human-readable form for
-// `awakemisd -version`.
-func (i Info) String() string {
+// Line renders the identity as a one-line human-readable form for
+// `awakemisd -version`. It is not named String: service.Stats and
+// service.Health embed Info, and a promoted String method would make
+// fmt print either of them as this one line.
+func (i Info) Line() string {
 	v := i.Version
 	if v == "" {
 		v = "unknown"
