@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"time"
 
 	"awakemis/internal/graph"
 )
@@ -116,6 +117,52 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 				t.Fatalf("round stat %d diverges: %s=%+v vs %s=%+v", i, refName, a, name, b)
 			}
 		}
+	}
+}
+
+// slowObserver records each round's Elapsed and busy-waits in every
+// ObserveRound call, timing its own calls, so that the observer's time
+// outweighs the rounds'.
+type slowObserver struct {
+	elapsed []time.Duration
+	calls   []time.Duration // the wall time of each ObserveRound call
+}
+
+func (o *slowObserver) ObserveRound(st RoundStat) {
+	start := time.Now()
+	o.elapsed = append(o.elapsed, st.Elapsed)
+	for time.Since(start) < 20*time.Microsecond {
+	}
+	o.calls = append(o.calls, time.Since(start))
+}
+
+// TestObserverElapsedCoversLoop pins what RoundStat.Elapsed measures:
+// the gap between the ends of consecutive rounds, so every value is
+// non-negative, the sum stays within the wall time around RunStep, and
+// the sum covers every ObserveRound call but the last.
+func TestObserverElapsedCoversLoop(t *testing.T) {
+	g := graph.Cycle(16)
+	obs := &slowObserver{}
+	start := time.Now()
+	if _, err := RunStep(g, staggerProg, Config{Seed: 3, Observer: obs}); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	var sum, observing time.Duration
+	for i, d := range obs.elapsed {
+		if d < 0 {
+			t.Fatalf("round stat %d: Elapsed %v < 0", i, d)
+		}
+		sum += d
+	}
+	for _, d := range obs.calls[:len(obs.calls)-1] {
+		observing += d
+	}
+	if sum > wall {
+		t.Errorf("Elapsed sums to %v, beyond RunStep's wall time %v", sum, wall)
+	}
+	if sum < observing {
+		t.Errorf("Elapsed sums to %v, less than the %v spent in the observer before the last round", sum, observing)
 	}
 }
 

@@ -116,7 +116,8 @@ type Config struct {
 	// Observer, if non-nil, receives one RoundStat per executed round:
 	// the round's awake nodes and its traffic counters. It carries no
 	// per-message detail, and the engine hands it the awake list it
-	// already holds, so attaching it costs the engine O(1) per round.
+	// already holds, so attaching it costs the engine O(1) per round:
+	// the counter deltas and one monotonic clock read.
 	// Observer methods are called from the engine goroutine only.
 	Observer RoundObserver
 	// Engine runs the program. Nil means Default(); tests set it to
@@ -165,8 +166,11 @@ type RoundStat struct {
 	Delivered int64
 	// Bits is the total wire size of this round's sends.
 	Bits int64
-	// Elapsed is the wall time the engine spent simulating the round.
-	// It is the only nondeterministic field.
+	// Elapsed is the wall time from the end of the previous executed
+	// round (the start of the round loop, for the first) to the end of
+	// this one: the round itself plus the preceding ObserveRound call.
+	// Summed over a run it is the round loop's wall time up to the last
+	// round's end. It is the only nondeterministic field.
 	Elapsed time.Duration
 }
 
@@ -174,23 +178,36 @@ type RoundStat struct {
 // ObserveRound fires once per executed round, in round order, after the
 // round completed successfully (rounds aborted by an error or
 // cancellation are not observed). Implementations should be cheap and
-// ideally allocation-free: the hook itself adds no heap allocations,
-// and the engine's steady-state allocation guards budget at most one
-// allocation per round for the observer's own bookkeeping.
+// ideally allocation-free: the hook itself adds no heap allocations and
+// one monotonic clock read per round, and the engine's steady-state
+// allocation guards budget at most one allocation per round for the
+// observer's own bookkeeping.
 type RoundObserver interface {
 	ObserveRound(RoundStat)
 }
 
 // roundProbe converts the run's cumulative Metrics counters into
-// per-round deltas for a RoundObserver. With a nil observer both calls
-// are a single predictable branch, preserving the zero-allocation
-// round loop.
+// per-round deltas for a RoundObserver. With a nil observer every call
+// is a single predictable branch, preserving the zero-allocation round
+// loop. An observed round reads the clock once, in end: each reading is
+// the time since base, and a round's Elapsed is the gap to the previous
+// reading.
 type roundProbe struct {
 	obs       RoundObserver
-	start     time.Time
+	base      time.Time     // the round loop's start
+	last      time.Duration // the previous reading, relative to base
 	sent      int64
 	delivered int64
 	bits      int64
+}
+
+// start takes the run's one wall-clock reading as the round loop
+// begins.
+func (p *roundProbe) start() {
+	if p.obs == nil {
+		return
+	}
+	p.base = time.Now()
 }
 
 // begin snapshots the cumulative counters at the top of a round.
@@ -199,7 +216,6 @@ func (p *roundProbe) begin(m *Metrics) {
 		return
 	}
 	p.sent, p.delivered, p.bits = m.MessagesSent, m.MessagesDelivered, m.BitsSent
-	p.start = time.Now()
 }
 
 // end emits the round's RoundStat once the round has fully completed.
@@ -207,13 +223,16 @@ func (p *roundProbe) end(m *Metrics, round int64, nodes []int) {
 	if p.obs == nil {
 		return
 	}
+	now := time.Since(p.base) // monotonic only: base carries a monotonic reading
+	elapsed := now - p.last
+	p.last = now
 	p.obs.ObserveRound(RoundStat{
 		Round:     round,
 		Nodes:     nodes,
 		Sent:      m.MessagesSent - p.sent,
 		Delivered: m.MessagesDelivered - p.delivered,
 		Bits:      m.BitsSent - p.bits,
-		Elapsed:   time.Since(p.start),
+		Elapsed:   elapsed,
 	})
 }
 

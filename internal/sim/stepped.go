@@ -189,11 +189,16 @@ func (e *steppedEngine) run(ctx context.Context, g *graph.Graph, sp StepProgram,
 	}
 	defer rs.close()
 
+	// Honor cancellation at every round boundary: the nodes' inline
+	// state is simply dropped, so an abort needs no unwinding. A
+	// non-blocking receive on Done takes no lock, unlike ctx.Err.
+	done := ctx.Done()
+	rs.probe.start()
 	for !rs.q.empty() {
-		// Honor cancellation at every round boundary: the nodes' inline
-		// state is simply dropped, so an abort needs no unwinding.
-		if err := ctx.Err(); err != nil {
-			return rs.m, fmt.Errorf("sim: aborted after round %d: %w", rs.m.Rounds, err)
+		select {
+		case <-done:
+			return rs.m, fmt.Errorf("sim: aborted after round %d: %w", rs.m.Rounds, ctx.Err())
+		default:
 		}
 		if err := rs.round(workers); err != nil {
 			return rs.m, err

@@ -23,15 +23,21 @@ type RoundStat struct {
 	Delivered int64 `json:"delivered"`
 	// Bits is the total wire size of this round's sends.
 	Bits int64 `json:"bits"`
-	// ElapsedNS is the wall time the engine spent on the round — the
-	// only nondeterministic field.
+	// ElapsedNS is the wall time from the end of the previous executed
+	// round (the start of the round loop, for the first) to the end of
+	// this one: the round plus the preceding ObserveRound call, so the
+	// values sum to the round loop's wall time. It is the only
+	// nondeterministic field.
 	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
 // RoundObserver receives one RoundStat per executed round, in round
 // order, from the engine goroutine. Implementations should be cheap:
 // they run once per round on the engine's hot path (though never per
-// node or per message — cost is independent of graph size).
+// node or per message — cost is independent of graph size). The
+// engine's own price for an observed round is one monotonic clock
+// read; the time an observer takes shows in the next round's
+// ElapsedNS.
 type RoundObserver interface {
 	ObserveRound(RoundStat)
 }
