@@ -637,6 +637,52 @@ func TestWakeQueueOrder(t *testing.T) {
 		}
 		pop(t, q, popped{6, []int{0, 7}}, popped{9, []int{3}})
 	})
+
+	t.Run("index-built-and-dropped", func(t *testing.T) {
+		// Rounds 1..40 each get node r+40, then node r, alternating
+		// rounds so every add misses the cached bucket. The 33rd
+		// pending round builds the index map, and draining to 16
+		// pending rounds drops it; later adds, one of them to a round
+		// still pending, find their rounds by scanning the heap again.
+		const rounds = 40
+		q := newWakeQueue(100)
+		for r := rounds; r >= 1; r-- {
+			q.add(int64(r), r+40)
+			if built := q.index != nil; built != (rounds-r+1 > indexAbove) {
+				t.Fatalf("%d rounds pending: index built = %t", rounds-r+1, built)
+			}
+		}
+		for r := 1; r <= rounds; r++ {
+			q.add(int64(r), r)
+		}
+		if len(q.buckets) != rounds {
+			t.Fatalf("queue holds %d buckets for %d rounds", len(q.buckets), rounds)
+		}
+		for r := 1; r <= rounds-indexBelow; r++ {
+			if q.index == nil {
+				t.Fatalf("index dropped with %d rounds pending", len(q.heap))
+			}
+			pop(t, q, popped{int64(r), []int{r, r + 40}})
+		}
+		if q.index != nil {
+			t.Fatalf("index kept with %d rounds pending", len(q.heap))
+		}
+		add(q, wake{45, 90}, wake{30, 0}, wake{45, 85})
+		if len(q.buckets) != rounds {
+			t.Fatalf("queue holds %d buckets, want the freed ones reused", len(q.buckets))
+		}
+		for r := rounds - indexBelow + 1; r <= rounds; r++ {
+			want := []int{r, r + 40}
+			if r == 30 {
+				want = []int{0, 30, 70}
+			}
+			pop(t, q, popped{int64(r), want})
+		}
+		pop(t, q, popped{45, []int{85, 90}})
+		if !q.empty() {
+			t.Fatal("queue not empty after draining")
+		}
+	})
 }
 
 func TestEngineNames(t *testing.T) {

@@ -336,25 +336,45 @@ func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg C
 // wakeQueue schedules (round, node) wake-ups in O(n) space. Each
 // pending round owns a bucket: a FIFO list of its nodes threaded
 // through one link per node (a node waits in at most one bucket at a
-// time), and a min-heap orders the distinct pending rounds. add looks
-// a round's bucket up in the index map only when it targets a
-// different round than the previous add, and nothing grows by append
-// once the queue has seen its widest schedule. Each bucket records
-// whether its nodes arrived in ascending order, so pop sorts only the
-// buckets that did not; either way a round executes in ascending node
-// order, as the determinism contract requires.
+// time), and a min-heap of (round, bucket) entries orders the distinct
+// pending rounds, so pop reads its bucket off the root. add finds a
+// round's bucket only when it targets a different round than the
+// previous add: by scanning the heap while at most indexAbove rounds
+// are pending, and through an index map, built from the heap, while
+// more are. The map is dropped again once indexBelow or fewer rounds
+// are pending, so a run that keeps few rounds pending touches no map.
+// Either way the lookup is exact, so a round never owns two buckets.
+// Apart from each build of the map, nothing allocates once the queue
+// has seen its widest schedule. Each bucket records whether its nodes arrived in ascending
+// order, so pop sorts only the buckets that did not; either way a round
+// executes in ascending node order, as the determinism contract
+// requires.
 type wakeQueue struct {
 	link    []int32         // next node in the same bucket
 	buckets []wakeBucket    // bucket storage, indexed by bucket id
 	free    []int32         // ids of buckets released by pop
-	index   map[int64]int32 // pending round -> bucket id
-	heap    []int64         // min-heap of distinct pending rounds
+	heap    []wakeRound     // min-heap of the distinct pending rounds
+	index   map[int64]int32 // pending round -> bucket id; nil while few are pending
 	popped  []int           // the nodes of the last pop
 
 	// The previous add's round and bucket; lastBucket is -1 when no
 	// bucket is cached (at start, and once the cached round is popped).
 	lastRound  int64
 	lastBucket int32
+}
+
+// The index map's hysteresis: add builds it when a new round makes
+// more than indexAbove rounds pending, and pop drops it when at most
+// indexBelow remain.
+const (
+	indexAbove = 32
+	indexBelow = 16
+)
+
+// wakeRound is a heap entry: a pending round and its bucket.
+type wakeRound struct {
+	round int64
+	id    int32
 }
 
 // wakeBucket is one pending round's node list.
@@ -368,7 +388,6 @@ type wakeBucket struct {
 func newWakeQueue(n int) *wakeQueue {
 	return &wakeQueue{
 		link:       make([]int32, n),
-		index:      make(map[int64]int32),
 		popped:     make([]int, 0, n),
 		lastBucket: -1,
 	}
@@ -381,12 +400,7 @@ func (q *wakeQueue) empty() bool { return len(q.heap) == 0 }
 func (q *wakeQueue) add(r int64, v int) {
 	id := q.lastBucket
 	if id < 0 || r != q.lastRound {
-		var ok bool
-		if id, ok = q.index[r]; !ok {
-			id = q.newBucket()
-			q.index[r] = id
-			q.pushRound(r)
-		}
+		id = q.bucket(r)
 		q.lastRound, q.lastBucket = r, id
 	}
 	b := &q.buckets[id]
@@ -400,6 +414,33 @@ func (q *wakeQueue) add(r int64, v int) {
 	}
 	b.tail = int32(v)
 	b.size++
+}
+
+// bucket returns round r's bucket, opening one when r is not pending.
+func (q *wakeQueue) bucket(r int64) int32 {
+	if q.index != nil {
+		if id, ok := q.index[r]; ok {
+			return id
+		}
+	} else {
+		for _, e := range q.heap {
+			if e.round == r {
+				return e.id
+			}
+		}
+	}
+	id := q.newBucket()
+	q.pushRound(wakeRound{round: r, id: id})
+	switch {
+	case q.index != nil:
+		q.index[r] = id
+	case len(q.heap) > indexAbove:
+		q.index = make(map[int64]int32, 2*len(q.heap))
+		for _, e := range q.heap {
+			q.index[e.round] = e.id
+		}
+	}
+	return id
 }
 
 // newBucket returns the id of an empty bucket, reusing a released one
@@ -419,14 +460,18 @@ func (q *wakeQueue) newBucket() int32 {
 // ascending index order. The slice is owned by the queue and valid
 // until the next pop.
 func (q *wakeQueue) pop() (int64, []int) {
-	r := q.popRound()
-	id := q.index[r]
-	delete(q.index, r)
-	if id == q.lastBucket {
+	top := q.popRound()
+	if q.index != nil {
+		delete(q.index, top.round)
+		if len(q.heap) <= indexBelow {
+			q.index = nil
+		}
+	}
+	if top.id == q.lastBucket {
 		q.lastBucket = -1
 	}
-	b := q.buckets[id]
-	q.free = append(q.free, id)
+	b := q.buckets[top.id]
+	q.free = append(q.free, top.id)
 	nodes := q.popped[:b.size]
 	v := b.head
 	for i := range nodes {
@@ -436,25 +481,26 @@ func (q *wakeQueue) pop() (int64, []int) {
 	if !b.sorted {
 		slices.Sort(nodes)
 	}
-	return r, nodes
+	return top.round, nodes
 }
 
-func (q *wakeQueue) pushRound(r int64) {
-	q.heap = append(q.heap, r)
-	i := len(q.heap) - 1
+func (q *wakeQueue) pushRound(e wakeRound) {
+	q.heap = append(q.heap, e)
+	h := q.heap
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if q.heap[p] <= q.heap[i] {
+		if h[p].round <= h[i].round {
 			break
 		}
-		q.heap[p], q.heap[i] = q.heap[i], q.heap[p]
+		h[p], h[i] = h[i], h[p]
 		i = p
 	}
 }
 
-func (q *wakeQueue) popRound() int64 {
+func (q *wakeQueue) popRound() wakeRound {
 	h := q.heap
-	r := h[0]
+	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
 	q.heap = h[:last]
@@ -463,10 +509,10 @@ func (q *wakeQueue) popRound() int64 {
 	for {
 		l, rr := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && h[l] < h[small] {
+		if l < len(h) && h[l].round < h[small].round {
 			small = l
 		}
-		if rr < len(h) && h[rr] < h[small] {
+		if rr < len(h) && h[rr].round < h[small].round {
 			small = rr
 		}
 		if small == i {
@@ -475,5 +521,5 @@ func (q *wakeQueue) popRound() int64 {
 		h[i], h[small] = h[small], h[i]
 		i = small
 	}
-	return r
+	return top
 }
