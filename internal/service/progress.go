@@ -36,9 +36,24 @@ type JobProgress struct {
 // round, HTTP handlers snapshot it concurrently. It doubles as the
 // engine-telemetry source for /v1/stats and /metrics (rounds
 // simulated, sim-seconds).
+//
+// A round takes no lock: ObserveRound tallies into fields only the
+// engine goroutine touches, and publishes them into the mutex-guarded
+// view on the first round, after every publishEvery of summed engine
+// time, and when the worker calls flush as the run returns. Readers
+// therefore see a view at most publishEvery of engine time old, and
+// exact once the run is over.
 type progressTracker struct {
 	n     int // graph size, for AwakeFrac (0 = unknown)
 	start time.Time
+
+	// The engine goroutine's tallies, published by flush.
+	run struct {
+		rounds, executed int64
+		awake, peak      int
+		simNS            int64
+		unpublished      int64 // engine time since the last publish
+	}
 
 	mu     sync.Mutex
 	cur    JobProgress
@@ -47,23 +62,47 @@ type progressTracker struct {
 	remote bool  // cur was relayed from a worker daemon (front mode)
 }
 
+// publishEvery is how much engine time ObserveRound lets pass between
+// publishes of the tracker's tallies; the SSE sampler ticks every
+// eventPollInterval.
+const publishEvery = int64(10 * time.Millisecond)
+
 func newProgressTracker(n int) *progressTracker {
 	return &progressTracker{n: n, start: time.Now()}
 }
 
-// ObserveRound implements awakemis.RoundObserver. O(1) per round.
+// ObserveRound implements awakemis.RoundObserver. O(1) per round, and
+// lock-free but for the periodic publish.
 func (t *progressTracker) ObserveRound(st awakemis.RoundStat) {
+	r := &t.run
+	r.rounds = st.Round + 1
+	r.executed++
+	r.awake = st.Awake
+	if st.Awake > r.peak {
+		r.peak = st.Awake
+	}
+	r.simNS += st.ElapsedNS
+	r.unpublished += st.ElapsedNS
+	if r.executed == 1 || r.unpublished >= publishEvery {
+		t.flush()
+	}
+}
+
+// flush publishes the engine goroutine's tallies into the locked view.
+// It must be called from the engine goroutine, or after the run has
+// returned, as the worker does.
+func (t *progressTracker) flush() {
+	r := &t.run
+	r.unpublished = 0
 	t.mu.Lock()
-	t.cur.Rounds = st.Round + 1
-	t.cur.Executed++
-	t.cur.Awake = st.Awake
+	t.cur.Rounds = r.rounds
+	t.cur.Executed = r.executed
+	t.cur.Awake = r.awake
 	if t.n > 0 {
-		t.cur.AwakeFrac = float64(st.Awake) / float64(t.n)
+		t.cur.AwakeFrac = float64(r.awake) / float64(t.n)
 	}
-	if st.Awake > t.peak {
-		t.peak = st.Awake
-	}
-	t.simNS += st.ElapsedNS
+	t.peak = r.peak
+	t.simNS = r.simNS
 	t.mu.Unlock()
 }
 
@@ -76,8 +115,8 @@ func (t *progressTracker) setRemote(p JobProgress) {
 	t.mu.Unlock()
 }
 
-// snapshot returns the current progress view, or nil before the first
-// round (or relayed update) lands.
+// snapshot returns the published progress view, or nil before the
+// first round (or relayed update) lands.
 func (t *progressTracker) snapshot() *JobProgress {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -97,10 +136,11 @@ func (t *progressTracker) snapshot() *JobProgress {
 	return &p
 }
 
-// totals returns the rounds executed and the summed per-round engine
-// time so far. Through a front the rounds are the worker daemon's
-// relayed count and the engine time stays zero: a front never feeds
-// its tracker engine rounds.
+// totals returns the published rounds executed and summed per-round
+// engine time: exact once the worker has flushed the finished run.
+// Through a front the rounds are the worker daemon's relayed count and
+// the engine time stays zero: a front never feeds its tracker engine
+// rounds.
 func (t *progressTracker) totals() (rounds, simNS int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

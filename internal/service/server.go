@@ -683,6 +683,7 @@ func (s *Server) worker() {
 			spec.Options.Observer = f.tracker
 			var rep *awakemis.Report
 			rep, err = awakemis.Run(ctx, spec)
+			f.tracker.flush() // the run has returned: publish its exact totals
 			if err == nil {
 				data, err = json.Marshal(rep)
 			}
