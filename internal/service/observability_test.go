@@ -12,7 +12,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"runtime"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -23,15 +23,14 @@ import (
 	"awakemis/internal/service"
 )
 
-// slowStudy is a grid of deliberately slow cells (naive-greedy on a
-// cycle is O(n) awake rounds), so live progress frames are observable
-// even on a fast box: 2 cells x 2 trials = 4 sub-runs.
-func slowStudy() awakemis.StudySpec {
+// cycleStudy is a grid of naive-greedy cells on cycles, each run
+// hundreds of rounds long: 2 cells x 2 trials = 4 sub-runs.
+func cycleStudy() awakemis.StudySpec {
 	return awakemis.StudySpec{
 		Name:     "slow",
 		Tasks:    []string{"naive-greedy"},
 		Families: []awakemis.GraphSpec{{Family: "cycle"}},
-		Sizes:    []int{1500, 2500},
+		Sizes:    []int{150, 250},
 		Trials:   2,
 		Seed:     9,
 		Options:  awakemis.Options{Strict: true},
@@ -50,48 +49,37 @@ func checkMonotone(t *testing.T, label string, seq []int64) {
 	}
 }
 
-// TestStudyProgressLiveMonotone follows one slow study two ways at
-// once — client.WaitStudy (the SSE path) and direct polling of GET
-// /v1/studies/{id} — asserting on both feeds that the progress block
-// is attached, every aggregate counter and per-cell trial count moves
-// monotonically, and the terminal view is frozen complete.
+// TestStudyProgressLiveMonotone follows one study two ways — the
+// frames of client.WaitStudy (the SSE path), and a GET
+// /v1/studies/{id} poll as each frame arrives — asserting on both
+// feeds that the progress block is attached, every aggregate counter
+// and per-cell trial count moves monotonically, and the terminal view
+// is frozen complete. The study's first sub-run is held after its
+// first round until a frame shows its cell running.
 func TestStudyProgressLiveMonotone(t *testing.T) {
 	srv, c := newTestServer(t, service.Config{Workers: 1, Metrics: true})
 	ctx := context.Background()
 
-	study, err := c.SubmitStudy(ctx, slowStudy())
+	gate := service.HoldRuns(t, srv, 1)
+	study, err := c.SubmitStudy(ctx, cycleStudy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := study.ID
-
-	// Polling observer, concurrent with the SSE wait below.
-	pollDone := make(chan []int64)
-	go func() {
-		var runs []int64
-		for {
-			st, err := c.Study(ctx, id)
-			if err != nil {
-				break
-			}
-			if st.Progress != nil {
-				runs = append(runs, int64(st.Progress.RunsDone))
-			}
-			if st.Status.Terminal() {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		pollDone <- runs
-	}()
+	gate.Held()
 
 	var mu sync.Mutex
-	var runsSeen, roundsSeen []int64
+	var runsSeen, roundsSeen, runsPolled []int64
 	cellDone := map[int]int{}
 	sawRunning := false
 	final, err := c.WaitStudy(ctx, id, func(s *client.Study) {
 		mu.Lock()
 		defer mu.Unlock()
+		if st, err := c.Study(ctx, id); err != nil {
+			t.Errorf("poll: %v", err)
+		} else if st.Progress != nil {
+			runsPolled = append(runsPolled, int64(st.Progress.RunsDone))
+		}
 		if s.Progress == nil {
 			t.Error("frame without a progress block")
 			return
@@ -100,7 +88,11 @@ func TestStudyProgressLiveMonotone(t *testing.T) {
 		runsSeen = append(runsSeen, int64(p.RunsDone))
 		roundsSeen = append(roundsSeen, p.ExecutedRounds)
 		if p.CellsRunning > 0 {
+			if p.ExecutedRounds <= 0 {
+				t.Errorf("running cell, but executed_rounds = %d", p.ExecutedRounds)
+			}
 			sawRunning = true
+			gate.Release()
 		}
 		if got := p.CellsQueued + p.CellsRunning + p.CellsDone + p.CellsCached +
 			p.CellsFailed + p.CellsCanceled; got != len(p.Cells) {
@@ -121,9 +113,9 @@ func TestStudyProgressLiveMonotone(t *testing.T) {
 	}
 	checkMonotone(t, "SSE runs_done", runsSeen)
 	checkMonotone(t, "SSE executed_rounds", roundsSeen)
-	checkMonotone(t, "polled runs_done", <-pollDone)
+	checkMonotone(t, "polled runs_done", runsPolled)
 	if !sawRunning {
-		t.Error("never observed a running cell over a multi-second study")
+		t.Error("never observed a running cell")
 	}
 
 	// Terminal view: frozen, complete, and still served after the
@@ -300,19 +292,41 @@ func TestStudyEventsUnknownStudy(t *testing.T) {
 
 // TestSSEDisconnectLeaksNoGoroutines pins the subscriber lifecycle: a
 // client that disconnects mid-stream (context cancel) unregisters
-// cleanly — the handler goroutine and everything it held die — and
-// the watched run itself is unaffected. Mirrors the engine's
+// cleanly — its handler returns, and with it die the handler goroutine
+// (which IS the subscription) and everything it held — and the watched
+// run itself is unaffected. Mirrors the engine's
 // TestAbortedRunsLeakNoGoroutines.
 func TestSSEDisconnectLeaksNoGoroutines(t *testing.T) {
-	_, c := newTestServer(t, service.Config{Workers: 1})
+	srv := service.New(service.Config{Workers: 1})
+	// returned receives one value as each event stream's handler
+	// returns, with a slot for each of the 8 streams the test opens, so
+	// no handler blocks on it.
+	returned := make(chan string, 8)
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			returned <- r.URL.Path
+		}
+	}))
+	t.Cleanup(func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+		ts.Close()
+	})
+	c := client.New(ts.URL, ts.Client())
+	c.PollInterval = 5 * time.Millisecond
 	ctx := context.Background()
 
-	// The blocker occupies the single worker, so both the job and the
-	// study stay live for as long as the streams care to watch.
-	blocker, err := c.Submit(ctx, blockerSpec(2500))
+	// The held blocker occupies the single worker, so both the job and
+	// the study stay live for as long as the streams care to watch.
+	gate := service.HoldRuns(t, srv, 1)
+	blocker, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Held()
 	study, err := c.SubmitStudy(ctx, awakemis.StudySpec{
 		Name: "watched", Tasks: []string{"luby"}, Sizes: []int{32}, Trials: 2, Seed: 5,
 	})
@@ -345,33 +359,24 @@ func TestSSEDisconnectLeaksNoGoroutines(t *testing.T) {
 		t.Fatalf("no frame from %s", path)
 	}
 
-	baseline := runtime.NumGoroutine()
 	for range 4 {
 		openAndDrop("/v1/jobs/" + blocker.ID + "/events")
 		openAndDrop("/v1/studies/" + study.ID + "/events")
 	}
 
-	// Handler goroutines unwind asynchronously after the disconnect.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if now := runtime.NumGoroutine(); now <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: baseline %d, now %d — SSE handlers leaked", baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Each handler unwinds once the server sees its client hang up.
+	// streamEvents starts no goroutine of its own, so a returned
+	// handler has released everything its stream held.
+	for range 8 {
+		<-returned
 	}
 
-	// The watched records never noticed: the study still cancels (or,
-	// if the blocker already drained, already finished — a 409).
+	// The watched records never noticed: the study still cancels, and
+	// the blocker, once released, completes.
 	if _, err := c.CancelStudy(ctx, study.ID); err != nil {
-		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
+	gate.Release()
 	final, err := c.Wait(ctx, blocker.ID)
 	if err != nil {
 		t.Fatal(err)

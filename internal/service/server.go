@@ -326,6 +326,10 @@ type Server struct {
 	handler    http.Handler // mux behind the trace/log/metrics middleware
 	metrics    *metricsState
 	logger     *slog.Logger
+
+	// wrapObserver, when set, wraps each local run's observer. Only
+	// tests set it (export_test.go), to hold runs at a round.
+	wrapObserver func(awakemis.RoundObserver) awakemis.RoundObserver
 }
 
 // New starts a Server: its workers run until Shutdown.
@@ -641,6 +645,10 @@ func (s *Server) worker() {
 		f.cancel = cancel
 		f.state = JobRunning
 		f.tracker = newProgressTracker(f.spec.Graph.N)
+		var observer awakemis.RoundObserver = f.tracker
+		if s.wrapObserver != nil {
+			observer = s.wrapObserver(observer)
+		}
 		queueWait := time.Since(f.enqueued)
 		for _, j := range f.jobs {
 			if j.Status == JobQueued {
@@ -680,7 +688,7 @@ func (s *Server) worker() {
 			// a field that is never serialized, so it cannot reach the
 			// hash or the wire.
 			spec := f.spec
-			spec.Options.Observer = f.tracker
+			spec.Options.Observer = observer
 			var rep *awakemis.Report
 			rep, err = awakemis.Run(ctx, spec)
 			f.tracker.flush() // the run has returned: publish its exact totals

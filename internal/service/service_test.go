@@ -1,10 +1,10 @@
 // End-to-end tests of the awakemisd core: real HTTP via httptest, the
 // typed client package (so client/server wire compatibility is tested
 // here too), and the -race-critical coalescing and cancellation
-// paths. The timing trick throughout: a Config{Workers: 1} server and
-// a slow "blocker" spec occupying the single slot make queue states
-// deterministic — everything submitted behind the blocker provably
-// coalesces or cancels before its flight starts.
+// paths. Queue states are made deterministic without timing: a
+// Config{Workers: 1} server runs a blocker job that a RunGate holds at
+// a round (export_test.go), so everything submitted behind the blocker
+// provably coalesces or cancels before its flight starts.
 package service_test
 
 import (
@@ -24,10 +24,10 @@ import (
 	"awakemis/internal/service"
 )
 
-// blockerSpec runs long enough (hundreds of milliseconds to seconds,
-// scaling with n — naive-greedy on a cycle is O(n) awake) that work
-// submitted "behind" it is safely queued even on a slow 1-CPU box.
-func blockerSpec(n int) awakemis.Spec {
+// heldSpec is the job the tests hold at a RunGate: naive-greedy on a
+// cycle of n nodes executes hundreds of rounds, so a run held at round
+// 1 and then canceled stops far short of its end.
+func heldSpec(n int) awakemis.Spec {
 	return awakemis.Spec{
 		Name:    "blocker",
 		Task:    "naive-greedy",
@@ -72,15 +72,17 @@ func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *client.C
 // completion is served from cache without invoking an engine — all
 // asserted via /v1/stats counters.
 func TestConcurrentDuplicatesCoalesce(t *testing.T) {
-	_, c := newTestServer(t, service.Config{})
+	srv, c := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
 	// Occupy the single worker so the duplicate flight stays queued
 	// until all N submissions are in.
-	blocker, err := c.Submit(ctx, blockerSpec(1500))
+	gate := service.HoldRuns(t, srv, 1)
+	blocker, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Held()
 
 	const n = 8
 	jobs := make([]*client.Job, n)
@@ -101,6 +103,7 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	gate.Release()
 
 	reports := make([][]byte, n)
 	for i, job := range jobs {
@@ -169,13 +172,15 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 // one flight, canceling one must not abort the simulation the other
 // is waiting on.
 func TestCancelOneWaiterKeepsSharedRun(t *testing.T) {
-	_, c := newTestServer(t, service.Config{})
+	srv, c := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
-	blocker, err := c.Submit(ctx, blockerSpec(1500))
+	gate := service.HoldRuns(t, srv, 1)
+	blocker, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Held()
 	a, err := c.Submit(ctx, targetSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +197,7 @@ func TestCancelOneWaiterKeepsSharedRun(t *testing.T) {
 	if canceled.Status != client.JobCanceled {
 		t.Fatalf("canceled job status = %s", canceled.Status)
 	}
+	gate.Release()
 
 	final, err := c.Wait(ctx, b.ID)
 	if err != nil {
@@ -228,10 +234,12 @@ func TestCancelLastWaiterWhileQueued(t *testing.T) {
 	srv, c := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
-	blocker, err := c.Submit(ctx, blockerSpec(1200))
+	gate := service.HoldRuns(t, srv, 1)
+	blocker, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Held()
 	d, err := c.Submit(ctx, targetSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -239,23 +247,14 @@ func TestCancelLastWaiterWhileQueued(t *testing.T) {
 	if _, err := c.Cancel(ctx, d.ID); err != nil {
 		t.Fatal(err)
 	}
+	gate.Release()
 	if _, err := c.Wait(ctx, blocker.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Give the worker a moment to pop and skip the abandoned flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := srv.StatsSnapshot()
-		if st.InFlight == 0 {
-			if st.EngineRuns != 1 {
-				t.Errorf("engine_runs = %d, want 1 (the blocker only)", st.EngineRuns)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned flight never drained: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The cancel took the abandoned flight off the queue, so once the
+	// blocker is done nothing is in flight and no worker ever ran it.
+	if st := srv.StatsSnapshot(); st.InFlight != 0 || st.EngineRuns != 1 {
+		t.Errorf("inflight/engine_runs = %d/%d, want 0/1 (the blocker only)", st.InFlight, st.EngineRuns)
 	}
 	// Canceling again conflicts.
 	if _, err := c.Cancel(ctx, d.ID); err == nil {
@@ -266,84 +265,51 @@ func TestCancelLastWaiterWhileQueued(t *testing.T) {
 }
 
 // TestCancelRunningJobAbortsSimulation: canceling the only submitter
-// of a running job stops the engine at the next round boundary — a
-// multi-second simulation must not hold up shutdown.
+// of a running job stops the engine at the next round boundary. The
+// job is canceled while held after its first round, so the engine
+// executes exactly one round of hundreds.
 func TestCancelRunningJobAbortsSimulation(t *testing.T) {
 	srv, c := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
-	slow := awakemis.Spec{
-		Name:    "marathon",
-		Task:    "naive-greedy",
-		Graph:   awakemis.GraphSpec{Family: "cycle", N: 4000}, // several seconds uncanceled
-		Options: awakemis.Options{Seed: 9},
-	}
-	job, err := c.Submit(ctx, slow)
+	gate := service.HoldRuns(t, srv, 1)
+	job, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the worker picks it up.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		j, err := c.Job(ctx, job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.Status == client.JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started running (status %s)", j.Status)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	start := time.Now()
+	gate.Held()
 	if _, err := c.Cancel(ctx, job.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Shutdown only returns once the worker is idle; if the run were
-	// not aborted this would take the simulation's full several
-	// seconds.
+	gate.Release()
+	// Shutdown returns once the worker is idle.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("cancel-to-idle took %v; the run was not aborted", elapsed)
+	if st := srv.StatsSnapshot(); st.RoundsSimulated != 1 || st.JobsCanceled != 1 {
+		t.Errorf("rounds_simulated/jobs_canceled = %d/%d, want 1/1: the run was not aborted at the next round",
+			st.RoundsSimulated, st.JobsCanceled)
 	}
 }
 
 // TestQueueFullRejects: a submission needing a new simulation when
 // the queue is full gets 503; duplicates of queued work still attach.
 func TestQueueFullRejects(t *testing.T) {
-	_, c := newTestServer(t, service.Config{QueueSize: 1})
+	srv, c := newTestServer(t, service.Config{QueueSize: 1})
 	// This test observes the raw queue-full 503 (the client's backoff,
 	// tested in client/retry_test.go, would mask it by retrying until
 	// the blocker finishes).
 	c.MaxRetries = -1
 	ctx := context.Background()
 
-	blocker, err := c.Submit(ctx, blockerSpec(3000))
-	if err != nil {
+	// The held blocker occupies the worker, freeing its queue slot.
+	gate := service.HoldRuns(t, srv, 1)
+	if _, err := c.Submit(ctx, heldSpec(300)); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the blocker occupies the worker, freeing its queue
-	// slot.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		j, err := c.Job(ctx, blocker.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.Status == client.JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	gate.Held()
 	queued, err := c.Submit(ctx, targetSpec()) // fills the slot
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"awakemis"
 	"awakemis/client"
@@ -206,14 +206,16 @@ func TestStudyValidationAndLookupErrors(t *testing.T) {
 // TestStudyCancel: canceling a study cancels its queued sub-runs and
 // produces no artifact; canceling again conflicts.
 func TestStudyCancel(t *testing.T) {
-	_, c := newTestServer(t, service.Config{Workers: 1})
+	srv, c := newTestServer(t, service.Config{Workers: 1})
 	ctx := context.Background()
 
 	// Occupy the single worker so the study's sub-runs stay queued.
-	blocker, err := c.Submit(ctx, blockerSpec(1500))
+	gate := service.HoldRuns(t, srv, 1)
+	blocker, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Held()
 
 	study, err := c.SubmitStudy(ctx, awakemis.StudySpec{
 		Name:   "doomed",
@@ -225,9 +227,8 @@ func TestStudyCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the executor a beat to start submitting sub-jobs, then
-	// cancel (cancellation must also work mid-submission).
-	time.Sleep(20 * time.Millisecond)
+	// Cancel at once: the executor may be anywhere in its submission
+	// phase, and cancellation must work at every point of it.
 	canceled, err := c.CancelStudy(ctx, study.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +244,24 @@ func TestStudyCancel(t *testing.T) {
 		t.Errorf("double cancel error = %v, want 409", err)
 	}
 
+	// Every sub-run the executor submitted (j-000002 onwards) was
+	// canceled with the study.
+	for i := 2; i <= 5; i++ {
+		id := fmt.Sprintf("j-%06d", i)
+		j, err := c.Job(ctx, id)
+		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
+			continue // not submitted before the cancel
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Status != client.JobCanceled {
+			t.Errorf("sub-run %s is %s after the study's cancel", id, j.Status)
+		}
+	}
+
 	// The blocker is unaffected by the study's cancellation.
+	gate.Release()
 	final, err := c.Wait(ctx, blocker.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +273,8 @@ func TestStudyCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StudiesCanceled != 1 {
-		t.Errorf("studies_canceled = %d", stats.StudiesCanceled)
+	if stats.StudiesCanceled != 1 || stats.EngineRuns != 1 {
+		t.Errorf("studies_canceled/engine_runs = %d/%d, want 1/1 (no sub-run ran)",
+			stats.StudiesCanceled, stats.EngineRuns)
 	}
 }

@@ -22,21 +22,28 @@ import (
 	"awakemis/internal/service"
 )
 
-// TestJobProgressAndEvents submits a slow run and follows it two ways
-// at once — polling GET /v1/jobs/{id} and consuming the SSE stream via
-// client.WaitJob — asserting the progress block appears, its round
-// counter never decreases, and the stream ends with the terminal
-// state.
+// TestJobProgressAndEvents follows a run two ways — GET
+// /v1/jobs/{id} while the run is held after its first round, and the
+// SSE stream via client.WaitJob — asserting the progress block
+// appears after the first round, its round counter never decreases,
+// and the stream ends with the terminal state. The run stays held
+// until a frame carries progress.
 func TestJobProgressAndEvents(t *testing.T) {
-	_, c := newTestServer(t, service.Config{})
+	srv, c := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
-	job, err := c.Submit(ctx, blockerSpec(2500))
+	gate := service.HoldRuns(t, srv, 1)
+	job, err := c.Submit(ctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Status.Terminal() {
-		t.Fatalf("blocker finished instantly: %+v", job)
+	gate.Held()
+	held, err := c.Job(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := held.Progress; held.Status != client.JobRunning || p == nil || p.Executed != 1 || p.Rounds != 1 {
+		t.Fatalf("job held after its first round: status %s, progress %+v; want running with 1 round", held.Status, p)
 	}
 
 	var mu sync.Mutex
@@ -47,6 +54,7 @@ func TestJobProgressAndEvents(t *testing.T) {
 		defer mu.Unlock()
 		if j.Progress != nil {
 			sawProgress = true
+			gate.Release()
 			rounds = append(rounds, j.Progress.Rounds)
 			if j.Progress.Executed <= 0 || j.Progress.Awake < 0 {
 				t.Errorf("implausible progress: %+v", *j.Progress)
@@ -63,7 +71,7 @@ func TestJobProgressAndEvents(t *testing.T) {
 		t.Fatalf("job ended %s: %s", final.Status, final.Error)
 	}
 	if !sawProgress {
-		t.Error("no progress frame observed over a multi-hundred-ms run")
+		t.Error("no progress frame observed")
 	}
 	for i := 1; i < len(rounds); i++ {
 		if rounds[i] < rounds[i-1] {
@@ -191,18 +199,23 @@ func TestHealthAndStatsBuildInfo(t *testing.T) {
 }
 
 // TestEngineTelemetryCounters: a completed local run moves
-// rounds_simulated and sim_seconds, and /metrics exposes the engine
-// series and the queue-wait histogram.
+// rounds_simulated by exactly its Report's executed rounds, and
+// sim_seconds, and /metrics exposes the engine series and the
+// queue-wait histogram.
 func TestEngineTelemetryCounters(t *testing.T) {
-	srv, c := newTestServer(t, service.Config{Metrics: true})
+	_, c := newTestServer(t, service.Config{Metrics: true})
 	ctx := context.Background()
 
-	if _, err := c.Run(ctx, targetSpec()); err != nil {
+	rep, err := c.Run(ctx, targetSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := srv.StatsSnapshot()
-	if st.RoundsSimulated <= 0 {
-		t.Errorf("rounds_simulated = %d after a completed run", st.RoundsSimulated)
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RoundsSimulated != rep.Metrics.ExecutedRounds || st.RoundsSimulated <= 0 {
+		t.Errorf("rounds_simulated = %d after a run of %d executed rounds", st.RoundsSimulated, rep.Metrics.ExecutedRounds)
 	}
 	if st.SimSeconds <= 0 {
 		t.Errorf("sim_seconds = %v after a completed run", st.SimSeconds)
@@ -307,13 +320,18 @@ func TestClusterTraceAndProgress(t *testing.T) {
 	defer w.stop(t)
 	front := startDaemon(t, service.Config{Logger: sink(&frontLog)}, []string{w.ts.URL})
 	defer front.stop(t)
+	// The worker daemon holds the run after its first round until the
+	// front relays its progress.
+	gate := service.HoldRuns(t, w.srv, 1)
+	defer gate.Release()
 
 	const trace = "cluster-trace-e2e-1"
 	tctx := client.WithTraceID(ctx, trace)
-	job, err := front.c.Submit(tctx, blockerSpec(2500))
+	job, err := front.c.Submit(tctx, heldSpec(300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate.Held()
 	if job.TraceID != trace {
 		t.Errorf("front job trace id %q, want %q", job.TraceID, trace)
 	}
@@ -322,6 +340,7 @@ func TestClusterTraceAndProgress(t *testing.T) {
 	final, err := front.c.WaitJob(tctx, job.ID, func(j *client.Job) {
 		if j.Progress != nil && j.Progress.Rounds > 0 {
 			sawRelayedProgress = true
+			gate.Release()
 		}
 	})
 	if err != nil {
@@ -331,7 +350,7 @@ func TestClusterTraceAndProgress(t *testing.T) {
 		t.Fatalf("job ended %s: %s", final.Status, final.Error)
 	}
 	if !sawRelayedProgress {
-		t.Error("front never relayed worker progress during a multi-hundred-ms run")
+		t.Error("front never relayed worker progress")
 	}
 
 	mu.Lock()
