@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,15 +34,6 @@ type Options struct {
 	// peer health transitions (nil silences them).
 	Logger *slog.Logger
 }
-
-// noopHandler silences a nil Options.Logger (slog.DiscardHandler
-// needs Go 1.24; the repo still tests on 1.23).
-type noopHandler struct{}
-
-func (noopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (noopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (noopHandler) WithAttrs([]slog.Attr) slog.Handler        { return noopHandler{} }
-func (noopHandler) WithGroup(string) slog.Handler             { return noopHandler{} }
 
 // Front shards flights across worker daemons: consistent hashing by
 // canonical spec hash picks the owner, unhealthy peers are skipped,
@@ -101,7 +94,10 @@ func New(addrs []string, opts Options) (*Front, error) {
 		stop:     make(chan struct{}),
 	}
 	if f.logger == nil {
-		f.logger = slog.New(noopHandler{})
+		// Silent: the level is above every record's, so Enabled is false
+		// and no record is formatted. (slog.DiscardHandler needs Go 1.24;
+		// go.mod says 1.23.)
+		f.logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	for _, addr := range f.ring.Peers() {
 		p := &peer{addr: addr, client: client.New(addr, opts.HTTPClient)}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"maps"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -76,15 +78,6 @@ type Forwarder interface {
 	// configured peer: the read side of GET /v1/cluster/stats.
 	FetchPeerStats(ctx context.Context) []PeerSnapshot
 }
-
-// noopHandler is the zero-cost slog sink behind a nil Config.Logger.
-// (slog.DiscardHandler needs Go 1.24; the repo still tests on 1.23.)
-type noopHandler struct{}
-
-func (noopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (noopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (noopHandler) WithAttrs([]slog.Attr) slog.Handler        { return noopHandler{} }
-func (noopHandler) WithGroup(string) slog.Handler             { return noopHandler{} }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -346,7 +339,10 @@ func New(cfg Config) *Server {
 		logger:       cfg.Logger,
 	}
 	if s.logger == nil {
-		s.logger = slog.New(noopHandler{})
+		// Silent: the level is above every record's, so Enabled is false
+		// and no record is formatted. (slog.DiscardHandler needs Go 1.24;
+		// go.mod says 1.23.)
+		s.logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.cancelRuns = context.WithCancel(context.Background())
