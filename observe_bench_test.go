@@ -1,8 +1,12 @@
 // BenchmarkObserverOverhead prices the round-telemetry hook: the same
-// Luby run with Options.Observer nil ("off") versus attached ("on").
-// CI's bench job compares the two ns/op against the <=5% overhead
-// budget — the hook runs once per executed round, never per node or
-// per message, so the gap must vanish as n grows.
+// run with Options.Observer nil ("off") versus attached ("on"). The
+// hook runs once per executed round, never per node or per message, so
+// its price is a cost per round. Luby executes 8–10 rounds at any n,
+// which bounds the hook's share of a dense run; CI's bench job holds
+// the Luby n=1M gap within a 5% ns/op budget. Awake-MIS at n=4k keeps
+// about 4 nodes awake per executed round, so its pair prices the hook
+// where rounds are sparse and the per-round cost shows; CI prints that
+// ratio without a gate.
 //
 //	go test -bench 'BenchmarkObserverOverhead' -benchmem
 package awakemis_test
@@ -20,18 +24,23 @@ type countingObserver struct{ rounds int64 }
 func (o *countingObserver) ObserveRound(awakemis.RoundStat) { o.rounds++ }
 
 func BenchmarkObserverOverhead(b *testing.B) {
-	for _, sz := range []struct {
+	for _, c := range []struct {
 		name string
+		algo awakemis.Algorithm
 		n    int
-	}{{"n=4k", 4096}, {"n=1M", 1 << 20}} {
-		b.Run(sz.name, func(b *testing.B) {
-			n := sz.n
+	}{
+		{"n=4k", awakemis.Luby, 4096},
+		{"n=1M", awakemis.Luby, 1 << 20},
+		{"awake-mis/n=4k", awakemis.AwakeMIS, 4096},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			n := c.n
 			g := awakemis.GNP(n, 4/float64(n), int64(n))
 			run := func(b *testing.B, obs awakemis.RoundObserver) {
 				var last awakemis.Metrics
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := awakemis.RunMIS(g, awakemis.Luby,
+					res, err := awakemis.RunMIS(g, c.algo,
 						awakemis.Options{Seed: int64(i), Observer: obs})
 					if err != nil {
 						b.Fatal(err)
