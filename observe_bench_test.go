@@ -4,7 +4,7 @@
 // its price is a cost per round. Luby executes 8–10 rounds at any n,
 // which bounds the hook's share of a dense run; CI's bench job holds
 // the Luby n=1M gap within a 5% ns/op budget. Awake-MIS at n=4k keeps
-// about 4 nodes awake per executed round, so its pair prices the hook
+// about 3.5 nodes awake per executed round, so its pair prices the hook
 // where rounds are sparse and the per-round cost shows; CI prints that
 // ratio without a gate.
 //
