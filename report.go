@@ -1,6 +1,7 @@
 package awakemis
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"awakemis/internal/trace"
@@ -8,6 +9,12 @@ import (
 
 // Output is the union of task outputs; exactly the fields of the task
 // that produced it are non-nil.
+//
+// Output decodes the compact form json.Marshal writes for every MIS
+// task, {"in_mis":[true,false,…]}, itself, and hands any other input to
+// encoding/json (see UnmarshalJSON): the in_mis array is nearly all of
+// an MIS Report's bytes, and decoding it one reflected literal at a
+// time was most of the cost of decoding a Report.
 type Output struct {
 	// InMIS[v] reports whether node v joined the MIS (MIS tasks).
 	InMIS []bool `json:"in_mis,omitempty"`
@@ -16,6 +23,60 @@ type Output struct {
 	// MatchedWith[v] is v's partner, or -1 if unmatched (the matching
 	// task).
 	MatchedWith []int `json:"matched_with,omitempty"`
+}
+
+// UnmarshalJSON decodes an Output. Input that is exactly
+// {"in_mis":[…]} with true and false literals separated by single
+// commas and no whitespace sets InMIS to a fresh slice (non-nil even
+// when empty) and leaves Color and MatchedWith as they were, as
+// encoding/json leaves absent keys. Every other input (whitespace such
+// as Report.JSON's indented form, null, other or repeated keys, other
+// key casing) is decoded by encoding/json into a method-free copy of
+// Output, so its results and errors are encoding/json's.
+//
+// Inside a Report, encoding/json validates the whole document before
+// it calls this method, so malformed JSON fails as before. A type error
+// inside output ends the Report's decode there, where encoding/json
+// would go on to decode the fields after output before returning it. A
+// Decoder's DisallowUnknownFields does not reach inside output.
+func (o *Output) UnmarshalJSON(data []byte) error {
+	if in, ok := compactInMIS(data); ok {
+		o.InMIS = in
+		return nil
+	}
+	type fields Output // Output without its methods
+	return json.Unmarshal(data, (*fields)(o))
+}
+
+// compactInMIS parses data when it is json.Marshal's compact form of an
+// Output holding only InMIS, and reports whether it was.
+func compactInMIS(data []byte) ([]bool, bool) {
+	body, ok := bytes.CutPrefix(data, []byte(`{"in_mis":[`))
+	if !ok {
+		return nil, false
+	}
+	if body, ok = bytes.CutSuffix(body, []byte(`]}`)); !ok {
+		return nil, false
+	}
+	in := make([]bool, 0, bytes.Count(body, []byte{','})+1)
+	for len(body) > 0 {
+		switch {
+		case len(body) >= len("true") && string(body[:len("true")]) == "true":
+			in, body = append(in, true), body[len("true"):]
+		case len(body) >= len("false") && string(body[:len("false")]) == "false":
+			in, body = append(in, false), body[len("false"):]
+		default:
+			return nil, false
+		}
+		if len(body) == 0 {
+			break
+		}
+		if body[0] != ',' || len(body) == 1 {
+			return nil, false
+		}
+		body = body[1:]
+	}
+	return in, true
 }
 
 // GraphStats summarizes a run's input graph.
