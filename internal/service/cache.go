@@ -14,6 +14,12 @@ import (
 // after the in-flight index (no file I/O for coalesced duplicates),
 // and persists to disk outside the mutex (gzip + fsync must not
 // stall submissions).
+//
+// Every cached value is json.Marshal output, compact and HTML-escaped:
+// the worker's encode of its Report, the store's checksum-verified copy
+// of such bytes, or a peer daemon's report, which that daemon cached
+// under the same rule. The job handlers rely on it to write the bytes
+// into a response as they are (marshalJob).
 type tieredCache struct {
 	mem  *reportCache
 	disk *store.Store // nil means memory-only

@@ -59,9 +59,9 @@ func fullStats() Stats {
 }
 
 // TestWireBytesFrozen pins the exact bytes of each wire type the
-// daemon encodes: one fully populated value per type, marshaled and
-// compared by SHA-256 with the digest recorded when the test was
-// written. The shape tests in stats_wire_test.go freeze key sets; this
+// daemon encodes: one fully populated value per type, marshaled (a Job
+// also through the job handlers' marshalJob) and compared by SHA-256
+// with the digest recorded when the test was written. The shape tests in stats_wire_test.go freeze key sets; this
 // one also freezes key order and value encoding, so moving a field,
 // renaming a key or re-declaring a struct shows up here.
 func TestWireBytesFrozen(t *testing.T) {
@@ -130,14 +130,58 @@ func TestWireBytesFrozen(t *testing.T) {
 			PeersTotal: 2,
 		}, "d5aa8ed7db96388708ffd9105e0ae1880eefd7e14a38584d341bfc47bcba2a79"},
 	}
-	for _, c := range cases {
-		data, err := json.Marshal(c.v)
+	check := func(name string, data []byte, err error, want string) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("%s marshals to sha256 %s, want %s:\n%s", c.name, got, c.want, data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s encodes to sha256 %s, want %s:\n%s", name, got, want, data)
+		}
+	}
+	for _, c := range cases {
+		data, err := json.Marshal(c.v)
+		check(c.name, data, err, c.want)
+		if job, ok := c.v.(Job); ok {
+			// The job handlers' encoder must give the same bytes.
+			data, err := marshalJob(job)
+			check(c.name+" through marshalJob", data, err, c.want)
+		}
+	}
+}
+
+// TestMarshalJobMatchesMarshal: the job handlers' encoder writes
+// json.Marshal's bytes for every combination of the omitempty fields
+// around the report, with and without a report.
+func TestMarshalJobMatchesMarshal(t *testing.T) {
+	spec := awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "gnp", N: 64}}
+	for _, report := range []json.RawMessage{nil, json.RawMessage(`{"task":"luby","output":{"in_mis":[true,false]}}`)} {
+		for mask := range 16 {
+			job := Job{ID: "j-000001", Status: JobDone, Hash: "ab12", Spec: spec, Report: report}
+			if mask&1 != 0 {
+				job.Cached = true
+			}
+			if mask&2 != 0 {
+				job.Error = "boom <&>"
+			}
+			if mask&4 != 0 {
+				job.TraceID = "t-1"
+			}
+			if mask&8 != 0 {
+				job.Progress = &JobProgress{Rounds: 3, Executed: 2, Awake: 5, AwakeFrac: 0.5}
+			}
+			want, err := json.Marshal(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := marshalJob(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("report %t, fields %04b: marshalJob wrote\n%s\nwant\n%s", report != nil, mask, got, want)
+			}
 		}
 	}
 }
