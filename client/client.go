@@ -132,7 +132,13 @@ func New(baseURL string, httpClient *http.Client) *Client {
 // BaseURL returns the daemon base URL this client talks to.
 func (c *Client) BaseURL() string { return c.baseURL }
 
-// do issues one request and decodes the JSON response into out.
+// maxResponse bounds the response body do reads. A Job carries its
+// whole Report, about 5.6 B per node for an MIS task, so the bound
+// admits MIS reports up to about 12 million nodes.
+const maxResponse = 64 << 20
+
+// do issues one request and decodes the JSON response into out. A
+// response body longer than maxResponse is an error.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var reqBody io.Reader
 	if body != nil {
@@ -155,9 +161,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse+1))
 	if err != nil {
 		return err
+	}
+	if len(data) > maxResponse {
+		return fmt.Errorf("client: %s %s response exceeds the %d MiB limit", method, path, maxResponse>>20)
 	}
 	if resp.StatusCode >= 300 {
 		var apiErr struct {
