@@ -1,8 +1,8 @@
-// Benchmarks regenerating the paper-reproduction experiments (one per
-// table or figure; internal/expt's All lists them). Beyond ns/op, each
-// benchmark reports the complexity measures the paper is about as
-// custom metrics: awake-max (worst-case awake complexity), awake-avg,
-// and rounds.
+// Benchmarks of the paper-reproduction experiments (one per table or
+// figure; README's "Reproducing the paper" table lists them, each with
+// its claim file or unit test). Beyond ns/op, each benchmark reports
+// the complexity measures the paper is about as custom metrics:
+// awake-max (worst-case awake complexity), awake-avg, and rounds.
 //
 // Run everything:
 //

@@ -55,6 +55,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -279,15 +280,30 @@ func outputLine(rep *awakemis.Report) string {
 	}
 }
 
-// loadSpecs reads a -batch file: a JSON array of Specs.
-func loadSpecs(path string) []awakemis.Spec {
+// decodeFile decodes a -batch or -study file into v. It rejects
+// unknown keys, so a misspelled option fails instead of silently
+// taking its default, and any data after the one JSON value.
+func decodeFile(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%s: trailing data after the JSON value", path)
+	}
+	return nil
+}
+
+// loadSpecs reads a -batch file: a JSON array of Specs.
+func loadSpecs(path string) []awakemis.Spec {
 	var specs []awakemis.Spec
-	if err := json.Unmarshal(data, &specs); err != nil {
-		fail(fmt.Errorf("%s: %w", path, err))
+	if err := decodeFile(path, &specs); err != nil {
+		fail(err)
 	}
 	return specs
 }
@@ -420,15 +436,9 @@ func submitBatch(ctx context.Context, path, server string, parallel int, seed in
 // CLI re-renders the decoded artifact with the same canonical
 // marshaling.
 func runStudy(ctx context.Context, path, server string, parallel int, csvOut, progress bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(err)
-	}
 	var ss awakemis.StudySpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ss); err != nil {
-		fail(fmt.Errorf("%s: %w", path, err))
+	if err := decodeFile(path, &ss); err != nil {
+		fail(err)
 	}
 
 	var res *awakemis.StudyResult
@@ -445,6 +455,7 @@ func runStudy(ctx context.Context, path, server string, parallel int, csvOut, pr
 				fmt.Fprintf(os.Stderr, "[%d/%d] %-32s %s\n", p.Done, p.Total, p.Spec.Name, status)
 			},
 		}
+		var err error
 		res, err = runner.Run(ctx, ss)
 		if errors.Is(err, context.Canceled) {
 			flushProfiles()

@@ -70,23 +70,43 @@ func TestComposability(t *testing.T) {
 // TestLemma2ResidualSparsity checks the residual sparsity bound: after
 // processing t of n nodes, the residual graph among the first t′ has
 // max degree at most (t′/t)·ln(n/ε) — we test with ε = 1/n, i.e. bound
-// 2·(t′/t)·ln n, over several random graphs.
+// 2·(t′/t)·ln n, over several random graphs: dense G(600, 0.08), and
+// sparse G(n, 8/n) with (t, t′) = (n/16, n/4), (n/8, n) and (n/4, n).
 func TestLemma2ResidualSparsity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 600
-	for trial := 0; trial < 5; trial++ {
-		g := graph.GNP(n, 0.08, rng)
-		order := rng.Perm(n)
-		for _, tc := range []struct{ t, tp int }{
-			{50, 100}, {50, 600}, {100, 300}, {200, 600},
-		} {
-			got := ResidualMaxDegree(g, order, tc.t, tc.tp)
-			bound := float64(tc.tp) / float64(tc.t) * 2 * math.Log(float64(n))
-			if float64(got) > bound {
-				t.Errorf("trial %d t=%d t'=%d: residual max degree %d > bound %.1f",
-					trial, tc.t, tc.tp, got, bound)
+	type window struct{ t, tp int }
+	type graphs struct {
+		n, trials int
+		p         float64
+		seed      int64
+		windows   []window
+	}
+	sparse := func(n int) graphs {
+		return graphs{n, 3, 8 / float64(n), 6, []window{{n / 16, n / 4}, {n / 8, n}, {n / 4, n}}}
+	}
+	for _, tc := range []struct {
+		name   string
+		inputs []graphs
+	}{
+		{"dense", []graphs{{600, 5, 0.08, 7, []window{{50, 100}, {50, 600}, {100, 300}, {200, 600}}}}},
+		{"sparse", []graphs{sparse(256), sparse(4096)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, c := range tc.inputs {
+				rng := rand.New(rand.NewSource(c.seed))
+				for trial := 0; trial < c.trials; trial++ {
+					g := graph.GNP(c.n, c.p, rng)
+					order := rng.Perm(c.n)
+					for _, w := range c.windows {
+						got := ResidualMaxDegree(g, order, w.t, w.tp)
+						bound := float64(w.tp) / float64(w.t) * 2 * math.Log(float64(c.n))
+						if float64(got) > bound {
+							t.Errorf("G(%d, %.4f) trial %d t=%d t'=%d: residual max degree %d > bound %.1f",
+								c.n, c.p, trial, w.t, w.tp, got, bound)
+						}
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -105,20 +125,40 @@ func TestLemma2Monotone(t *testing.T) {
 
 // TestLemma3Shattering checks that partitioning a bounded-degree graph
 // into 2Δ random classes leaves components of size ≤ 6·ln(n/ε), tested
-// with ε = 1/n (bound 12 ln n).
+// with ε = 1/n (bound 12 ln n), on random regular graphs: Δ = 6 at
+// n = 800, and Δ = 4 and 8 over n = 32 to 4,096.
 func TestLemma3Shattering(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 5; trial++ {
-		h := graph.RandomRegular(800, 6, rng)
-		sizes := Shatter(h, rng)
-		if len(sizes) != 2*h.MaxDegree() {
-			t.Fatalf("expected 2Δ classes, got %d", len(sizes))
-		}
-		got := MaxShatteredComponent(sizes)
-		bound := 12 * math.Log(float64(h.N()))
-		if float64(got) > bound {
-			t.Errorf("trial %d: max shattered component %d > bound %.1f", trial, got, bound)
-		}
+	type input struct{ n, d, trials int }
+	var sweep []input
+	for _, n := range []int{32, 64, 256, 1024, 4096} {
+		sweep = append(sweep, input{n, 4, 1}, input{n, 8, 1})
+	}
+	for _, tc := range []struct {
+		name   string
+		seed   int64
+		inputs []input
+	}{
+		{"degree-6", 3, []input{{800, 6, 5}}},
+		{"degree-4-and-8", 6, sweep},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			for _, in := range tc.inputs {
+				for trial := 0; trial < in.trials; trial++ {
+					h := graph.RandomRegular(in.n, in.d, rng)
+					sizes := Shatter(h, rng)
+					if len(sizes) != 2*h.MaxDegree() {
+						t.Fatalf("expected 2Δ classes, got %d", len(sizes))
+					}
+					got := MaxShatteredComponent(sizes)
+					bound := 12 * math.Log(float64(h.N()))
+					if float64(got) > bound {
+						t.Errorf("n=%d d=%d trial %d: max shattered component %d > bound %.1f",
+							in.n, in.d, trial, got, bound)
+					}
+				}
+			}
+		})
 	}
 }
 

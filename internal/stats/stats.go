@@ -1,16 +1,13 @@
-// Package stats provides the small statistics toolkit the experiment
-// harness and the study subsystem use: aggregation over repeated
-// trials, quantiles, least squares fits against candidate growth
-// models (log n, log log n, n) with bootstrap confidence intervals
-// and a fit-comparison verdict, and fixed-width table rendering.
+// Package stats provides the small statistics toolkit the study
+// subsystem uses: aggregation over repeated trials, quantiles, least
+// squares fits against candidate growth models (log n, log log n, n)
+// with bootstrap confidence intervals, and a fit-comparison verdict.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
 // Summary aggregates a sample.
@@ -242,69 +239,4 @@ func BootstrapSlopeCI(xs, ys []float64, model string, resamples int, seed int64)
 		slopes[i] = b
 	}
 	return Quantile(slopes, 0.025), Quantile(slopes, 0.975)
-}
-
-// GrowthRatio returns ys[len-1]/ys[0]: how much the measurement grew
-// across the sweep (≈1 for log log-like behavior over laptop ranges,
-// ≈log(x_last)/log(x_first) for logarithmic behavior).
-func GrowthRatio(ys []float64) float64 {
-	if len(ys) < 2 || ys[0] == 0 {
-		return math.NaN()
-	}
-	return ys[len(ys)-1] / ys[0]
-}
-
-// Table renders rows with a header as fixed-width aligned text.
-type Table struct {
-	Header []string
-	Rows   [][]string
-}
-
-// Add appends a row; values are formatted with %v.
-func (t *Table) Add(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
-// String implements fmt.Stringer.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
 }

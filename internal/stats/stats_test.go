@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -76,18 +75,6 @@ func TestFitGrowthConstant(t *testing.T) {
 	fit := FitGrowth(xs, ys)
 	if fit.R2 < 0.999 {
 		t.Errorf("constant data should fit perfectly: %+v", fit)
-	}
-}
-
-func TestGrowthRatio(t *testing.T) {
-	if r := GrowthRatio([]float64{10, 20, 30}); r != 3 {
-		t.Errorf("ratio = %v", r)
-	}
-	if !math.IsNaN(GrowthRatio([]float64{5})) {
-		t.Error("single-point ratio should be NaN")
-	}
-	if !math.IsNaN(GrowthRatio([]float64{0, 5})) {
-		t.Error("zero-start ratio should be NaN")
 	}
 }
 
@@ -172,23 +159,5 @@ func TestBootstrapSlopeCIDegenerate(t *testing.T) {
 	lo, hi = BootstrapSlopeCI([]float64{1, 2, 3}, []float64{1, 2, 3}, "zipf", 100, 1)
 	if !math.IsNaN(lo) || !math.IsNaN(hi) {
 		t.Errorf("unknown model CI = [%v, %v], want NaNs", lo, hi)
-	}
-}
-
-func TestTable(t *testing.T) {
-	tb := &Table{Header: []string{"n", "awake", "model"}}
-	tb.Add(1024, 12.5, "luby")
-	tb.Add(65536, 17.0, "awakemis")
-	out := tb.String()
-	if !strings.Contains(out, "awake") || !strings.Contains(out, "12.50") {
-		t.Errorf("table output:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Errorf("table has %d lines, want 4:\n%s", len(lines), out)
-	}
-	// All lines align to the same width pattern.
-	if len(lines[0]) == 0 || lines[1][0] != '-' {
-		t.Errorf("separator line malformed:\n%s", out)
 	}
 }

@@ -14,8 +14,10 @@ import (
 // headline task and the VT-MIS auxiliary over an n-sweep, three
 // trials per cell. The seed pins one deterministic draw of the shared
 // per-size graphs (cells run all trials on one graph since the paired
-// graph-seed derivation); most seeds show the loglog signal at this
-// sweep, a few draw an outlier graph — this one is a typical draw.
+// graph-seed derivation). At this sweep awake-mis's fitted max_awake
+// model changes with the seed: seeds 1–10 fit loglog n at 5 of them
+// (3, 5, 6, 9 and 10), n at 4 and sqrt n at 1. Seed 5 is one of the
+// loglog draws, not a typical one.
 func quickStudy() awakemis.StudySpec {
 	return awakemis.StudySpec{
 		Name:    "quick",
@@ -185,9 +187,13 @@ func TestStudyArtifactDeterminism(t *testing.T) {
 	}
 }
 
-// TestStudyFitPrefersLogLog checks the acceptance criterion: over the
-// quick study's n-sweep, awake-mis's awake-metric fit prefers the
-// log log n model while vt-mis (awake Θ(log I), I = n) prefers log n.
+// TestStudyFitPrefersLogLog pins seed 5's draw of the quick study:
+// there awake-mis's max_awake fit prefers the log log n model while
+// vt-mis (awake Θ(log I), I = n) prefers log n. It checks that the
+// fits, their intervals and the cell summaries are wired up; it does
+// not show Theorem 13, since half the seeds fit another model at this
+// sweep (see quickStudy). TestPaperClaims makes the check of Theorem
+// 13 that holds at every seed.
 func TestStudyFitPrefersLogLog(t *testing.T) {
 	res, err := awakemis.RunStudy(quickStudy())
 	if err != nil {
