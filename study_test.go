@@ -2,6 +2,8 @@ package awakemis_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"runtime"
 	"strings"
@@ -127,6 +129,7 @@ func TestStudySpecValidate(t *testing.T) {
 		{"bad size", awakemis.StudySpec{Tasks: []string{"luby"}, Sizes: []int{0}}, "sizes[0]"},
 		{"bad engine", awakemis.StudySpec{Tasks: []string{"luby"}, Engines: []awakemis.Engine{"quantum"}}, "unknown engine"},
 		{"lockstep engine", awakemis.StudySpec{Tasks: []string{"luby"}, Engines: []awakemis.Engine{"lockstep"}}, "stepped is the only engine"},
+		{"dup engine", awakemis.StudySpec{Tasks: []string{"luby"}, Engines: []awakemis.Engine{"", "stepped"}}, "duplicate"},
 		{"oversized grid", awakemis.StudySpec{Tasks: []string{"luby"}, Trials: 1 << 40}, "split the grid"},
 		// 3 sizes × 2^62 overflows a naive running product past the cap
 		// check; the per-factor guard must trip instead of panicking in
@@ -291,5 +294,52 @@ func TestStudyAccumulatorGuards(t *testing.T) {
 	}
 	if _, err := acc.Result(); err != nil {
 		t.Errorf("complete result errored: %v", err)
+	}
+}
+
+// TestStudyBytesFrozen pins the SHA-256 of every byte a small study
+// emits: its expansion (json.Marshal of Specs, whose names and options
+// enter the daemon's cache and store keys), the StudyResult artifact,
+// and both CSV renderings. The grid has two tasks, two families (one
+// with a knob), two sizes and two trials, so a change to enumeration
+// order, cell identity, seed derivation, aggregation or fitting moves
+// at least one digest. A refactor of the study code must leave every
+// digest as it is.
+func TestStudyBytesFrozen(t *testing.T) {
+	ss := awakemis.StudySpec{
+		Name:     "frozen",
+		Tasks:    []string{"luby", "vt-mis"},
+		Families: []awakemis.GraphSpec{{Family: "gnp"}, {Family: "regular", Degree: 4}},
+		Sizes:    []int{32, 64},
+		Trials:   2,
+		Seed:     7,
+		Options:  awakemis.Options{Strict: true},
+	}
+	specs, err := json.Marshal(ss.Specs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := awakemis.RunStudy(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"specs", specs, "7ad50e4c4df01b0f6d61aa67df7c4a8fc38079e72e0f435aba376b501fd959dc"},
+		{"artifact", artifact, "ae2c8881eee431ee50725582deba2220ce084b652f9050247262fac6ac842886"},
+		{"cells.csv", []byte(res.CellsCSV()), "06247a2e6aeb495bd2dd5dfc692baf6b57b70414f3569e52e7a50aa704800985"},
+		{"fits.csv", []byte(res.FitsCSV()), "5e22a18a8db54a55023f72c8f6631c09f534d6b3664c769c41d055339c4b2f28"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s digest = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
