@@ -400,6 +400,17 @@ func TestSubmitValidation(t *testing.T) {
 	if !strings.Contains(apiErr.Message, "np must be non-negative") {
 		t.Errorf("error message %q does not name np", apiErr.Message)
 	}
+	// So is a known network-size bound below the graph's node count.
+	smallN := awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "gnp", N: 4096},
+		Options: awakemis.Options{Seed: 1, N: 8, Strict: true}}
+	_, err = c.Submit(ctx, smallN)
+	apiErr = new(client.APIError)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Errorf("options n=8 on 4096 nodes: %v, want HTTP 400", err)
+	}
+	if !strings.Contains(apiErr.Message, "below the graph's 4096 nodes") {
+		t.Errorf("error message %q does not name the node count", apiErr.Message)
+	}
 	// Nothing was spent on the bad specs.
 	if st := srv.StatsSnapshot(); st.JobsSubmitted != 0 || st.EngineRuns != 0 {
 		t.Errorf("bad specs counted: %+v", st)

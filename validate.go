@@ -42,6 +42,9 @@ func (s Spec) check() error {
 	if err := s.Options.validate(); err != nil {
 		return fmt.Errorf("options: %w", err)
 	}
+	if s.Options.N != 0 && s.Options.N < nodes {
+		return fmt.Errorf("options: the known network-size bound N=%d is below the graph's %d nodes", s.Options.N, nodes)
+	}
 	if t.checkParams != nil {
 		if err := t.checkParams(s.Options, nodes); err != nil {
 			return fmt.Errorf("params: %w", err)

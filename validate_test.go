@@ -24,6 +24,12 @@ func TestSpecValidate(t *testing.T) {
 	if err := (awakemis.Spec{Task: "luby"}).Validate(); err != nil {
 		t.Fatalf("all-defaults spec rejected: %v", err)
 	}
+	// The known network-size bound N may equal the node count.
+	atBound := valid
+	atBound.Options.N = 64
+	if err := atBound.Validate(); err != nil {
+		t.Fatalf("spec with N equal to its node count rejected: %v", err)
+	}
 	// Only the awake-mis tasks read Params; the others ignore them.
 	ignored := awakemis.Spec{Task: "luby", Options: awakemis.Options{Params: core.Params{NP: -5, Variant: 9}}}
 	if err := ignored.Validate(); err != nil {
@@ -58,6 +64,8 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown engine", func(s *awakemis.Spec) { s.Options.Engine = "quantum" }, `unknown engine "quantum"`},
 		{"lockstep engine", func(s *awakemis.Spec) { s.Options.Engine = "lockstep" }, `unknown engine "lockstep" (stepped is the only engine)`},
 		{"negative N bound", func(s *awakemis.Spec) { s.Options.N = -1 }, "network-size bound"},
+		// It used to validate and then fail in the engine as a job.
+		{"N bound below node count", func(s *awakemis.Spec) { s.Options.N = 63 }, "N=63 is below the graph's 64 nodes"},
 		{"negative bandwidth", func(s *awakemis.Spec) { s.Options.Bandwidth = -8 }, "bandwidth"},
 		{"negative max rounds", func(s *awakemis.Spec) { s.Options.MaxRounds = -1 }, "max_rounds"},
 		// Each of these used to validate and then fail as a job: a wake
