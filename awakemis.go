@@ -139,7 +139,6 @@ func (o Options) simConfig() sim.Config {
 		Bandwidth: o.Bandwidth,
 		Strict:    o.Strict,
 		MaxRounds: o.MaxRounds,
-		Engine:    sim.Default(),
 	}
 }
 

@@ -10,6 +10,7 @@
 package awakemis_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,7 +99,7 @@ func BenchmarkLDTMIS(b *testing.B) {
 			var last *sim.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, m, err := ldtmis.Run(g, ids, np, ldtmis.VariantAwake,
+				_, m, err := ldtmis.RunContext(context.Background(), g, ids, np, ldtmis.VariantAwake,
 					sim.Config{Seed: int64(i), N: 1 << 16})
 				if err != nil {
 					b.Fatal(err)
@@ -155,7 +156,7 @@ func BenchmarkLDTConstruct(b *testing.B) {
 			var last *sim.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := sim.RunStep(g, prog, sim.Config{Seed: int64(i), N: 1 << 12})
+				m, err := sim.RunStepContext(context.Background(), g, prog, sim.Config{Seed: int64(i), N: 1 << 12})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -311,7 +312,7 @@ func BenchmarkSimulatorFlood(b *testing.B) {
 	prog := func(env *sim.NodeEnv) sim.StepNode { return floodNode{} }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunStep(g, prog, sim.Config{Seed: int64(i)}); err != nil {
+		if _, err := sim.RunStepContext(context.Background(), g, prog, sim.Config{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -126,7 +126,7 @@ func TestPaperClaims(t *testing.T) {
 			res := claimStudy(t, studies, s.study)
 			for _, task := range s.tasks {
 				for _, n := range res.Study.Sizes {
-					if _, ok := res.Cell(task, "gnp", n, awakemis.EngineStepped); !ok {
+					if _, ok := res.Cell(task, "gnp", n); !ok {
 						t.Errorf("%s: no %s cell at n=%d", s.study, task, n)
 					}
 				}
@@ -276,7 +276,7 @@ func checkTreeBound(t *testing.T, res *awakemis.StudyResult, task string) {
 // checkFit asserts the growth model fitted to a series' max_awake.
 func checkFit(t *testing.T, res *awakemis.StudyResult, task, family, want string) {
 	t.Helper()
-	f, ok := res.Fit(task, family, awakemis.EngineStepped, "max_awake")
+	f, ok := res.Fit(task, family, "max_awake")
 	if !ok {
 		t.Fatalf("%s: no max_awake fit for %s on %s", res.Study.Name, task, family)
 	}
@@ -332,7 +332,7 @@ func taskCells(t *testing.T, res *awakemis.StudyResult, task string) []awakemis.
 
 func claimCell(t *testing.T, res *awakemis.StudyResult, task, family string, n int) awakemis.StudyCellResult {
 	t.Helper()
-	c, ok := res.Cell(task, family, n, awakemis.EngineStepped)
+	c, ok := res.Cell(task, family, n)
 	if !ok {
 		t.Fatalf("%s: no %s cell on %s at n=%d", res.Study.Name, task, family, n)
 	}

@@ -22,7 +22,7 @@
 // in-flight simulations at their next round boundary.
 //
 // The -study file is one StudySpec: a declarative parameter-sweep
-// grid (tasks × families × n-sweep × engines × trials) that expands
+// grid (tasks × families × n-sweep × trials) that expands
 // deterministically, aggregates each cell, and fits every metric's
 // growth over the n-sweep. Output is the StudyResult artifact as JSON
 // (or, with -csv, the cells and fits tables as CSV). The artifact is

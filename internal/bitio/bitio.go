@@ -28,13 +28,6 @@ func IntBits(v int64) int {
 	return 1 + UintBits(uint64(v))
 }
 
-// FieldBits returns the number of bits needed for a fixed-width field
-// holding values in [0, max]. It is the width a receiver that knows max
-// would allocate for the field.
-func FieldBits(max uint64) int {
-	return UintBits(max)
-}
-
 // Writer accumulates bits most-significant first. It is used both to
 // serialize payload chunks (e.g. permutation broadcasts over an LDT) and
 // to account for the exact number of bits a message occupies.
@@ -94,15 +87,6 @@ func (w *Writer) Grow(n int) {
 	}
 }
 
-// WriteBool appends a single bit.
-func (w *Writer) WriteBool(b bool) {
-	v := uint64(0)
-	if b {
-		v = 1
-	}
-	w.WriteUint(v, 1)
-}
-
 // Bytes returns the written bits packed into a byte slice, zero padded
 // in the final byte.
 func (w *Writer) Bytes() []byte {
@@ -144,10 +128,4 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 		r.pos++
 	}
 	return v, nil
-}
-
-// ReadBool reads a single bit.
-func (r *Reader) ReadBool() (bool, error) {
-	v, err := r.ReadUint(1)
-	return v == 1, err
 }

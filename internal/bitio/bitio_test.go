@@ -16,6 +16,8 @@ func TestUintBits(t *testing.T) {
 		{2, 2},
 		{3, 2},
 		{4, 3},
+		{63, 6},
+		{64, 7},
 		{255, 8},
 		{256, 9},
 		{1<<63 - 1, 63},
@@ -46,21 +48,12 @@ func TestIntBits(t *testing.T) {
 	}
 }
 
-func TestFieldBits(t *testing.T) {
-	if got := FieldBits(63); got != 6 {
-		t.Errorf("FieldBits(63) = %d, want 6", got)
-	}
-	if got := FieldBits(64); got != 7 {
-		t.Errorf("FieldBits(64) = %d, want 7", got)
-	}
-}
-
 func TestWriterReaderRoundTrip(t *testing.T) {
 	var w Writer
 	w.WriteUint(5, 3)
-	w.WriteBool(true)
+	w.WriteUint(1, 1)
 	w.WriteUint(1023, 10)
-	w.WriteBool(false)
+	w.WriteUint(0, 1)
 	if w.Len() != 15 {
 		t.Fatalf("Len = %d, want 15", w.Len())
 	}
@@ -69,14 +62,14 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if v, err := r.ReadUint(3); err != nil || v != 5 {
 		t.Errorf("ReadUint(3) = %d, %v; want 5", v, err)
 	}
-	if b, err := r.ReadBool(); err != nil || !b {
-		t.Errorf("ReadBool = %v, %v; want true", b, err)
+	if b, err := r.ReadUint(1); err != nil || b != 1 {
+		t.Errorf("ReadUint(1) = %d, %v; want 1", b, err)
 	}
 	if v, err := r.ReadUint(10); err != nil || v != 1023 {
 		t.Errorf("ReadUint(10) = %d, %v; want 1023", v, err)
 	}
-	if b, err := r.ReadBool(); err != nil || b {
-		t.Errorf("ReadBool = %v, %v; want false", b, err)
+	if b, err := r.ReadUint(1); err != nil || b != 0 {
+		t.Errorf("ReadUint(1) = %d, %v; want 0", b, err)
 	}
 }
 

@@ -221,12 +221,7 @@ type Result struct {
 	Batch []int
 }
 
-// Run executes Awake-MIS on g.
-func Run(g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, params, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
+// RunContext executes Awake-MIS on g. Cancelling ctx aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	n := cfg.N

@@ -111,15 +111,6 @@ func newTreeState(id int64, np int) treeState {
 	}
 }
 
-// ID returns the node's ID.
-func (t *treeState) ID() int64 { return t.id }
-
-// RootID returns the LDT identifier (the root's node ID).
-func (t *treeState) RootID() int64 { return t.rootID }
-
-// Depth returns the node's depth in the LDT.
-func (t *treeState) Depth() int { return t.depth }
-
 // IsRoot reports whether this node is the LDT root.
 func (t *treeState) IsRoot() bool { return t.parentPort < 0 }
 

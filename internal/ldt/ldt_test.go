@@ -1,6 +1,7 @@
 package ldt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -55,7 +56,7 @@ func (c session) run(g *graph.Graph, cfg sim.Config) (*harness, *sim.Metrics, er
 	prog := func(env *sim.NodeEnv) sim.StepNode {
 		return &sessionNode{c: &c, h: h, env: env}
 	}
-	m, err := sim.RunStep(g, prog, cfg)
+	m, err := sim.RunStepContext(context.Background(), g, prog, cfg)
 	return h, m, err
 }
 

@@ -143,15 +143,11 @@ type Result struct {
 	NewID []int
 }
 
-// Run executes standalone LDT-MIS on g: every node participates, with
-// the provided unique IDs (from an arbitrarily large space) and a
-// common component-size bound np ≥ the largest component of g.
-func Run(g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, np, v, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
+// RunContext executes standalone LDT-MIS on g: every node
+// participates, with the provided unique IDs (from an arbitrarily
+// large space) and a common component-size bound np ≥ the largest
+// component of g. Cancelling ctx aborts the simulation at the next
+// round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if len(ids) != g.N() {
 		return nil, nil, fmt.Errorf("ldtmis: %d ids for %d nodes", len(ids), g.N())

@@ -113,14 +113,9 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return round + 1, false
 }
 
-// Run executes Luby's algorithm on g and returns the MIS selection and
-// metrics.
-func Run(g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
+// RunContext executes Luby's algorithm on g and returns the MIS
+// selection and metrics. Cancelling ctx aborts the simulation at the
+// next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	res := &Result{InMIS: make([]bool, g.N())}
 	m, err := sim.RunStepContext(ctx, g, StepProgram(res), cfg)

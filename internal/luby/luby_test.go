@@ -1,6 +1,7 @@
 package luby
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestLubyValidMIS(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			res, m, err := Run(g, sim.Config{Seed: 7, Strict: true})
+			res, m, err := RunContext(context.Background(), g, sim.Config{Seed: 7, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestLubyValidMIS(t *testing.T) {
 
 func TestLubyIsolatedNodesJoin(t *testing.T) {
 	g := graph.New(5)
-	res, m, err := Run(g, sim.Config{Seed: 2})
+	res, m, err := RunContext(context.Background(), g, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestLubyAwakeIsLogarithmic(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := graph.GNP(n, 4/float64(n), rng)
-		_, m, err := Run(g, sim.Config{Seed: int64(n)})
+		_, m, err := RunContext(context.Background(), g, sim.Config{Seed: int64(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +76,11 @@ func TestLubyAwakeIsLogarithmic(t *testing.T) {
 
 func TestLubyDeterministicReplay(t *testing.T) {
 	g := graph.Cycle(30)
-	r1, m1, err := Run(g, sim.Config{Seed: 9})
+	r1, m1, err := RunContext(context.Background(), g, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, m2, err := Run(g, sim.Config{Seed: 9})
+	r2, m2, err := RunContext(context.Background(), g, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestQuickLubyAlwaysMIS(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%40) + 1
 		g := graph.GNP(n, 0.25, rng)
-		res, _, err := Run(g, sim.Config{Seed: seed, Strict: true})
+		res, _, err := RunContext(context.Background(), g, sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return false
 		}
@@ -111,7 +112,7 @@ func TestQuickLubyAlwaysMIS(t *testing.T) {
 
 func TestLubyCongestCompliant(t *testing.T) {
 	g := graph.Complete(20)
-	_, m, err := Run(g, sim.Config{Seed: 3, Strict: true})
+	_, m, err := RunContext(context.Background(), g, sim.Config{Seed: 3, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

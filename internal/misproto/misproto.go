@@ -29,9 +29,6 @@ func (s State) String() string {
 	}
 }
 
-// Decided reports whether the state is final.
-func (s State) Decided() bool { return s != Undecided }
-
 // StateMsg announces a sender's state to a neighbor.
 type StateMsg struct {
 	State State

@@ -19,15 +19,6 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestDecided(t *testing.T) {
-	if Undecided.Decided() {
-		t.Error("Undecided must not be decided")
-	}
-	if !InMIS.Decided() || !NotInMIS.Decided() {
-		t.Error("InMIS/NotInMIS must be decided")
-	}
-}
-
 func TestStateMsgBits(t *testing.T) {
 	// Three states fit in two bits; the CONGEST accounting relies on it.
 	if got := (StateMsg{State: InMIS}).Bits(); got != 2 {

@@ -65,13 +65,9 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return round + 1, false
 }
 
-// Run executes the naive algorithm with the given ID assignment.
-func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, idBound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
+// RunContext executes the naive algorithm with the given ID
+// assignment. Cancelling ctx aborts the simulation at the next round
+// boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if err := CheckIDs(g.N(), ids, idBound); err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package naive
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,7 +32,7 @@ func TestNaiveComputesLFMIS(t *testing.T) {
 		graph.Complete(8),
 	} {
 		ids, order := seqIDs(g.N(), rng)
-		res, m, err := Run(g, ids, g.N(), sim.Config{Seed: 5, Strict: true})
+		res, m, err := RunContext(context.Background(), g, ids, g.N(), sim.Config{Seed: 5, Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestNaiveSparseIDs(t *testing.T) {
 		ids[v] = perm[v] + 1
 		pairs = append(pairs, pair{ids[v], v})
 	}
-	res, m, err := Run(g, ids, bound, sim.Config{Seed: 3})
+	res, m, err := RunContext(context.Background(), g, ids, bound, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +82,16 @@ func TestNaiveSparseIDs(t *testing.T) {
 
 func TestNaiveRejectsBadIDs(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := Run(g, []int{1, 2}, 3, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, []int{1, 2}, 3, sim.Config{}); err == nil {
 		t.Error("wrong length accepted")
 	}
-	if _, _, err := Run(g, []int{1, 2, 2}, 3, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, []int{1, 2, 2}, 3, sim.Config{}); err == nil {
 		t.Error("duplicate accepted")
 	}
-	if _, _, err := Run(g, []int{0, 1, 2}, 3, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, []int{0, 1, 2}, 3, sim.Config{}); err == nil {
 		t.Error("out-of-range accepted")
 	}
-	if _, _, err := Run(g, []int{1, 2, 9}, 3, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, []int{1, 2, 9}, 3, sim.Config{}); err == nil {
 		t.Error("over-bound accepted")
 	}
 }
@@ -101,7 +102,7 @@ func TestQuickNaiveMatchesSequentialGreedy(t *testing.T) {
 		n := int(nn%25) + 1
 		g := graph.GNP(n, 0.3, rng)
 		ids, order := seqIDs(n, rng)
-		res, _, err := Run(g, ids, n, sim.Config{Seed: seed})
+		res, _, err := RunContext(context.Background(), g, ids, n, sim.Config{Seed: seed})
 		if err != nil {
 			return false
 		}

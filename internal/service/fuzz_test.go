@@ -69,13 +69,14 @@ const fuzzMaxSpecs = 4096
 
 // FuzzStudySpec checks the daemon's POST /v1/studies boundary. Each
 // input is decoded as the handler decodes it. A grid whose expansion,
-// families × tasks × sizes × engines × trials after defaults, passes
-// the cap must fail Validate, which rejects it before expanding it.
-// For every grid of at most fuzzMaxSpecs runs that Validate accepts,
-// nothing panics, Resolved is idempotent, the resolved spec still
-// validates, Specs holds len(Cells()) × Trials specs, no more than the
-// cap, and every expanded spec validates. Grids between the two sizes
-// are skipped. The seed corpus is in testdata/fuzz/FuzzStudySpec.
+// families × tasks × sizes × trials after defaults, passes the cap
+// must fail Validate, which rejects it before expanding it. For every
+// grid of at most fuzzMaxSpecs runs that Validate accepts, nothing
+// panics, its engines name the stepped engine at most once, Resolved
+// is idempotent, the resolved spec still validates, Specs holds
+// len(Cells()) × Trials specs, no more than the cap, and every
+// expanded spec validates. Grids between the two sizes are skipped.
+// The seed corpus is in testdata/fuzz/FuzzStudySpec.
 func FuzzStudySpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ss, err := decodeStrict[awakemis.StudySpec](data)
@@ -91,6 +92,9 @@ func FuzzStudySpec(f *testing.F) {
 		}
 		if runs > fuzzMaxSpecs || ss.Validate() != nil {
 			return
+		}
+		if len(ss.Engines) > 1 || len(ss.Engines) == 1 && ss.Engines[0] != "" && ss.Engines[0] != awakemis.EngineStepped {
+			t.Fatalf("Validate accepts engines %q; only one \"\" or \"stepped\" entry is valid", ss.Engines)
 		}
 		r := ss.Resolved()
 		if again := r.Resolved(); !reflect.DeepEqual(again, r) {
@@ -118,7 +122,7 @@ func FuzzStudySpec(f *testing.F) {
 func studyRuns(ss awakemis.StudySpec) int64 {
 	r := ss.Resolved()
 	runs := int64(1)
-	for _, axis := range []int{len(r.Families), len(r.Tasks), len(r.Sizes), len(r.Engines), r.Trials} {
+	for _, axis := range []int{len(r.Families), len(r.Tasks), len(r.Sizes), r.Trials} {
 		runs = min(runs*int64(max(min(axis, studySpecCap+1), 0)), studySpecCap+1)
 	}
 	return runs

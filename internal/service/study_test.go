@@ -52,7 +52,7 @@ func TestStudyDirectVsDaemon(t *testing.T) {
 	}
 	// The acceptance criterion's fit shape, asserted on the shared
 	// artifact: awake-mis's awake metric prefers log log n.
-	fit, ok := local.Fit("awake-mis", "gnp", awakemis.EngineStepped, "max_awake")
+	fit, ok := local.Fit("awake-mis", "gnp", "max_awake")
 	if !ok || fit.Model != "loglog n" {
 		t.Errorf("awake-mis max_awake fit = %+v (ok=%v), want loglog n", fit, ok)
 	}

@@ -13,8 +13,6 @@ import (
 // determinism contract: identical (graph, program, Config.Seed) runs
 // produce identical Metrics and per-node outputs.
 type Engine interface {
-	// Name identifies the engine ("stepped").
-	Name() string
 	// Run executes prog on every node of g under cfg. cfg.Engine is
 	// ignored (the receiver runs the program). Engines poll ctx at every
 	// round boundary: once it is cancelled or past its deadline, Run
@@ -22,16 +20,7 @@ type Engine interface {
 	Run(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error)
 }
 
+// defaultEngine runs every Config whose Engine is nil: the stepped
+// engine, its pool sized from runtime.GOMAXPROCS(0) at the start of
+// each run.
 var defaultEngine Engine = NewSteppedEngine(0)
-
-// Default returns the engine RunStep uses when Config.Engine is nil:
-// the stepped engine, its pool sized from runtime.GOMAXPROCS(0) at the
-// start of each run.
-func Default() Engine { return defaultEngine }
-
-func engineOf(cfg Config) Engine {
-	if cfg.Engine != nil {
-		return cfg.Engine
-	}
-	return defaultEngine
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -23,7 +24,7 @@ func TestSleepImmediatelyAtStart(t *testing.T) {
 			return 0, true
 		}}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestHaltedNeighborsDoNotDeadlock(t *testing.T) {
 			},
 		}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestLongSparseScheduleMetrics(t *testing.T) {
 			return 1000 + 100*int64(env.ID), round > 0
 		}}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

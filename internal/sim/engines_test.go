@@ -686,10 +686,7 @@ func TestWakeQueueOrder(t *testing.T) {
 }
 
 func TestEngineNames(t *testing.T) {
-	if NewSteppedEngine(2).Name() != "stepped" || newReferenceEngine().Name() != "reference" {
-		t.Error("engine names wrong")
-	}
-	if Default().Name() != "stepped" {
+	if _, ok := defaultEngine.(*steppedEngine); !ok {
 		t.Error("default engine must be stepped")
 	}
 	if NewSteppedEngine(3).(*steppedEngine).workers != 3 {
@@ -697,12 +694,13 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
-// TestDefaultPoolFollowsGOMAXPROCS: the Default engine resolves its
-// worker count from runtime.GOMAXPROCS(0) at each run, not once at
-// package init, while an explicit pool size stays fixed.
+// TestDefaultPoolFollowsGOMAXPROCS: a stepped engine of pool size zero,
+// the default, resolves its worker count from runtime.GOMAXPROCS(0) at
+// each run, not once at construction, while an explicit pool size
+// stays fixed.
 func TestDefaultPoolFollowsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	def := Default().(*steppedEngine)
+	def := NewSteppedEngine(0).(*steppedEngine)
 	fixed := NewSteppedEngine(3).(*steppedEngine)
 	for _, procs := range []int{1, 5, 2} {
 		runtime.GOMAXPROCS(procs)

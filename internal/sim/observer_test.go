@@ -138,13 +138,14 @@ func (o *slowObserver) ObserveRound(st RoundStat) {
 
 // TestObserverElapsedCoversLoop pins what RoundStat.Elapsed measures:
 // the gap between the ends of consecutive rounds, so every value is
-// non-negative, the sum stays within the wall time around RunStep, and
-// the sum covers every ObserveRound call but the last.
+// non-negative, the sum stays within the wall time around
+// RunStepContext, and the sum covers every ObserveRound call but the
+// last.
 func TestObserverElapsedCoversLoop(t *testing.T) {
 	g := graph.Cycle(16)
 	obs := &slowObserver{}
 	start := time.Now()
-	if _, err := RunStep(g, staggerProg, Config{Seed: 3, Observer: obs}); err != nil {
+	if _, err := RunStepContext(context.Background(), g, staggerProg, Config{Seed: 3, Observer: obs}); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)
@@ -159,7 +160,7 @@ func TestObserverElapsedCoversLoop(t *testing.T) {
 		observing += d
 	}
 	if sum > wall {
-		t.Errorf("Elapsed sums to %v, beyond RunStep's wall time %v", sum, wall)
+		t.Errorf("Elapsed sums to %v, beyond RunStepContext's wall time %v", sum, wall)
 	}
 	if sum < observing {
 		t.Errorf("Elapsed sums to %v, less than the %v spent in the observer before the last round", sum, observing)
@@ -170,11 +171,11 @@ func TestObserverElapsedCoversLoop(t *testing.T) {
 // perturbs the run itself: metrics are bit-identical with and without.
 func TestObserverMetricsUnchanged(t *testing.T) {
 	g := graph.Cycle(64)
-	bare, err := RunStep(g, staggerProg, Config{Seed: 5})
+	bare, err := RunStepContext(context.Background(), g, staggerProg, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := RunStep(g, staggerProg, Config{Seed: 5, Observer: &obsLog{}})
+	observed, err := RunStepContext(context.Background(), g, staggerProg, Config{Seed: 5, Observer: &obsLog{}})
 	if err != nil {
 		t.Fatal(err)
 	}

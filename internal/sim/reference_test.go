@@ -26,9 +26,6 @@ type referenceEngine struct{}
 
 func newReferenceEngine() Engine { return referenceEngine{} }
 
-// Name implements Engine.
-func (referenceEngine) Name() string { return "reference" }
-
 // Run implements Engine.
 func (referenceEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
 	cfg, err := cfg.withDefaults(g.N())

@@ -19,13 +19,13 @@
 //
 // # Engine
 //
-// The stepped engine (NewSteppedEngine, the Default) keeps all node
+// The stepped engine (NewSteppedEngine, the default) keeps all node
 // state inline, drives awake nodes from a wake-time bucket queue, and
 // fans each round's OnWake calls, with the inbox gathers of a
 // broadcast-only round, across a worker pool in deterministic
 // node-index shards. It runs no goroutine per node and no channel
 // handshake per round, which makes million-node runs feasible. The
-// Default sizes its pool from runtime.GOMAXPROCS(0) at the start of
+// default sizes its pool from runtime.GOMAXPROCS(0) at the start of
 // each run; nothing above this package sets a worker count, because
 // the count never changes results.
 //
@@ -120,8 +120,9 @@ type Config struct {
 	// the counter deltas and one monotonic clock read.
 	// Observer methods are called from the engine goroutine only.
 	Observer RoundObserver
-	// Engine runs the program. Nil means Default(); tests set it to
-	// the reference simulator.
+	// Engine runs the program. Nil means the stepped engine with its
+	// pool sized from GOMAXPROCS; tests set it to the reference
+	// simulator.
 	Engine Engine
 }
 
@@ -314,23 +315,23 @@ type outMsg struct {
 // which stands for a send on every port in port order.
 const broadcastPort = -1
 
-// RunStep simulates prog on every node of g under cfg and returns the
-// measured complexity metrics. It returns an error if any node program
-// panicked, violated the CONGEST bound under Strict, or the run
-// exceeded MaxRounds. The engine is cfg.Engine (Default() when nil).
-func RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
-	return RunStepContext(context.Background(), g, prog, cfg)
-}
-
-// RunStepContext is RunStep under a context: the engine polls ctx at
-// every round boundary and aborts the simulation — returning an error
-// that wraps ctx.Err() — once it is cancelled or past its deadline. A
-// nil ctx means context.Background().
+// RunStepContext simulates prog on every node of g under cfg and
+// returns the measured complexity metrics. It returns an error if any
+// node program panicked, violated the CONGEST bound under Strict, or
+// the run exceeded MaxRounds. The engine is cfg.Engine, or the stepped
+// engine when that is nil. The engine polls ctx at every round boundary
+// and aborts the simulation — returning an error that wraps ctx.Err() —
+// once it is cancelled or past its deadline. A nil ctx means
+// context.Background().
 func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return engineOf(cfg).Run(ctx, g, prog, cfg)
+	eng := cfg.Engine
+	if eng == nil {
+		eng = defaultEngine
+	}
+	return eng.Run(ctx, g, prog, cfg)
 }
 
 // wakeQueue schedules (round, node) wake-ups in O(n) space. Each

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -81,7 +82,7 @@ func TestPingExchange(t *testing.T) {
 			},
 		}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestMessageToSleepingNodeIsLost(t *testing.T) {
 			return round + 1, false
 		}}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestSenderAsleepMessageNotSent(t *testing.T) {
 			return round + 1, false
 		}}
 	})
-	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
+	if _, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range heard.vals[1] {
@@ -175,7 +176,7 @@ func TestClockSkipping(t *testing.T) {
 			return 1_000_000, round > 0
 		}}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestRoundNumbersVisible(t *testing.T) {
 			return next, !ok
 		}}
 	})
-	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
+	if _, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{0, 1, 10}
@@ -216,7 +217,7 @@ var bigSendProgram = perNode(func(env *NodeEnv) funcNode {
 })
 
 func TestStrictCongestViolation(t *testing.T) {
-	_, err := RunStep(graph.Path(2), bigSendProgram, Config{Seed: 1, Strict: true})
+	_, err := RunStepContext(context.Background(), graph.Path(2), bigSendProgram, Config{Seed: 1, Strict: true})
 	if err == nil {
 		t.Fatal("expected bandwidth error")
 	}
@@ -227,7 +228,7 @@ func TestStrictCongestViolation(t *testing.T) {
 }
 
 func TestNonStrictAllowsBigMessages(t *testing.T) {
-	m, err := RunStep(graph.Path(2), bigSendProgram, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), graph.Path(2), bigSendProgram, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ var sleepForever = perNode(func(env *NodeEnv) funcNode {
 })
 
 func TestMaxRoundsAborts(t *testing.T) {
-	_, err := RunStep(graph.New(1), sleepForever, Config{Seed: 1, MaxRounds: 500})
+	_, err := RunStepContext(context.Background(), graph.New(1), sleepForever, Config{Seed: 1, MaxRounds: 500})
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
@@ -261,7 +262,7 @@ var panicOnNode1 = perNode(func(env *NodeEnv) funcNode {
 })
 
 func TestProgramPanicBecomesError(t *testing.T) {
-	if _, err := RunStep(graph.Path(3), panicOnNode1, Config{Seed: 1}); err == nil {
+	if _, err := RunStepContext(context.Background(), graph.Path(3), panicOnNode1, Config{Seed: 1}); err == nil {
 		t.Fatal("expected error from panicking program")
 	}
 }
@@ -276,7 +277,7 @@ func TestHalt(t *testing.T) {
 			return round + 1, round == 2
 		}}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestDeterministicReplay(t *testing.T) {
 				},
 			}
 		})
-		if _, err := RunStep(g, prog, Config{Seed: 42}); err != nil {
+		if _, err := RunStepContext(context.Background(), g, prog, Config{Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
 		return vals
@@ -337,7 +338,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 				return 0, true
 			}}
 		})
-		if _, err := RunStep(g, prog, Config{Seed: seed}); err != nil {
+		if _, err := RunStepContext(context.Background(), g, prog, Config{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		return total
@@ -361,7 +362,7 @@ func TestInboxSortedByPort(t *testing.T) {
 		}
 		return funcNode{start: func(out *Outbox) { out.Send(0, intMsg(int64(env.ID))) }, wake: halt}
 	})
-	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
+	if _, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ports) != 4 {
@@ -394,7 +395,7 @@ func TestPortSymmetry(t *testing.T) {
 			},
 		}
 	})
-	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
+	if _, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(bad.vals) != 0 {
@@ -406,14 +407,14 @@ func TestInvalidPortPanics(t *testing.T) {
 	prog := perNode(func(env *NodeEnv) funcNode {
 		return funcNode{start: func(out *Outbox) { out.Send(5, intMsg(1)) }, wake: halt}
 	})
-	if _, err := RunStep(graph.Path(2), prog, Config{Seed: 1}); err == nil {
+	if _, err := RunStepContext(context.Background(), graph.Path(2), prog, Config{Seed: 1}); err == nil {
 		t.Fatal("expected invalid-port error")
 	}
 }
 
 func TestNTooSmallRejected(t *testing.T) {
 	prog := perNode(func(env *NodeEnv) funcNode { return funcNode{wake: halt} })
-	if _, err := RunStep(graph.New(10), prog, Config{N: 5}); err == nil {
+	if _, err := RunStepContext(context.Background(), graph.New(10), prog, Config{N: 5}); err == nil {
 		t.Fatal("expected error for N < n")
 	}
 }
@@ -452,7 +453,7 @@ func TestManyNodesFloodStress(t *testing.T) {
 			},
 		}
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestManyNodesFloodStress(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	prog := perNode(func(env *NodeEnv) funcNode { return funcNode{wake: halt} })
-	m, err := RunStep(graph.New(0), prog, Config{Seed: 1})
+	m, err := RunStepContext(context.Background(), graph.New(0), prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

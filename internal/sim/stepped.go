@@ -38,7 +38,7 @@ type steppedEngine struct {
 }
 
 // NewSteppedEngine returns the inline-state engine with the given
-// worker-pool size. Zero, the Default, sizes the pool from
+// worker-pool size. Zero, the default, sizes the pool from
 // runtime.GOMAXPROCS(0) at the start of each run.
 func NewSteppedEngine(workers int) Engine {
 	return &steppedEngine{workers: max(workers, 0)}
@@ -51,9 +51,6 @@ func (e *steppedEngine) poolSize() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// Name implements Engine.
-func (e *steppedEngine) Name() string { return "stepped" }
 
 // Run implements Engine.
 func (e *steppedEngine) Run(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {

@@ -151,16 +151,6 @@ func FitGrowth(xs, ys []float64) Fit {
 	return best
 }
 
-// Models lists the candidate growth-model names, slowest-growing
-// first — the tie-break order FitGrowth and CompareGrowth use.
-func Models() []string {
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.name
-	}
-	return names
-}
-
 // ModelFunc returns the transform f of a named model (y ≈ A + B·f(x)).
 func ModelFunc(name string) (func(float64) float64, bool) {
 	for _, m := range models {

@@ -117,13 +117,12 @@ func TestCompareGrowthVerdicts(t *testing.T) {
 }
 
 func TestModelsAndModelFunc(t *testing.T) {
-	names := Models()
-	if len(names) < 3 || names[0] != "const" {
-		t.Errorf("models = %v", names)
+	if len(models) < 3 || models[0].name != "const" {
+		t.Errorf("models = %v", models)
 	}
-	for _, name := range names {
-		if _, ok := ModelFunc(name); !ok {
-			t.Errorf("ModelFunc(%q) missing", name)
+	for _, m := range models {
+		if _, ok := ModelFunc(m.name); !ok {
+			t.Errorf("ModelFunc(%q) missing", m.name)
 		}
 	}
 	if _, ok := ModelFunc("zipf"); ok {

@@ -23,26 +23,26 @@ import (
 
 // Grid is the shape of a study's cross-product expansion: the length
 // of each axis plus the per-cell replication count. Cells enumerate in
-// family-major order — families × tasks × sizes × engines — and every
-// cell expands into Trials specs, so spec i belongs to cell i/Trials,
-// trial i%Trials.
+// family-major order — families × tasks × sizes — and every cell
+// expands into Trials specs, so spec i belongs to cell i/Trials, trial
+// i%Trials.
 type Grid struct {
-	// Families, Tasks, Sizes, Engines are the axis lengths.
-	Families, Tasks, Sizes, Engines int
+	// Families, Tasks, Sizes are the axis lengths.
+	Families, Tasks, Sizes int
 	// Trials is the replication count per cell.
 	Trials int
 }
 
 // Cells returns the number of aggregation cells.
-func (g Grid) Cells() int { return g.Families * g.Tasks * g.Sizes * g.Engines }
+func (g Grid) Cells() int { return g.Families * g.Tasks * g.Sizes }
 
 // Specs returns the number of expanded specs (cells × trials).
 func (g Grid) Specs() int { return g.Cells() * g.Trials }
 
 // CellIndex maps axis indexes to the cell's position in enumeration
 // order.
-func (g Grid) CellIndex(family, task, size, engine int) int {
-	return ((family*g.Tasks+task)*g.Sizes+size)*g.Engines + engine
+func (g Grid) CellIndex(family, task, size int) int {
+	return (family*g.Tasks+task)*g.Sizes + size
 }
 
 // TrialSeed derives the run seed of one (family, n, trial) triple
@@ -52,10 +52,9 @@ func (g Grid) CellIndex(family, task, size, engine int) int {
 // cell derives the same seed in every study that contains it:
 // overlapping grids share the daemon's report cache, and sweeps
 // remain paired however their size lists are ordered or filtered. The
-// task and engine axes deliberately do not enter the derivation:
-// every algorithm and engine in a cell column runs on identical
-// graphs, so cross-task comparisons (the paper's headline tables) are
-// paired, and engine axes are pure determinism checks.
+// task axis deliberately does not enter the derivation: every
+// algorithm in a cell column runs on identical graphs, so cross-task
+// comparisons (the paper's headline tables) are paired.
 func (g Grid) TrialSeed(root int64, familyKey string, n, trial int) int64 {
 	s := rng.Derive(root, "study-family/"+familyKey, 0)
 	s = rng.Derive(s, "study-size", int64(n))

@@ -6,8 +6,8 @@ import (
 )
 
 func TestGridIndexing(t *testing.T) {
-	g := Grid{Families: 2, Tasks: 3, Sizes: 4, Engines: 2, Trials: 5}
-	if g.Cells() != 48 || g.Specs() != 240 {
+	g := Grid{Families: 2, Tasks: 3, Sizes: 4, Trials: 5}
+	if g.Cells() != 24 || g.Specs() != 120 {
 		t.Fatalf("cells=%d specs=%d", g.Cells(), g.Specs())
 	}
 	// CellIndex enumerates densely and in family-major order.
@@ -16,14 +16,12 @@ func TestGridIndexing(t *testing.T) {
 	for f := 0; f < g.Families; f++ {
 		for task := 0; task < g.Tasks; task++ {
 			for s := 0; s < g.Sizes; s++ {
-				for e := 0; e < g.Engines; e++ {
-					i := g.CellIndex(f, task, s, e)
-					if i != last+1 {
-						t.Fatalf("CellIndex(%d,%d,%d,%d) = %d, want %d", f, task, s, e, i, last+1)
-					}
-					last = i
-					seen[i] = true
+				i := g.CellIndex(f, task, s)
+				if i != last+1 {
+					t.Fatalf("CellIndex(%d,%d,%d) = %d, want %d", f, task, s, i, last+1)
 				}
+				last = i
+				seen[i] = true
 			}
 		}
 	}
@@ -35,9 +33,9 @@ func TestGridIndexing(t *testing.T) {
 }
 
 func TestTrialSeeds(t *testing.T) {
-	g := Grid{Families: 2, Tasks: 3, Sizes: 2, Engines: 1, Trials: 3}
-	// Task and engine never enter the derivation; family key, node
-	// count, trial, and the root seed all do.
+	g := Grid{Families: 2, Tasks: 3, Sizes: 2, Trials: 3}
+	// Task never enters the derivation; family key, node count, trial,
+	// and the root seed all do.
 	base := g.TrialSeed(7, "gnp", 64, 0)
 	if got := g.TrialSeed(7, "gnp", 64, 0); got != base {
 		t.Error("TrialSeed not deterministic")
@@ -60,7 +58,7 @@ func TestTrialSeeds(t *testing.T) {
 	// nominal cell derives the same seed in every study that contains
 	// it, which is what lets overlapping grids share the daemon cache
 	// and keeps sweeps paired however the size list is sliced.
-	other := Grid{Families: 1, Tasks: 1, Sizes: 5, Engines: 2, Trials: 9}
+	other := Grid{Families: 1, Tasks: 1, Sizes: 5, Trials: 9}
 	if other.TrialSeed(7, "gnp", 64, 0) != base {
 		t.Error("TrialSeed depends on grid shape")
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func run(t *testing.T) *Collector {
 		// Awake round 0 only; the round-1 message from node 0 is lost.
 		return &scripted{}
 	}
-	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: c}); err != nil {
+	if _, err := sim.RunStepContext(context.Background(), g, prog, sim.Config{Seed: 1, Observer: c}); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -140,7 +141,7 @@ func TestMaxNodesSampling(t *testing.T) {
 	prog := func(env *sim.NodeEnv) sim.StepNode {
 		return &scripted{wakes: []int64{1}, send: map[int64]bool{0: true, 1: true}}
 	}
-	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: c}); err != nil {
+	if _, err := sim.RunStepContext(context.Background(), g, prog, sim.Config{Seed: 1, Observer: c}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.AwakeRounds) != MaxNodes {

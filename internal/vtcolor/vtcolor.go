@@ -100,14 +100,9 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return int64(n.rounds[n.idx]), false // base 1: round r is sim round r
 }
 
-// Run executes the standalone coloring on g with unique IDs in
+// RunContext executes the standalone coloring on g with unique IDs in
 // [1, idBound]; the algorithm occupies rounds 1..idBound after the
-// model's initial all-awake round 0.
-func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, idBound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
+// model's initial all-awake round 0. Cancelling ctx aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if err := checkIDs(g.N(), ids, idBound); err != nil {

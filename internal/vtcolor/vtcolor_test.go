@@ -1,6 +1,7 @@
 package vtcolor
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func TestColoringValidOnFamilies(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			ids, order := permIDs(g.N(), rng)
-			res, m, err := Run(g, ids, g.N(), sim.Config{Seed: 3, Strict: true})
+			res, m, err := RunContext(context.Background(), g, ids, g.N(), sim.Config{Seed: 3, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +65,7 @@ func TestCompleteUsesExactlyNColors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.Complete(8)
 	ids, _ := permIDs(8, rng)
-	res, _, err := Run(g, ids, 8, sim.Config{Seed: 4})
+	res, _, err := RunContext(context.Background(), g, ids, 8, sim.Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestBipartiteUsesTwoColors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.CompleteBipartite(6, 6)
 	ids, _ := permIDs(12, rng)
-	res, _, err := Run(g, ids, 12, sim.Config{Seed: 5})
+	res, _, err := RunContext(context.Background(), g, ids, 12, sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestQuickMatchesSequentialGreedy(t *testing.T) {
 		n := int(nn%25) + 1
 		g := graph.GNP(n, 0.3, rng)
 		ids, order := permIDs(n, rng)
-		res, _, err := Run(g, ids, n, sim.Config{Seed: seed, Strict: true})
+		res, _, err := RunContext(context.Background(), g, ids, n, sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return false
 		}
@@ -117,7 +118,7 @@ func TestQuickMatchesSequentialGreedy(t *testing.T) {
 func TestRejectsBadIDs(t *testing.T) {
 	g := graph.Path(3)
 	for _, ids := range [][]int{{1, 2}, {1, 1, 2}, {0, 1, 2}, {1, 2, 9}} {
-		if _, _, err := Run(g, ids, 3, sim.Config{}); err == nil {
+		if _, _, err := RunContext(context.Background(), g, ids, 3, sim.Config{}); err == nil {
 			t.Errorf("ids %v accepted", ids)
 		}
 	}

@@ -128,15 +128,11 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return int64(next.round), false
 }
 
-// Run executes the matching on g. Each node knows the IDs of its
-// incident edges (both endpoints deterministically derive an edge's ID,
-// e.g. during a hello round; the harness passes the assignment in).
-func Run(g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, bound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
+// RunContext executes the matching on g. Each node knows the IDs of
+// its incident edges (both endpoints deterministically derive an
+// edge's ID, e.g. during a hello round; the caller passes the
+// assignment in). Cancelling ctx aborts the simulation at the next
+// round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if err := ids.Check(g, bound); err != nil {
 		return nil, nil, err

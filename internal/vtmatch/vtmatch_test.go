@@ -1,6 +1,7 @@
 package vtmatch
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -36,7 +37,7 @@ func TestMatchingValidOnFamilies(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			ids := randomEdgeIDs(g, rng)
-			res, m, err := Run(g, ids, g.M(), sim.Config{Seed: 3, Strict: true})
+			res, m, err := RunContext(context.Background(), g, ids, g.M(), sim.Config{Seed: 3, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +68,7 @@ func TestPerfectMatchingOnEvenCycle(t *testing.T) {
 	for i, e := range g.Edges() {
 		ids[e] = i + 1
 	}
-	res, _, err := Run(g, ids, g.M(), sim.Config{Seed: 1})
+	res, _, err := RunContext(context.Background(), g, ids, g.M(), sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestEarlyExitSavesAwake(t *testing.T) {
 	g := graph.Star(40)
 	rng := rand.New(rand.NewSource(5))
 	ids := randomEdgeIDs(g, rng)
-	res, m, err := Run(g, ids, g.M(), sim.Config{Seed: 5})
+	res, m, err := RunContext(context.Background(), g, ids, g.M(), sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +98,13 @@ func TestEarlyExitSavesAwake(t *testing.T) {
 
 func TestRejectsBadEdgeIDs(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := Run(g, EdgeIDs{{0, 1}: 1}, 2, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, EdgeIDs{{0, 1}: 1}, 2, sim.Config{}); err == nil {
 		t.Error("incomplete assignment accepted")
 	}
-	if _, _, err := Run(g, EdgeIDs{{0, 1}: 1, {1, 2}: 1}, 2, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, EdgeIDs{{0, 1}: 1, {1, 2}: 1}, 2, sim.Config{}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
-	if _, _, err := Run(g, EdgeIDs{{0, 1}: 1, {1, 2}: 9}, 2, sim.Config{}); err == nil {
+	if _, _, err := RunContext(context.Background(), g, EdgeIDs{{0, 1}: 1, {1, 2}: 9}, 2, sim.Config{}); err == nil {
 		t.Error("out-of-range id accepted")
 	}
 }
@@ -114,7 +115,7 @@ func TestQuickMatchesSequentialGreedy(t *testing.T) {
 		n := int(nn%30) + 2
 		g := graph.GNP(n, 0.25, rng)
 		ids := randomEdgeIDs(g, rng)
-		res, _, err := Run(g, ids, g.M(), sim.Config{Seed: seed, Strict: true})
+		res, _, err := RunContext(context.Background(), g, ids, g.M(), sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return false
 		}

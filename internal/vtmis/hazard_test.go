@@ -1,6 +1,7 @@
 package vtmis
 
 import (
+	"context"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -24,7 +25,7 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 	prog := func(env *sim.NodeEnv) sim.StepNode {
 		return &ownRoundNode{id: ids[env.ID], in: &in[env.ID]}
 	}
-	m, err := sim.RunStep(g, prog, sim.Config{Seed: 1})
+	m, err := sim.RunStepContext(context.Background(), g, prog, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 			m.MessagesDelivered, m.MessagesSent)
 	}
 	// The correct algorithm on the same instance succeeds.
-	res, _, err := Run(g, ids, 6, sim.Config{Seed: 1})
+	res, _, err := RunContext(context.Background(), g, ids, 6, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSubProcedureComposition(t *testing.T) {
 	prog := func(env *sim.NodeEnv) sim.StepNode {
 		return &twoWindows{t: t, env: env, id: ids[env.ID], in: in}
 	}
-	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 2}); err != nil {
+	if _, err := sim.RunStepContext(context.Background(), g, prog, sim.Config{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.CheckMIS(g, in); err != nil {

@@ -160,16 +160,11 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return int64(n.round), false // base 1: round r is sim round r
 }
 
-// Run executes standalone VT-MIS on g with the given unique IDs in
-// [1, idBound]. All nodes participate on all ports. Round 0 is the
+// RunContext executes standalone VT-MIS on g with the given unique IDs
+// in [1, idBound]. All nodes participate on all ports. Round 0 is the
 // model's initial all-awake round; the algorithm occupies rounds
-// 1..idBound.
-func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, idBound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
+// 1..idBound. Cancelling ctx aborts the simulation at the next round
+// boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if err := CheckIDs(g.N(), ids, idBound); err != nil {
 		return nil, nil, err

@@ -15,7 +15,7 @@ import (
 )
 
 // StudySpec declares a parameter-sweep study: the axes of a grid
-// (tasks × graph families × n-sweep × engines), a replication count,
+// (tasks × graph families × n-sweep), a replication count,
 // and a root seed. A study expands deterministically into the cross
 // product of Specs — same StudySpec, same Specs, same seeds, every
 // time — and executes into a StudyResult artifact that aggregates each
@@ -41,16 +41,18 @@ type StudySpec struct {
 	// Sizes is the n-sweep (default 64, 256, 1024). Growth fits need at
 	// least two sizes.
 	Sizes []int `json:"sizes,omitempty"`
-	// Engines is the engine axis. The stepped engine is the only one,
-	// so it may list only "" or "stepped" (the default); it stays on
-	// the wire so artifacts record the engine that produced them.
+	// Engines names the engine that runs every cell. The stepped engine
+	// is the only one, so it may list "" or "stepped" once, or nothing.
+	// It is not an axis; it is kept for wire compatibility, and
+	// Resolved always sets it to ["stepped"] so artifacts record the
+	// engine that produced them.
 	Engines []Engine `json:"engines,omitempty"`
 	// Trials is the replication count per cell (default 3).
 	Trials int `json:"trials,omitempty"`
 	// Seed is the root seed every cell seed derives from.
 	Seed int64 `json:"seed,omitempty"`
 	// Options is the base for every expanded Spec. Its Seed and Engine
-	// must be zero (the study axes supply them); Trace is zeroed during
+	// must be zero (the study supplies them); Trace is zeroed during
 	// resolution — it never changes results, and keeping it out of
 	// expanded specs is what makes local and daemon-served artifacts
 	// byte-identical.
@@ -72,7 +74,7 @@ func (ss StudySpec) label() string {
 }
 
 // Resolved returns the spec with every default filled in: families,
-// sizes, engines, and trials populated, engine names resolved, and
+// sizes, and trials populated, engines set to the one engine, and
 // the result-irrelevant base option Trace zeroed. Cells,
 // Specs, and Accumulator all operate on the resolved form, and the
 // StudyResult artifact embeds it.
@@ -93,17 +95,7 @@ func (ss StudySpec) Resolved() StudySpec {
 	if len(out.Sizes) == 0 {
 		out.Sizes = []int{64, 256, 1024}
 	}
-	if len(out.Engines) == 0 {
-		out.Engines = []Engine{EngineStepped}
-	}
-	engs := make([]Engine, len(out.Engines))
-	for i, e := range out.Engines {
-		if e == "" {
-			e = EngineStepped
-		}
-		engs[i] = e
-	}
-	out.Engines = engs
+	out.Engines = []Engine{EngineStepped}
 	if out.Trials == 0 {
 		out.Trials = 3
 	}
@@ -144,9 +136,9 @@ func (ss StudySpec) check() error {
 	// multiplied in — the short-circuit keeps the running product at
 	// most cap², so the arithmetic can never overflow past the check.
 	specs := int64(1)
-	for _, axis := range []int{len(r.Families), len(r.Tasks), len(r.Sizes), len(r.Engines), r.Trials} {
+	for _, axis := range []int{len(r.Families), len(r.Tasks), len(r.Sizes), r.Trials} {
 		if int64(axis) > maxStudySpecs || specs*int64(axis) > maxStudySpecs {
-			return fmt.Errorf("study expands to more than %d runs (families × tasks × sizes × engines × trials); split the grid", maxStudySpecs)
+			return fmt.Errorf("study expands to more than %d runs (families × tasks × sizes × trials); split the grid", maxStudySpecs)
 		}
 		specs *= int64(axis)
 	}
@@ -186,16 +178,19 @@ func (ss StudySpec) check() error {
 	if err := dupCheck("sizes", sizeKeys); err != nil {
 		return err
 	}
-	engKeys := make([]string, len(r.Engines))
-	for i, e := range r.Engines {
-		engKeys[i] = string(e)
-	}
-	if err := dupCheck("engines", engKeys); err != nil {
-		return err
+	// "" and "stepped" both name the one engine, so a second entry is
+	// always a duplicate.
+	for i, e := range ss.Engines {
+		if err := (Options{Engine: e}).validate(); err != nil {
+			return fmt.Errorf("engines: %w", err)
+		}
+		if i > 0 {
+			return fmt.Errorf("engines: duplicate entry %q", EngineStepped)
+		}
 	}
 	// Validating every expanded spec catches the cross-axis conflicts a
 	// per-axis check cannot (a regular family whose degree reaches one
-	// of the sizes, an unknown task, a bad engine name, ...).
+	// of the sizes, an option a task rejects, ...).
 	for _, spec := range r.Specs() {
 		if err := spec.Validate(); err != nil {
 			return err
@@ -242,15 +237,15 @@ func familyKey(f GraphSpec) string {
 func (ss StudySpec) grid() study.Grid {
 	return study.Grid{
 		Families: len(ss.Families), Tasks: len(ss.Tasks),
-		Sizes: len(ss.Sizes), Engines: len(ss.Engines),
-		Trials: ss.Trials,
+		Sizes: len(ss.Sizes), Trials: ss.Trials,
 	}
 }
 
 // StudyCell identifies one aggregation cell of the grid: a (task,
-// family, n, engine) combination whose Trials runs are summarized
-// together. Index is the cell's position in enumeration order
-// (families × tasks × sizes × engines, family-major).
+// family, n) combination whose Trials runs are summarized together.
+// Index is the cell's position in enumeration order (families × tasks
+// × sizes, family-major), and Engine records the engine that ran it,
+// always "stepped".
 type StudyCell struct {
 	Index  int    `json:"index"`
 	Task   string `json:"task"`
@@ -274,12 +269,10 @@ func (ss StudySpec) Cells() []StudyCell {
 		key := familyKey(fam)
 		for ti, task := range r.Tasks {
 			for si, n := range r.Sizes {
-				for ei, eng := range r.Engines {
-					cells = append(cells, StudyCell{
-						Index: g.CellIndex(fi, ti, si, ei),
-						Task:  task, Family: key, N: n, Engine: eng,
-					})
-				}
+				cells = append(cells, StudyCell{
+					Index: g.CellIndex(fi, ti, si),
+					Task:  task, Family: key, N: n, Engine: EngineStepped,
+				})
 			}
 		}
 	}
@@ -300,25 +293,23 @@ func (ss StudySpec) Specs() []Spec {
 		key := familyKey(fam)
 		for _, task := range r.Tasks {
 			for _, n := range r.Sizes {
-				for _, eng := range r.Engines {
-					cell := StudyCell{Task: task, Family: key, N: n, Engine: eng}
-					for t := 0; t < r.Trials; t++ {
-						gs := fam
-						gs.N = n
-						// All trials of a cell column share one explicitly
-						// seeded graph: replication measures algorithmic
-						// randomness on a fixed input.
-						gs.Seed = g.GraphSeed(r.Seed, key, n)
-						opt := r.Options
-						opt.Seed = g.TrialSeed(r.Seed, key, n, t)
-						opt.Engine = eng
-						specs = append(specs, Spec{
-							Name:    fmt.Sprintf("%s/t%d", cell.label(), t),
-							Task:    task,
-							Graph:   gs,
-							Options: opt,
-						})
-					}
+				cell := StudyCell{Task: task, Family: key, N: n, Engine: EngineStepped}
+				for t := 0; t < r.Trials; t++ {
+					gs := fam
+					gs.N = n
+					// All trials of a cell column share one explicitly
+					// seeded graph: replication measures algorithmic
+					// randomness on a fixed input.
+					gs.Seed = g.GraphSeed(r.Seed, key, n)
+					opt := r.Options
+					opt.Seed = g.TrialSeed(r.Seed, key, n, t)
+					opt.Engine = EngineStepped
+					specs = append(specs, Spec{
+						Name:    fmt.Sprintf("%s/t%d", cell.label(), t),
+						Task:    task,
+						Graph:   gs,
+						Options: opt,
+					})
 				}
 			}
 		}
@@ -382,7 +373,7 @@ type StudyCellResult struct {
 }
 
 // StudyFit is one fitted growth law: how a metric's per-cell mean
-// grows with n along one (task, family, engine) series, which
+// grows with n along one (task, family) series, which
 // candidate model fits best, the 95% bootstrap confidence interval of
 // its slope, and the R² margin over the runner-up model.
 type StudyFit struct {
@@ -427,9 +418,9 @@ func (r *StudyResult) JSON() ([]byte, error) {
 }
 
 // Cell finds a cell result by identity.
-func (r *StudyResult) Cell(task, family string, n int, engine Engine) (StudyCellResult, bool) {
+func (r *StudyResult) Cell(task, family string, n int) (StudyCellResult, bool) {
 	for _, c := range r.Cells {
-		if c.Task == task && c.Family == family && c.N == n && c.Engine == engine {
+		if c.Task == task && c.Family == family && c.N == n {
 			return c, true
 		}
 	}
@@ -437,9 +428,9 @@ func (r *StudyResult) Cell(task, family string, n int, engine Engine) (StudyCell
 }
 
 // Fit finds a growth fit by series and metric.
-func (r *StudyResult) Fit(task, family string, engine Engine, metric string) (StudyFit, bool) {
+func (r *StudyResult) Fit(task, family, metric string) (StudyFit, bool) {
 	for _, f := range r.Fits {
-		if f.Task == task && f.Family == family && f.Engine == engine && f.Metric == metric {
+		if f.Task == task && f.Family == family && f.Metric == metric {
 			return f, true
 		}
 	}
@@ -593,22 +584,20 @@ func (a *StudyAccumulator) Result() (*StudyResult, error) {
 		for fi, fam := range a.study.Families {
 			key := familyKey(fam)
 			for ti, task := range a.study.Tasks {
-				for ei, eng := range a.study.Engines {
-					for _, metric := range names {
-						ys := make([]float64, len(a.study.Sizes))
-						for si := range a.study.Sizes {
-							ys[si] = a.agg.Mean(a.grid.CellIndex(fi, ti, si, ei), metric)
-						}
-						f := study.FitSeries(xs, ys, 200, rng.Derive(a.study.Seed, "study-fit/"+metric, int64(series)))
-						fits = append(fits, StudyFit{
-							Task: task, Family: key, Engine: eng, Metric: metric,
-							Model: f.Model, A: f.A, B: f.B, R2: f.R2,
-							BLo: f.BLo, BHi: f.BHi,
-							RunnerUp: f.RunnerUp, Margin: f.Margin,
-						})
+				for _, metric := range names {
+					ys := make([]float64, len(a.study.Sizes))
+					for si := range a.study.Sizes {
+						ys[si] = a.agg.Mean(a.grid.CellIndex(fi, ti, si), metric)
 					}
-					series++
+					f := study.FitSeries(xs, ys, 200, rng.Derive(a.study.Seed, "study-fit/"+metric, int64(series)))
+					fits = append(fits, StudyFit{
+						Task: task, Family: key, Engine: EngineStepped, Metric: metric,
+						Model: f.Model, A: f.A, B: f.B, R2: f.R2,
+						BLo: f.BLo, BHi: f.BHi,
+						RunnerUp: f.RunnerUp, Margin: f.Margin,
+					})
 				}
+				series++
 			}
 		}
 	}

@@ -202,7 +202,7 @@ func TestStudyFitPrefersLogLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, ok := res.Fit("awake-mis", "gnp", awakemis.EngineStepped, "max_awake")
+	fit, ok := res.Fit("awake-mis", "gnp", "max_awake")
 	if !ok {
 		t.Fatal("awake-mis max_awake fit missing")
 	}
@@ -212,7 +212,7 @@ func TestStudyFitPrefersLogLog(t *testing.T) {
 	if fit.B < fit.BLo-1e-9 || fit.B > fit.BHi+1e-9 {
 		t.Errorf("slope %v outside its CI [%v, %v]", fit.B, fit.BLo, fit.BHi)
 	}
-	vt, ok := res.Fit("vt-mis", "gnp", awakemis.EngineStepped, "max_awake")
+	vt, ok := res.Fit("vt-mis", "gnp", "max_awake")
 	if !ok {
 		t.Fatal("vt-mis max_awake fit missing")
 	}
@@ -220,7 +220,7 @@ func TestStudyFitPrefersLogLog(t *testing.T) {
 		t.Errorf("vt-mis max_awake model = %q, want log n (fit %+v)", vt.Model, vt)
 	}
 	// Cells carry the distribution summary metrics.
-	cell, ok := res.Cell("awake-mis", "gnp", 1024, awakemis.EngineStepped)
+	cell, ok := res.Cell("awake-mis", "gnp", 1024)
 	if !ok {
 		t.Fatal("awake-mis n=1024 cell missing")
 	}

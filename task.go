@@ -131,7 +131,7 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 	}
 	rep := &Report{
 		Task:     task,
-		Engine:   cfg.Engine.Name(),
+		Engine:   string(EngineStepped),
 		Seed:     opt.Seed,
 		Graph:    statsOf(g),
 		Metrics:  fromSim(m),
