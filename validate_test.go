@@ -64,7 +64,7 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown engine", func(s *awakemis.Spec) { s.Options.Engine = "quantum" }, `unknown engine "quantum"`},
 		{"lockstep engine", func(s *awakemis.Spec) { s.Options.Engine = "lockstep" }, `unknown engine "lockstep" (stepped is the only engine)`},
 		{"negative N bound", func(s *awakemis.Spec) { s.Options.N = -1 }, "network-size bound"},
-		// It used to validate and then fail in the engine as a job.
+		// Otherwise the spec would fail in the engine, as a job.
 		{"N bound below node count", func(s *awakemis.Spec) { s.Options.N = 63 }, "N=63 is below the graph's 64 nodes"},
 		{"negative bandwidth", func(s *awakemis.Spec) { s.Options.Bandwidth = -8 }, "bandwidth"},
 		{"negative max rounds", func(s *awakemis.Spec) { s.Options.MaxRounds = -1 }, "max_rounds"},
